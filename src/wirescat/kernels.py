@@ -1,5 +1,9 @@
 """Hot numeric kernels: evanescent mode sums and field-grid evaluation.
 
+``tail_sum`` is the exact head of the production rho_bar route
+(``scatter.regularized_scale_tail_subtraction``); ``cut_sum`` feeds only the
+Neville-ladder cross-check ``scatter.regularized_scale``.
+
 Each kernel exists in a pure-numpy version and, when numba is importable, a
 compiled ``@njit`` version.  The compiled path is used by default; set the
 environment variable ``WIRESCAT_NO_NUMBA=1`` (before import) to force the

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .numerics import neville_diagonal
 from .scatter import nearest_threshold_index, resonance_parameter, Impurity
 from .specfun import threshold_energy
 from .wire import WireGeometry
@@ -339,15 +340,7 @@ def extrapolate_to_zero_width(solutions) -> ExtrapolatedAmplitudes:
     r_err = np.empty(nl)
 
     def _extrap(series, label, idx):
-        col = list(series)
-        n_pts = len(col)
-        diag = [col[0]]
-        for order in range(1, n_pts):
-            col = [
-                (x[i] * col[i + 1] - x[i + order] * col[i]) / (x[i] - x[i + order])
-                for i in range(n_pts - order)
-            ]
-            diag.append(col[0])
+        diag = neville_diagonal(x, series)
         steps = np.diff(np.asarray(series, dtype=complex))
         sizes = np.abs(steps)
         flips = np.real(steps[1:] * np.conj(steps[:-1])) < 0.0

@@ -92,8 +92,8 @@ class Impurity:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise DomainError(f"impurity position must satisfy 0 < eps < 1, got {self.epsilon}")
-        if not self.rho0 > 0.0:
-            raise DomainError(f"impurity scale rho0 must be positive, got {self.rho0}")
+        if not 0.0 < self.rho0 < math.inf:
+            raise DomainError(f"impurity scale rho0 must be positive and finite, got {self.rho0}")
 
     @property
     def lambda_b(self) -> float:
@@ -169,6 +169,8 @@ def nearest_threshold_index(omega: float) -> int:
     this labelling as long as every propagating mode is <= m and
     omega < ((m+1) pi)^2, which the rule guarantees.
     """
+    if not math.isfinite(omega):
+        raise DomainError(f"energy must be finite, got {omega}")
     if omega <= 0.0:
         raise DomainError(f"energy must be positive, got {omega}")
     ratio = omega / math.pi**2
@@ -181,6 +183,8 @@ def nearest_threshold_index(omega: float) -> int:
 
 
 def _validate_window(omega: float, m: int) -> None:
+    if not math.isfinite(omega):
+        raise DomainError(f"energy must be finite, got {omega}")
     if m < 1:
         raise DomainError(f"cut-off index must be >= 1, got {m}")
     if omega >= threshold_energy(m + 1):
@@ -199,11 +203,25 @@ def _validate_window(omega: float, m: int) -> None:
 # regularized on-site scale
 # ---------------------------------------------------------------------------
 
+#: Most modes either rho_bar route may sum in one call: the ladder's deepest
+#: rung and the tail-subtraction head both stop here.
+_TERM_BUDGET = 3e7
+
+#: B_2i / (2i)! for i = 1..5, the Euler-Maclaurin coefficients.
+_EM_COEFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0)
+
+#: Most summation-by-parts terms the oscillating tail may take.
+_SBP_TERMS = 8
+
+
 def regularized_scale(eps: float, omega: float, m: int, *,
                       ladder_start: float = 1e-2,
                       stability: float = 1e-9,
                       max_levels: int = 14) -> float:
-    """The regularized length scale rho_bar(eps, omega, m):
+    """The regularized length scale rho_bar(eps, omega, m) from its defining
+    limit; the library computes rho_bar with
+    :func:`regularized_scale_tail_subtraction` and keeps this route as the
+    independent cross-check:
 
         ln(rho_bar) = lim_{rho->0} [ ln rho + S(rho) ],
         S(rho) = 2 pi sum_{n>m} sin^2(n pi eps)/sqrt((n pi)^2 - omega)
@@ -225,7 +243,7 @@ def regularized_scale(eps: float, omega: float, m: int, *,
     best, best_gap = None, math.inf
     for k in range(max_levels + 1):
         rho = start * 0.5**k
-        if 4.11 / rho > 3e7:  # term budget for the deepest ladder rung
+        if 4.11 / rho > _TERM_BUDGET:  # term budget for the deepest ladder rung
             break
         rhos.append(rho)
         values.append(math.log(rho) + evanescent_gaussian_sum(eps, omega, m, rho))
@@ -242,44 +260,120 @@ def regularized_scale(eps: float, omega: float, m: int, *,
     return math.exp(best)
 
 
-def regularized_scale_tail_subtraction(eps: float, omega: float, m: int,
-                                       n_terms: int = 250_000) -> float:
-    """Independent evaluation of rho_bar by analytic subtraction of the
-    Gaussian-damped asymptotic tail sum_n e^{-(n pi rho/2)^2}/n.
+def regularized_scale_tail_subtraction(eps: float, omega: float, m: int) -> float:
+    """rho_bar(eps, omega, m) in closed form; the production route behind
+    every amplitude, transport matrix and resonance parameter.
 
-    Using sum_{n>=1} e^{-a^2 n^2}/n = -ln a + gamma/2 + O(a^2) and
-    sum_{n>=1} cos(2 pi eps n)/n = -ln(2 sin(pi eps)), the rho -> 0 limit
-    collapses to the closed form
+    Subtracting the Gaussian-damped asymptotic tail
+    sum_n e^{-(n pi rho/2)^2}/n analytically, with
+    sum_{n>=1} e^{-a^2 n^2}/n = -ln a + gamma/2 + O(a^2) and
+    sum_{n>=1} cos(2 pi eps n)/n = -ln(2 sin(pi eps)), collapses the
+    rho -> 0 limit of :func:`regularized_scale` to
 
         ln(rho_bar) = ln(2/pi) + gamma/2 - H_m + ln(2 sin(pi eps))
                       + sum_{q<=m} cos(2 q pi eps)/q
-                      + 2 pi sum_{n>m} sin^2(n pi eps)
-                        [1/sqrt((n pi)^2 - omega) - 1/(n pi)],
+                      + 2 pi sum_{n>m} sin^2(n pi eps) g(n),
+        g(n) = 1/sqrt((n pi)^2 - omega) - 1/(n pi),
 
-    where H_m is the m-th harmonic number.  The last (absolutely convergent)
-    sum is truncated at ``n_terms`` with its smooth tail restored by the
-    integral of the average term.
+    where H_m is the m-th harmonic number.  The last sum runs exactly up to
+    N0 = max(512, 64/min(eps, 1-eps), 8 sqrt|omega|/pi, m).  Above N0,
+    sin^2 = (1 - cos(2 n pi eps))/2 splits it into a smooth tail, closed by
+    a binomial series in omega with Euler-Maclaurin Hurwitz-zeta tails, and
+    an oscillating tail, closed by summation by parts.  Raises
+    ConvergenceError when N0 exceeds the term budget (an impurity within
+    ~2e-6 of a wall).
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"impurity position must satisfy 0 < eps < 1, got {eps}")
     _validate_window(omega, m)
+    # sin^2(n pi eps) and cos(2 n pi eps) are symmetric under eps -> 1 - eps,
+    # and 1 - eps is exact: the distance to the nearer wall keeps full
+    # relative precision in sin(pi eps) for impurities at either wall
+    edge = min(eps, 1.0 - eps)
+    n0 = max(512, math.ceil(64.0 / edge), math.ceil(8.0 * math.sqrt(abs(omega)) / math.pi), m)
+    if n0 > _TERM_BUDGET:
+        raise ConvergenceError(
+            f"tail subtraction needs {n0} exact terms at eps={eps}, omega={omega}, "
+            f"above the {_TERM_BUDGET:.0e}-term budget"
+        )
     harmonic = sum(1.0 / q for q in range(1, m + 1))
     cos_part = sum(math.cos(2.0 * q * math.pi * eps) / q for q in range(1, m + 1))
-    n_max = n_terms + m
-    rest = 2.0 * math.pi * kernels.tail_sum(float(eps), float(omega), int(m), int(n_max))
-    # smooth tail of the last sum beyond n_max: sin^2 -> 1/2 average,
-    # pi * int_{n_max+1/2}^inf [1/sqrt((pi x)^2 - omega) - 1/(pi x)] dx
-    big_x = math.pi * (n_max + 0.5)
-    rest += math.log(2.0 * big_x / (big_x + math.sqrt(big_x * big_x - omega)))
+    rest = kernels.tail_sum(edge, float(omega), int(m), n0)
+    rest += 0.5 * _smooth_tail(omega, n0) - 0.5 * _oscillating_tail(edge, omega, n0)
     ln_rb = (
         math.log(2.0 / math.pi)
         + EULER_GAMMA / 2.0
         - harmonic
-        + math.log(2.0 * math.sin(math.pi * eps))
+        + math.log(2.0 * math.sin(math.pi * edge))
         + cos_part
-        + rest
+        + 2.0 * math.pi * rest
     )
     return math.exp(ln_rb)
+
+
+def _smooth_tail(omega: float, n0: int) -> float:
+    """sum_{n>n0} g(n), g(n) = 1/sqrt((n pi)^2 - omega) - 1/(n pi).
+
+    Expanding g in omega gives (1/pi) sum_{j>=1} a_j (omega/pi^2)^j
+    zeta(2j+1, a), a_j = C(2j, j)/4^j, a = n0 + 1.  Each Hurwitz tail comes
+    from Euler-Maclaurin in the scaled form
+    a^s zeta(s, a) = a/(s-1) + 1/2 + sum_i B_2i/(2i)! (s)_{2i-1} a^{1-2i},
+    whose first omitted term is negligible for a > 512.  With
+    |omega| <= (n0 pi / 8)^2 the series in j shrinks 64-fold per term.
+    """
+    a = n0 + 1.0
+    x = omega / (math.pi * a) ** 2
+    inv_a2 = 1.0 / (a * a)
+    total = 0.0
+    coef = 1.0
+    for j in range(1, 64):
+        coef *= x * (2 * j - 1) / (2 * j)  # a_j x^j
+        s = 2 * j + 1
+        scaled = 1.0 / (s - 1) + 0.5 / a  # a^(s-1) zeta(s, a)
+        rising, power = float(s), inv_a2  # (s)_{2i-1}, a^{-2i}
+        for i, c in enumerate(_EM_COEFS, start=1):
+            scaled += c * rising * power
+            rising *= (s + 2 * i - 1) * (s + 2 * i)
+            power *= inv_a2
+        term = coef * scaled
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    return total / math.pi
+
+
+def _oscillating_tail(eps: float, omega: float, n0: int) -> float:
+    """sum_{n>n0} cos(2 n pi eps) g(n) by repeated summation by parts,
+
+        sum_{n>=N} z^n g(n) = sum_{k>=0} z^(N+k) Delta^k g(N) / (1-z)^(k+1),
+
+    with z = e^{2 pi i eps}, N = n0 + 1 and forward differences Delta.  The
+    series is asymptotic: true terms fall by ~N |1-z| / (k+3) >= 25 per
+    order, while the roundoff in Delta^k g grows like |1-z|^-k.  Near a wall a
+    fixed length would let that roundoff through, so the sum stops before
+    its first term that does not shrink.
+    """
+    n = np.arange(n0 + 1, n0 + 1 + _SBP_TERMS, dtype=np.float64) * np.pi
+    root = np.sqrt(n * n - omega)
+    diffs = omega / (root * n * (n + root))  # g(n), cancellation-free
+    # 1 - z = -2i sin(pi eps) e^{i pi eps} has no cancellation near a wall, so
+    # z / (1 - z) = i e^{i pi eps} / (2 sin(pi eps)) and
+    # z^N / (1 - z) = i e^{i pi (2 N eps - eps)} / (2 sin(pi eps))
+    half = 0.5 / math.sin(math.pi * eps)
+    ratio = complex(-math.sin(math.pi * eps), math.cos(math.pi * eps)) * half
+    phase = math.pi * (2.0 * ((n0 + 1) * eps % 1.0) - eps)
+    lead = complex(-math.sin(phase), math.cos(phase)) * half
+    total = 0.0
+    last = math.inf
+    for _ in range(_SBP_TERMS):
+        term = lead * diffs[0]
+        if abs(term) >= last:
+            break
+        total += term
+        last = abs(term)
+        lead *= ratio
+        diffs = np.diff(diffs)
+    return total.real
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +430,7 @@ def scattering_amplitude(geometry: WireGeometry, impurity: Impurity,
             "threshold_field / threshold_amplitude_limit"
         )
     eps = impurity.epsilon
-    rho_bar = regularized_scale(eps, omega, m)
+    rho_bar = regularized_scale_tail_subtraction(eps, omega, m)
     bracket = _bracket(impurity, omega, m, rho_bar)
     return math.sin(n * math.pi * eps) * math.sin(l * math.pi * eps) / (1j * k_l * bracket)
 
@@ -358,7 +452,7 @@ def solve_scattering(geometry: WireGeometry, impurity: Impurity,
     if l_max is None:
         l_max = m + 20
     eps = impurity.epsilon
-    rho_bar = regularized_scale(eps, omega, m)
+    rho_bar = regularized_scale_tail_subtraction(eps, omega, m)
     bracket = _bracket(impurity, omega, m, rho_bar)
     s_n = math.sin(n * math.pi * eps)
     amps: dict[int, complex] = {}
@@ -462,7 +556,7 @@ def resonance_parameter(geometry: WireGeometry, impurity: Impurity,
             f"impurity sits on a node of mode {m} (sin(m pi eps) = {s_m:.1e}); "
             "the reduced near-threshold forms are 0/0 - use the full amplitudes"
         )
-    rho_bar = regularized_scale(eps, omega, m)
+    rho_bar = regularized_scale_tail_subtraction(eps, omega, m)
     value = complex(math.log(impurity.rho0 / rho_bar) / (2.0 * math.pi * s_m**2), 0.0)
     for q in range(1, m):
         value -= 1j * (math.sin(q * math.pi * eps) ** 2 / s_m**2

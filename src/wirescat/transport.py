@@ -17,7 +17,7 @@ from .errors import DomainError, ThresholdEnergyError, WirescatError
 from .scatter import (
     Impurity,
     nearest_threshold_index,
-    regularized_scale,
+    regularized_scale_tail_subtraction,
     _bracket,
 )
 from .specfun import longitudinal_wavenumber, threshold_energy
@@ -76,7 +76,7 @@ def transport_at(geometry: WireGeometry, impurity: Impurity, omega: float) -> Tr
                 "use threshold_transport"
             )
     m = nearest_threshold_index(omega)
-    rho_bar = regularized_scale(impurity.epsilon, omega, m)
+    rho_bar = regularized_scale_tail_subtraction(impurity.epsilon, omega, m)
     bracket = _bracket(impurity, omega, m, rho_bar)
     eps = impurity.epsilon
     k = np.array([longitudinal_wavenumber(l, omega).value.real for l in range(1, p + 1)])

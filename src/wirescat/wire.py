@@ -202,6 +202,8 @@ def _fd_eigensolve(geometry, m, count):
 
 def propagating_count(omega: float) -> int:
     """Number of hard-wall modes with cut-off strictly below omega."""
+    if not math.isfinite(omega):
+        raise DomainError(f"energy must be finite, got {omega}")
     if omega <= math.pi**2:
         return 0
     p = int(math.floor(math.sqrt(omega) / math.pi))

@@ -49,6 +49,9 @@ class TestImpurity:
             Impurity(epsilon=1.2, rho0=0.01)
         with pytest.raises(DomainError):
             Impurity(epsilon=0.3, rho0=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                Impurity(epsilon=0.3, rho0=bad)
 
 
 class TestThresholdWindow:
@@ -59,6 +62,16 @@ class TestThresholdWindow:
         # upper half of a window is assigned to the threshold above
         assert nearest_threshold_index(6.0 * PI**2) == 3
         assert nearest_threshold_index(8.9 * PI**2) == 3
+
+    def test_non_finite_energy_rejected(self):
+        from wirescat import propagating_count
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                nearest_threshold_index(bad)
+            with pytest.raises(DomainError):
+                propagating_count(bad)
+            with pytest.raises(DomainError):
+                regularized_scale_tail_subtraction(0.3, bad, 2)
 
     def test_window_always_brackets_propagating_modes(self):
         from wirescat import propagating_count
@@ -118,6 +131,43 @@ class TestRegularizedScale:
         # budget: the defect must be reported, not a silently wrong limit
         with pytest.raises(ConvergenceError):
             regularized_scale(1e-6, OM_2, 2)
+
+
+def partial_sum_log_scale(eps, omega, m, n_terms):
+    """ln(rho_bar) from the closed form with its mode sum summed directly to
+    n_terms and the smooth remainder restored by the integral of the
+    average term; numpy only, no library kernels."""
+    total = 0.0
+    for lo in range(m + 1, n_terms + 1, 1 << 20):
+        npi = np.arange(lo, min(lo + (1 << 20), n_terms + 1), dtype=float) * PI
+        total += float(np.sum(np.sin(npi * eps) ** 2
+                              * (1.0 / np.sqrt(npi**2 - omega) - 1.0 / npi)))
+    big_x = PI * (n_terms + 0.5)
+    tail = math.log(2.0 * big_x / (big_x + math.sqrt(big_x**2 - omega)))
+    harmonic = sum(1.0 / q for q in range(1, m + 1))
+    cos_part = sum(math.cos(2 * q * PI * eps) / q for q in range(1, m + 1))
+    return (math.log(2 / PI) + 0.5772156649015329 / 2 - harmonic
+            + math.log(2 * math.sin(PI * eps)) + cos_part + 2 * PI * total + tail)
+
+
+class TestTailSubtraction:
+    @pytest.mark.parametrize("eps", [3e-6, 1e-5, 1e-3, 0.01, 0.3, 0.5, 0.999])
+    def test_matches_long_partial_sums(self, eps):
+        # within 1e-3 of a wall the oscillating tail decays over ~1/eps
+        # modes; these cases also catch a summation-by-parts series run past
+        # its smallest term, whose roundoff grows like |1 - e^{2 pi i eps}|^-k
+        n_terms = 4_000_000 if min(eps, 1 - eps) < 2e-3 else 1_000_000
+        for m in range(1, 6):
+            gap = threshold_energy(m + 1) - threshold_energy(m)
+            for side in (-0.25, 0.4):
+                omega = threshold_energy(m) + side * gap
+                got = math.log(regularized_scale_tail_subtraction(eps, omega, m))
+                ref = partial_sum_log_scale(eps, omega, m, n_terms)
+                assert abs(got - ref) <= 1e-12, (m, omega)
+
+    def test_wall_beyond_term_budget_raises(self):
+        with pytest.raises(ConvergenceError):
+            regularized_scale_tail_subtraction(1e-8, OM_2, 2)
 
 
 class TestAmplitudes:
@@ -243,13 +293,13 @@ class TestResonanceParameter:
         imp = Impurity(epsilon=0.37, rho0=0.02)
         d = resonance_parameter(hard_wall, imp, 1)
         assert d.imag == 0.0
-        rb = regularized_scale(0.37, threshold_energy(1), 1)
+        rb = regularized_scale_tail_subtraction(0.37, threshold_energy(1), 1)
         assert d.real == pytest.approx(
             math.log(imp.rho0 / rb) / (2 * PI * math.sin(0.37 * PI) ** 2), rel=1e-12
         )
 
     def test_matched_scale_zeroes_real_part(self, hard_wall):
-        rb = regularized_scale(0.3, threshold_energy(2), 2)
+        rb = regularized_scale_tail_subtraction(0.3, threshold_energy(2), 2)
         d = resonance_parameter(hard_wall, Impurity(0.3, rb), 2)
         assert d.real == 0.0
 

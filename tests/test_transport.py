@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wirescat import (
     DomainError,
@@ -9,6 +10,7 @@ from wirescat import (
     ThresholdEnergyError,
     longitudinal_wavenumber,
     resonance_parameter,
+    scattering_amplitude,
     solve_scattering,
     sweep,
     threshold_energy,
@@ -56,6 +58,11 @@ class TestTransportAt:
     def test_exact_threshold_rejected(self, hard_wall, canonical_impurity):
         with pytest.raises(ThresholdEnergyError):
             transport_at(hard_wall, canonical_impurity, threshold_energy(2))
+
+    def test_non_finite_energy_rejected(self, hard_wall, canonical_impurity):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                transport_at(hard_wall, canonical_impurity, bad)
 
     def test_conductance_bounded_by_channel_count(self, hard_wall):
         rng = np.random.default_rng(5)
@@ -136,6 +143,36 @@ class TestSweep:
                        [0.5 * PI**2, 1.3 * OM_2, threshold_energy(2)])
         assert [pt.ok for pt in points] == [False, True, False]
         assert points[0].error and points[2].error
+
+    def test_nan_energy_is_one_failed_point(self, hard_wall, canonical_impurity):
+        points = sweep(hard_wall, canonical_impurity, [math.nan, 20.0])
+        assert [pt.ok for pt in points] == [False, True]
+        assert "finite" in points[0].error
+
+
+# an energy strictly inside the window between cut-offs q and q + 1
+window_energies = st.builds(
+    lambda q, t: threshold_energy(q) + t * (threshold_energy(q + 1) - threshold_energy(q)),
+    st.integers(1, 4),
+    st.floats(1e-6, 1.0 - 1e-6),
+)
+
+
+class TestTransportProperties:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(eps=st.floats(0.05, 0.95), rho0=st.floats(1e-5, 1e-1), omega=window_energies)
+    def test_flux_bounds_and_reciprocity(self, hard_wall, eps, rho0, omega):
+        imp = Impurity(eps, rho0)
+        res = transport_at(hard_wall, imp, omega)
+        p = res.num_propagating
+        assert res.unitarity_defect <= 1e-8
+        assert 0.0 <= res.conductance <= p
+        k = [longitudinal_wavenumber(l, omega).value for l in range(1, p + 1)]
+        for n in range(1, p + 1):
+            for l in range(n + 1, p + 1):
+                a_nl = scattering_amplitude(hard_wall, imp, n, l, omega)
+                a_ln = scattering_amplitude(hard_wall, imp, l, n, omega)
+                assert k[l - 1] * a_nl == pytest.approx(k[n - 1] * a_ln, rel=1e-12, abs=1e-15)
 
 
 class TestPatternThroughResonanceOnly:
