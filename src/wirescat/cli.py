@@ -6,7 +6,9 @@ Parameters come from ``key = value`` config files and/or command-line flags
 float precision, so identical configs give byte-identical outputs.
 
 Exit codes: 0 success, 1 partial numerical failure (a sweep with more than
-10% failed points), 2 configuration error.
+10% failed points), 2 configuration or domain error (the message names the
+violated constraint), 3 numerical failure (a sum, limit or grid that did not
+converge: ConvergenceError, ResolutionError).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import oracle as oracle_mod
-from .errors import ConfigurationError, WirescatError
+from .errors import ConfigurationError, ConvergenceError, ResolutionError, WirescatError
 from .scatter import (
     Impurity,
     OneDBarrier,
@@ -511,7 +513,10 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return _RUNNERS[args.subcommand](cfg)
-    except (ConfigurationError, WirescatError) as exc:
+    except (ConvergenceError, ResolutionError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except WirescatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,6 +86,12 @@ class DiscreteWire:
     coupling: str = "point"
 
     def __post_init__(self):
+        for name in ("eps", "rho", "rho0", "h_x", "h_y", "x_extent"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+        if self.lead_modes < 1:
+            raise ConfigurationError(f"lead_modes must be at least 1, got {self.lead_modes}")
         defect_fields = (self.eps, self.rho, self.rho0)
         if any(v is None for v in defect_fields) and any(v is not None for v in defect_fields):
             raise ConfigurationError("set eps, rho and rho0 together, or none of them")
@@ -100,6 +106,11 @@ class DiscreteWire:
             raise ConfigurationError("grid spacings must be positive")
         if abs(round(1.0 / self.h_y) - 1.0 / self.h_y) > 1e-9:
             raise ConfigurationError("1/h_y must be an integer so the walls sit on the grid")
+        if self.lead_modes >= round(1.0 / self.h_y):
+            raise ConfigurationError(
+                f"lead_modes={self.lead_modes} exceeds the {round(1.0 / self.h_y) - 1} "
+                "transverse modes of the grid"
+            )
         if self.coupling not in ("point", "local"):
             raise ConfigurationError(f"coupling must be 'point' or 'local', got {self.coupling!r}")
 
@@ -234,7 +245,8 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
         np.sum(vel[live] * (np.abs(transmitted[live]) ** 2 + np.abs(reflected[live]) ** 2))
         / vel[n - 1]
     )
-    residual = _residual(wire, n, omega, ny, u, ys, ws, tau if wire.coupling == "point" else None)
+    residual = _residual(wire, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws,
+                         tau if wire.coupling == "point" else None)
     return OracleSolution(
         wire=wire,
         incident_mode=n,
@@ -246,48 +258,43 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
     )
 
 
-def _residual(wire, n, omega, ny, u, ys, ws, tau):
+def _residual(wire, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws, tau):
     """Max discrete-Helmholtz residual on the five columns around the defect.
 
     psi is reconstructed from the lattice Green's function; the residual
     checks (Laplacian_h + omega) psi - V psi(.) = 0 row by row on columns
     p = -1, 0, 1 (the stencil needs p = -2..2), normalized by omega |psi|.
+
+    It reuses what :func:`solve` already built: the lattice spectrum ``mu``,
+    ``sin_kh``, ``exp_kh``, the defect rows ``support`` with their sine
+    matrix ``phi_sup`` and weights ``ws``, and the source ``u`` (and ``tau``
+    for point coupling).  The mode sums over all ny - 1 rows of the five
+    columns are one DST-I, sum_j c_j sqrt(2) sin(j pi i / ny), taken as an
+    FFT of the odd extension [0, c, 0, -c[::-1]] of length 2 ny.
     """
+    ny = len(mu) + 1
     h = wire.h_y
     yi = np.arange(1, ny) * h
-    mu, sin_kh, exp_kh, prop = _lattice_modes(ny, wire.h_x, omega)
-    phi_all = math.sqrt(2.0) * np.sin(np.outer(np.arange(1, ny), yi) * np.pi)
-    phi_sup = math.sqrt(2.0) * np.sin(np.outer(np.arange(1, ny), ys) * np.pi)
     mode_src = phi_sup @ u  # sum_i phi_j(y_i) u_i per mode j
-    kh_n = None
     # incident discrete wavenumber for mode n
-    c_n = 1.0 - (omega - mu[n - 1]) * wire.h_x**2 / 2.0
-    kh_n = math.acos(c_n)
-    cols = {}
-    for p in range(-2, 3):
-        green = wire.h_x * exp_kh ** abs(p) / (2j * sin_kh)
-        psi_sc = (phi_all * (green * h * mode_src)[:, None]).sum(axis=0)
-        inc = np.sin(n * math.pi * yi) * np.exp(1j * kh_n * p)
-        cols[p] = inc + psi_sc
-    worst = 0.0
-    scale = omega * max(np.max(np.abs(cols[0])), 1e-30)
-    for p in (-1, 0, 1):
-        lap_x = (cols[p - 1] - 2.0 * cols[p] + cols[p + 1]) / wire.h_x**2
-        psi = cols[p]
-        lap_y = (np.roll(psi, 1) - 2.0 * psi + np.roll(psi, -1))
-        lap_y[0] = psi[1] - 2.0 * psi[0]          # Dirichlet wall below
-        lap_y[-1] = psi[-2] - 2.0 * psi[-1]       # Dirichlet wall above
-        lap_y /= h**2
-        rhs = np.zeros(ny - 1, dtype=complex)
-        if p == 0:
-            sup_idx = np.where(np.isin(yi, ys))[0]
-            if tau is not None:
-                rhs[sup_idx] = ws * tau / wire.h_x
-            else:
-                rhs[sup_idx] = u / wire.h_x
-        res = lap_x + lap_y + omega * psi - rhs
-        worst = max(worst, float(np.max(np.abs(res))) / scale)
-    return worst
+    kh_n = math.acos(1.0 - (omega - mu[n - 1]) * wire.h_x**2 / 2.0)
+    ps = np.arange(-2, 3)
+    coef = (wire.h_x * h * mode_src / (2j * sin_kh))[:, None] * exp_kh[:, None] ** np.abs(ps)
+    odd = np.zeros((2 * ny, len(ps)), dtype=complex)
+    odd[1:ny] = coef
+    odd[ny + 1:] = -coef[::-1]
+    psi_sc = np.fft.fft(odd, axis=0)[1:ny] * (0.5j * math.sqrt(2.0))
+    cols = np.sin(n * math.pi * yi)[:, None] * np.exp(1j * kh_n * ps) + psi_sc
+
+    psi = cols[:, 1:-1]  # p = -1, 0, 1
+    lap_x = (cols[:, :-2] - 2.0 * psi + cols[:, 2:]) / wire.h_x**2
+    walls = np.pad(psi, ((1, 1), (0, 0)))  # Dirichlet rows above and below
+    lap_y = (walls[:-2] - 2.0 * psi + walls[2:]) / h**2
+    rhs = np.zeros_like(psi)
+    rhs[support, 1] = (ws * tau if tau is not None else u) / wire.h_x
+    res = lap_x + lap_y + omega * psi - rhs
+    scale = omega * max(np.max(np.abs(cols[:, 2])), 1e-30)
+    return float(np.max(np.abs(res))) / scale
 
 
 def solve_ladder(wire: DiscreteWire, n: int, omega: float, rhos) -> list[OracleSolution]:

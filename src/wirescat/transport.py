@@ -19,6 +19,7 @@ from .scatter import (
     nearest_threshold_index,
     regularized_scale_tail_subtraction,
     _bracket,
+    _require_hard_wall,
 )
 from .specfun import longitudinal_wavenumber, threshold_energy
 from .wire import WireGeometry, propagating_count
@@ -64,8 +65,10 @@ def transport_at(geometry: WireGeometry, impurity: Impurity, omega: float) -> Tr
 
     Requires at least one propagating mode and an energy strictly between
     cut-offs (exact cut-offs are handled analytically by
-    :func:`threshold_transport`).
+    :func:`threshold_transport`).  Hard-wall wires only: other geometries
+    raise :class:`DomainError`.
     """
+    _require_hard_wall(geometry)
     p = propagating_count(omega)
     if p < 1:
         raise DomainError(f"no propagating modes at omega={omega}")
@@ -107,8 +110,10 @@ def threshold_transport(geometry: WireGeometry, impurity: Impurity, m: int) -> T
     the propagating block (m-1 channels) transmits perfectly: T = identity,
     R = 0, conductance = m - 1 exactly, independent of the impurity.  The
     limit is built analytically rather than by evaluating the amplitudes at
-    k_m = 0, which would divide by zero.
+    k_m = 0, which would divide by zero.  Hard-wall wires only, as for
+    :func:`transport_at`.
     """
+    _require_hard_wall(geometry)
     if m < 2:
         raise DomainError(
             f"need at least one propagating channel below the cut-off, got m={m}"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wirescat import Impurity, threshold_field, transport_at
+from wirescat import Impurity, ResolutionError, threshold_field, transport_at
 from wirescat.cli import RunConfig, main, parse_config_file
 
 PI = math.pi
@@ -86,6 +86,36 @@ class TestSweep:
         assert run("sweep", "--epsilon", "0.3", "--rho0", "0.01",
                    "--omega-grid", "4:4:1", "--out", str(out)) == 1
         assert "cut-off" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_domain_error_exits_two(self, capsys):
+        assert run("field", "--field-mode", "defect", "--epsilon", "1.5",
+                   "--rho0", "0.01", "--omega", "20.0") == 2
+        assert "0 < eps < 1" in capsys.readouterr().err
+
+    def test_convergence_error_exits_three(self, capsys):
+        # an impurity 1e-8 from the wall needs more rho-bar terms than the budget
+        assert run("field", "--field-mode", "defect", "--epsilon", "1e-8",
+                   "--rho0", "0.01", "--omega", "20.0", "--nx", "3", "--ny", "3") == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_resolution_error_exits_three(self, monkeypatch, capsys):
+        # no CLI path reaches a ResolutionError on the hard-wall wire
+        def unresolved(*args, **kwargs):
+            raise ResolutionError("mode sum did not converge")
+
+        monkeypatch.setattr("wirescat.cli.scattered_field_grid", unresolved)
+        assert run("field", "--field-mode", "defect", "--epsilon", "0.3",
+                   "--rho0", "0.01", "--omega", "20.0") == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_failed_sweep_points_keep_exit_one(self, tmp_path, capsys):
+        # per-point numerical failures are collected by the sweep: exit 1, not 3
+        out = tmp_path / "wall.csv"
+        assert run("sweep", "--epsilon", "1e-8", "--rho0", "0.01",
+                   "--omega-grid", "1.1:1.9:3", "--out", str(out)) == 1
+        assert "terms" in capsys.readouterr().err
 
 
 class TestField:

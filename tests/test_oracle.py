@@ -14,7 +14,13 @@ from wirescat import (
     solve_scattering,
     universality_probe,
 )
-from wirescat.oracle import OracleSolution, amplitude_records, write_amplitude_records
+from wirescat.oracle import (
+    OracleSolution,
+    _lattice_modes,
+    _residual,
+    amplitude_records,
+    write_amplitude_records,
+)
 
 PI = math.pi
 OM = (2 * PI) ** 2 * 1.05
@@ -40,6 +46,19 @@ class TestConfiguration:
     def test_bad_coupling_rejected(self):
         with pytest.raises(ConfigurationError):
             DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, coupling="banana")
+
+    @pytest.mark.parametrize("name", ["eps", "rho", "rho0", "h_x", "h_y", "x_extent"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, name, value):
+        spec = dict(eps=0.3, rho=0.04, rho0=0.01, **FINE)
+        spec[name] = value
+        with pytest.raises(ConfigurationError, match=name):
+            DiscreteWire(**spec)
+
+    @pytest.mark.parametrize("lead_modes", [0, -1, 400])
+    def test_lead_mode_count_out_of_range_rejected(self, lead_modes):
+        with pytest.raises(ConfigurationError, match="lead_modes"):
+            DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, lead_modes=lead_modes, **FINE)
 
 
 class TestCleanWire:
@@ -110,6 +129,44 @@ class TestSolve:
         for l in (1, 2):
             rel = abs(sol.amplitude[l - 1] - ana.amplitudes[l]) / abs(ana.amplitudes[l])
             assert rel < 0.03
+
+
+class TestResidual:
+    @pytest.mark.parametrize("eps", [0.12, 0.5, 0.81])
+    def test_fine_grid_residual_at_roundoff(self, eps):
+        for rho in (0.04, 0.02, 0.01):
+            wire = DiscreteWire(eps=eps, rho=rho, rho0=0.01, h_x=1.0 / 1600, h_y=1.0 / 1600)
+            assert oracle_solve(wire, 1, OM).residual < 1e-9
+
+    @staticmethod
+    def _point_inputs(wire, n, omega):
+        """The arrays solve() hands to _residual, rebuilt for point coupling."""
+        ny = round(1.0 / wire.h_y)
+        yi = np.arange(1, ny) * wire.h_y
+        mu, sin_kh, exp_kh, _ = _lattice_modes(ny, wire.h_x, omega)
+        w = np.exp(-(((yi - wire.eps) / wire.rho) ** 2))
+        support = w >= 1e-14
+        ws = w[support]
+        phi_sup = math.sqrt(2.0) * np.sin(np.outer(np.arange(1, ny), yi[support]) * PI)
+        phi_eps = math.sqrt(2.0) * np.sin(np.arange(1, ny) * PI * wire.eps)
+        g_eps = (phi_eps * (wire.h_x / (2j * sin_kh))) @ phi_sup
+        tau = math.sin(n * PI * wire.eps) / (wire.inverse_strength - wire.h_y * np.dot(g_eps, ws))
+        return dict(mu=mu, sin_kh=sin_kh, exp_kh=exp_kh, support=support,
+                    phi_sup=phi_sup, u=ws * tau, ws=ws, tau=tau)
+
+    def test_detects_inconsistent_inputs(self):
+        wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, **FINE)
+        args = self._point_inputs(wire, 1, OM)
+        baseline = _residual(wire, 1, OM, **args)
+        assert baseline == oracle_solve(wire, 1, OM).residual
+        assert baseline < 1e-10
+        # a source that no longer matches the right-hand side
+        scaled = _residual(wire, 1, OM, **{**args, "u": args["u"] * (1.0 + 1e-6)})
+        assert scaled >= 1e-8
+        # a lattice Green's function for a slightly different energy
+        shifted = self._point_inputs(wire, 1, OM * (1.0 + 1e-6))
+        off = _residual(wire, 1, OM, **{**shifted, "u": args["u"], "tau": args["tau"]})
+        assert off >= 1e-8
 
 
 class TestExtrapolation:

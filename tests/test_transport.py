@@ -17,6 +17,7 @@ from wirescat import (
     threshold_transport,
     transport_at,
 )
+from wirescat.wire import WireGeometry
 
 PI = math.pi
 OM_2 = (2 * PI) ** 2
@@ -156,6 +157,21 @@ window_energies = st.builds(
     st.integers(1, 4),
     st.floats(1e-6, 1.0 - 1e-6),
 )
+
+
+class TestGeometry:
+    def test_general_cross_section_rejected(self, canonical_impurity):
+        # the closed-form matrices hold for the hard wall only; a general
+        # cross-section must not silently get them
+        y = np.linspace(0.0, 1.0, 201)
+        geo = WireGeometry.from_potential(y, 200.0 * (y - 0.5) ** 2)
+        with pytest.raises(DomainError, match="hard-wall"):
+            transport_at(geo, canonical_impurity, 1.3 * OM_2)
+        with pytest.raises(DomainError, match="hard-wall"):
+            threshold_transport(geo, canonical_impurity, 2)
+        points = sweep(geo, canonical_impurity, [1.3 * OM_2, 2.5 * OM_2])
+        assert [p.ok for p in points] == [False, False]
+        assert all("hard-wall" in p.error for p in points)
 
 
 class TestTransportProperties:
