@@ -50,6 +50,7 @@ from .scatter import (
     surface_threshold_field,
     threshold_amplitude_limit,
     threshold_field,
+    threshold_field_grid,
 )
 from .specfun import (
     EULER_GAMMA,

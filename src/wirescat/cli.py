@@ -32,6 +32,7 @@ from .scatter import (
     solve_scattering,
     threshold_amplitude_limit,
     threshold_field,
+    threshold_field_grid,
 )
 from .specfun import longitudinal_wavenumber, threshold_energy
 from .transport import sweep as transport_sweep
@@ -238,10 +239,23 @@ def run_sweep(cfg: RunConfig) -> int:
 
 
 def run_field(cfg: RunConfig) -> int:
+    """Write psi on the (x, y) lattice as one line per point: x, y, density
+    = |psi|^2 and, with --with-complex, re and im.
+
+    ``clean`` is the bare incident mode, ``defect`` comes from
+    :func:`scattered_field_grid` and ``threshold`` from
+    :func:`threshold_field_grid`.  The CSV is written one y-row at a time:
+    the x and y cells are formatted once, and each row is a single ``%``
+    format of its values with ``FMT``.
+    """
     if cfg.field_mode not in ("clean", "defect", "threshold"):
         raise ConfigurationError("field requires --field-mode clean|defect|threshold")
     if cfg.nx < 1 or cfg.ny < 1:
         raise ConfigurationError("field grid needs nx >= 1 and ny >= 1")
+    for name in ("x_min", "x_max"):
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"field grid needs a finite {name}, got {value}")
     if not cfg.x_max > cfg.x_min:
         raise ConfigurationError("field grid needs x_max > x_min")
     n = cfg.mode_n
@@ -263,21 +277,33 @@ def run_field(cfg: RunConfig) -> int:
         if cfg.threshold_m is None:
             raise ConfigurationError("threshold field requires --threshold-m")
         impurity = _impurity(cfg)
-        psi = np.empty((len(ys), len(xs)), dtype=complex)
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                psi[iy, ix] = threshold_field(geometry, impurity, n, cfg.threshold_m, (x, y))
+        psi = threshold_field_grid(geometry, impurity, n, cfg.threshold_m, xs, ys)
 
     header = ["x", "y", "density"] + (["re", "im"] if cfg.with_complex else [])
-    rows = []
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            val = psi[iy, ix]
-            row = [float(x), float(y), float(abs(val) ** 2)]
-            if cfg.with_complex:
-                row += [float(val.real), float(val.imag)]
-            rows.append(row)
-    _write_table(cfg, header, rows)
+    # float(abs(v) ** 2) of a numpy complex scalar is pow(hypot(re, im), 2)
+    # in libm; np.abs and ``** 2`` on arrays take SIMD loops that round
+    # differently, float_power and hypot do not
+    columns = [np.float_power(np.hypot(psi.real, psi.imag), 2.0)]
+    if cfg.with_complex:
+        columns += [psi.real, psi.imag]
+    values = np.stack(columns, axis=-1)  # values[iy, ix] = one line's numbers
+    x_list, y_list = xs.tolist(), ys.tolist()
+    fh = _open_out(cfg)
+    try:
+        if cfg.format == "json":
+            for y, row in zip(y_list, values.tolist()):
+                for x, vals in zip(x_list, row):
+                    fh.write(json.dumps(dict(zip(header, [x, y, *vals]))) + "\n")
+        else:
+            fh.write(",".join(header) + "\n")
+            cells = ",".join([FMT] * len(columns))
+            # one row template with the x cells baked in; its %s takes the y cell
+            template = "".join(f"{FMT % x},%s,{cells}\n" for x in x_list)
+            for y, row in zip(y_list, values):
+                fh.write(template.replace("%s", FMT % y) % tuple(row.ravel().tolist()))
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
     return 0
 
 

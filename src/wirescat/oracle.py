@@ -230,6 +230,7 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
         g_cc = (phi_sup * g_col[:, None]).T @ phi_sup
         mat = ginv * np.eye(len(ys)) - h * (ws[:, None] * g_cc)
         u = np.linalg.solve(mat, ws * psi_inc_sup)
+        g_eps = tau = None
 
     ls = np.arange(1, wire.lead_modes + 1)
     proj = np.sin(np.outer(ls, ys) * np.pi) @ u
@@ -246,7 +247,7 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
         / vel[n - 1]
     )
     residual = _residual(wire, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws,
-                         tau if wire.coupling == "point" else None)
+                         tau, g_eps)
     return OracleSolution(
         wire=wire,
         incident_mode=n,
@@ -258,19 +259,27 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
     )
 
 
-def _residual(wire, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws, tau):
-    """Max discrete-Helmholtz residual on the five columns around the defect.
+def _residual(wire, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws, tau, g_eps):
+    """Larger of two normalized residuals of the solve.
 
-    psi is reconstructed from the lattice Green's function; the residual
-    checks (Laplacian_h + omega) psi - V psi(.) = 0 row by row on columns
-    p = -1, 0, 1 (the stencil needs p = -2..2), normalized by omega |psi|.
+    Helmholtz: psi is reconstructed from the lattice Green's function; the
+    residual checks (Laplacian_h + omega) psi - V psi(.) = 0 row by row on
+    columns p = -1, 0, 1 (the stencil needs p = -2..2), normalized by
+    omega |psi|.  This holds for any source, so it alone cannot tell a
+    wrong defect strength.
+
+    Defect equation: point coupling tau/g = psi(r0), with
+    psi(r0) = sin(n pi eps) + h sum_i G(r0, y_i) u_i; local coupling
+    (1/g) u_i = w_i psi(0, y_i) on the support rows.  Normalized by the
+    largest term it balances.
 
     It reuses what :func:`solve` already built: the lattice spectrum ``mu``,
     ``sin_kh``, ``exp_kh``, the defect rows ``support`` with their sine
     matrix ``phi_sup`` and weights ``ws``, and the source ``u`` (and ``tau``
-    for point coupling).  The mode sums over all ny - 1 rows of the five
-    columns are one DST-I, sum_j c_j sqrt(2) sin(j pi i / ny), taken as an
-    FFT of the odd extension [0, c, 0, -c[::-1]] of length 2 ny.
+    and ``g_eps`` = G(r0, y_i) for point coupling, None for local).  The
+    mode sums over all ny - 1 rows of the five columns are one DST-I,
+    sum_j c_j sqrt(2) sin(j pi i / ny), taken as an FFT of the odd
+    extension [0, c, 0, -c[::-1]] of length 2 ny.
     """
     ny = len(mu) + 1
     h = wire.h_y
@@ -284,7 +293,8 @@ def _residual(wire, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws, tau):
     odd[1:ny] = coef
     odd[ny + 1:] = -coef[::-1]
     psi_sc = np.fft.fft(odd, axis=0)[1:ny] * (0.5j * math.sqrt(2.0))
-    cols = np.sin(n * math.pi * yi)[:, None] * np.exp(1j * kh_n * ps) + psi_sc
+    inc = np.sin(n * math.pi * yi)
+    cols = inc[:, None] * np.exp(1j * kh_n * ps) + psi_sc
 
     psi = cols[:, 1:-1]  # p = -1, 0, 1
     lap_x = (cols[:, :-2] - 2.0 * psi + cols[:, 2:]) / wire.h_x**2
@@ -294,7 +304,16 @@ def _residual(wire, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws, tau):
     rhs[support, 1] = (ws * tau if tau is not None else u) / wire.h_x
     res = lap_x + lap_y + omega * psi - rhs
     scale = omega * max(np.max(np.abs(cols[:, 2])), 1e-30)
-    return float(np.max(np.abs(res))) / scale
+    helmholtz = float(np.max(np.abs(res))) / scale
+
+    ginv = wire.inverse_strength
+    if tau is not None:  # tau/g = sin(n pi eps) + h sum_i G(r0, y_i) u_i
+        terms = (tau * ginv, math.sin(n * math.pi * wire.eps), h * np.dot(g_eps, u))
+    else:  # u_i/g = w_i psi_inc(0, y_i) + w_i psi_sc(0, y_i) on the support rows
+        terms = (ginv * u, ws * inc[support], ws * psi_sc[support, 2])
+    gap = float(np.max(np.abs(terms[0] - terms[1] - terms[2])))
+    size = max(float(np.max(np.abs(t))) for t in terms)
+    return max(helmholtz, gap / max(size, 1e-30))
 
 
 def solve_ladder(wire: DiscreteWire, n: int, omega: float, rhos) -> list[OracleSolution]:

@@ -70,6 +70,7 @@ __all__ = [
     "resonance_parameter",
     "near_threshold_field",
     "threshold_field",
+    "threshold_field_grid",
     "surface_constant",
     "surface_resonance_parameter",
     "surface_threshold_field",
@@ -115,6 +116,10 @@ class OneDBarrier:
     def __post_init__(self):
         if self.kind not in ("weak-finite", "delta"):
             raise DomainError(f"unknown barrier kind {self.kind!r}")
+        for name in ("delta_v", "width", "alpha"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"barrier {name} must be finite, got {value}")
         if self.kind == "weak-finite":
             if self.delta_v <= 0 or self.width <= 0:
                 raise DomainError("weak-finite barrier needs delta_v > 0 and width > 0")
@@ -599,7 +604,17 @@ def near_threshold_field(geometry: WireGeometry, impurity: Impurity,
 
 def threshold_field(geometry: WireGeometry, impurity: Impurity,
                     n: int, m: int, r) -> complex:
-    """Field exactly at the m-th cut-off energy.  Hard wall:
+    """Field exactly at the m-th cut-off energy at r = (x, y); the 1 x 1 case
+    of :func:`threshold_field_grid`, which has the formulas."""
+    x, y = r
+    grid = threshold_field_grid(geometry, impurity, n, m, np.array([x]), np.array([y]))
+    return complex(grid[0, 0])
+
+
+def threshold_field_grid(geometry: WireGeometry, impurity: Impurity,
+                         n: int, m: int, xs, ys) -> np.ndarray:
+    """Field exactly at the m-th cut-off energy on the tensor grid ys x xs;
+    returns psi[iy, ix].  Hard wall:
 
         psi = sin(n pi y) e^{i pi sqrt(m^2-n^2) x}
               - [sin(n pi eps)/sin(m pi eps)] sin(m pi y).
@@ -608,12 +623,18 @@ def threshold_field(geometry: WireGeometry, impurity: Impurity,
 
         psi = chi_n(y) e^{i sqrt(w_m - w_n) x} - [chi_n(eps)/chi_m(eps)] chi_m(y).
 
-    The result carries no dependence on the impurity strength: only eps is
-    read.  If the impurity sits on a node of mode m the wire is transparent
-    at this order; the incident wave is returned and a DecoupledModeWarning
-    is emitted.
+    The grid is one transverse factor per row times one plane wave per
+    column, minus one resonant term per row.  The result carries no
+    dependence on the impurity strength: only eps is read.  If the impurity
+    sits on a node of mode m the wire is transparent at this order; the
+    incident wave is returned and one DecoupledModeWarning is emitted for the
+    whole grid.  Raises DomainError on a non-finite position.
     """
-    x, y = r
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    for name, values in (("x", xs), ("y", ys)):
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"field positions {name} must be finite")
     eps = impurity.epsilon
     if geometry.kind == HARD_WALL:
         if n >= m:
@@ -621,30 +642,34 @@ def threshold_field(geometry: WireGeometry, impurity: Impurity,
                 f"incidence must be in a propagating mode below the cut-off: n={n} >= m={m}"
             )
         # same evaluation path as the generic wavenumber so that the
-        # near-threshold form at k_m = 0 matches this one bit for bit
+        # near-threshold form at k_m = 0 matches this one bit for bit; for
+        # the same reason the rows take the scalar math.sin that form uses
         k_inc = longitudinal_wavenumber(n, threshold_energy(m)).value.real
-        inc = math.sin(n * math.pi * y) * np.exp(1j * k_inc * x)
+        rows = ys.tolist()
+        chi_n_y = np.array([math.sin(n * math.pi * y) for y in rows])
+        chi_m_y = np.array([math.sin(m * math.pi * y) for y in rows])
         chi_n_eps = math.sin(n * math.pi * eps)
         chi_m_eps = math.sin(m * math.pi * eps)
-        chi_m_y = math.sin(m * math.pi * y)
     else:
         mode_n = geometry.mode(n)
         mode_m = geometry.mode(m)
         if mode_m.threshold <= mode_n.threshold:
             raise DomainError("resonant mode must lie above the incident mode")
         k_inc = math.sqrt(mode_m.threshold - mode_n.threshold)
-        inc = mode_n.profile(y) * np.exp(1j * k_inc * x)
+        chi_n_y = mode_n.profile(ys)
+        chi_m_y = mode_m.profile(ys)
         chi_n_eps = mode_n.profile(eps)
         chi_m_eps = mode_m.profile(eps)
-        chi_m_y = mode_m.profile(y)
+    psi = np.outer(chi_n_y, np.exp(1j * k_inc * xs))
     if abs(chi_m_eps) <= 1e-8:
         warnings.warn(
             "impurity decoupled from the resonant mode; no scattering at cut-off",
             DecoupledModeWarning,
             stacklevel=2,
         )
-        return complex(inc)
-    return complex(inc - chi_n_eps / chi_m_eps * chi_m_y)
+        return psi
+    psi -= (chi_n_eps / chi_m_eps * chi_m_y)[:, None]
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +733,8 @@ def reflection_1d(barrier: OneDBarrier, omega: float) -> float:
     Both tend to total reflection as omega -> 0 regardless of the barrier
     parameter - the 1D version of strength-independent scattering.
     """
+    if not math.isfinite(omega):
+        raise DomainError(f"energy must be finite, got {omega}")
     if omega < 0:
         raise DomainError(f"energy must be non-negative, got {omega}")
     if barrier.kind == "delta":

@@ -1,10 +1,21 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from wirescat import Impurity, ResolutionError, threshold_field, transport_at
+from wirescat import (
+    DecoupledModeWarning,
+    Impurity,
+    ResolutionError,
+    WireGeometry,
+    longitudinal_wavenumber,
+    scattered_field_grid,
+    threshold_energy,
+    threshold_field,
+    transport_at,
+)
 from wirescat.cli import RunConfig, main, parse_config_file
 
 PI = math.pi
@@ -185,6 +196,94 @@ class TestField:
 
     def test_requires_mode(self):
         assert run("field", "--omega", "39.0") == 2
+
+    @pytest.mark.parametrize("flag", ["--x-min=-inf", "--x-max=inf", "--x-min=nan"])
+    def test_non_finite_x_range_is_config_error(self, flag, capsys):
+        assert run("field", "--field-mode", "threshold", "--threshold-m", "2",
+                   "--epsilon", "0.3", "--rho0", "0.01", flag) == 2
+        name = flag[2:].split("=")[0].replace("-", "_")
+        assert name in capsys.readouterr().err
+
+
+def _cutoff_point(eps, n, m, x, y):
+    """The cut-off field at one point, evaluated with scalar math as a
+    reference for the vectorized grid."""
+    k = longitudinal_wavenumber(n, threshold_energy(m)).value.real
+    inc = math.sin(n * PI * y) * np.exp(1j * k * x)
+    return complex(inc - math.sin(n * PI * eps) / math.sin(m * PI * eps) * math.sin(m * PI * y))
+
+
+def _point_table(psi, xs, ys, with_complex, fmt):
+    """Field output built point by point: density float(abs(v) ** 2), then
+    one "%.17g" CSV line or one json.dumps line per point."""
+    header = ["x", "y", "density"] + (["re", "im"] if with_complex else [])
+    lines = [] if fmt == "json" else [",".join(header)]
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            val = psi[iy, ix]
+            row = [float(x), float(y), float(abs(val) ** 2)]
+            if with_complex:
+                row += [float(val.real), float(val.imag)]
+            if fmt == "json":
+                lines.append(json.dumps(dict(zip(header, row))))
+            else:
+                lines.append(",".join("%.17g" % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestFieldOutputBytes:
+    """Every field mode writes exactly the bytes of the point-by-point
+    recipe, in CSV and in JSON."""
+
+    NX, NY = 21, 11
+    XS = np.linspace(-2.0, 2.0, NX)
+    YS = np.linspace(0.0, 1.0, NY + 2)[1:-1]
+    OMEGA = 4.7 * PI**2
+
+    def _reference(self, mode, eps):
+        hard_wall = WireGeometry.hard_wall()
+        if mode == "clean":
+            k = longitudinal_wavenumber(1, self.OMEGA).value
+            return np.outer(np.sin(PI * self.YS), np.exp(1j * k * self.XS))
+        if mode == "defect":
+            return scattered_field_grid(hard_wall, Impurity(eps, 0.003), 1, self.OMEGA,
+                                        self.XS, self.YS)
+        return np.array([[_cutoff_point(eps, 1, 2, x, y) for x in self.XS] for y in self.YS])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("with_complex", [True, False])
+    @pytest.mark.parametrize("mode", ["clean", "defect", "threshold"])
+    def test_matches_point_recipe(self, tmp_path, mode, with_complex, fmt):
+        eps = 0.41
+        out = tmp_path / f"{mode}.{fmt}"
+        args = ["field", "--field-mode", mode, "--mode-n", "1", "--threshold-m", "2",
+                "--epsilon", repr(eps), "--rho0", "0.003", "--omega", repr(self.OMEGA),
+                "--nx", str(self.NX), "--ny", str(self.NY), "--format", fmt,
+                "--out", str(out)]
+        assert run(*args, *(["--with-complex"] if with_complex else [])) == 0
+        psi = self._reference(mode, eps)
+        assert out.read_text() == _point_table(psi, self.XS, self.YS, with_complex, fmt)
+
+    def test_scalar_cutoff_field_is_the_reference(self, hard_wall):
+        imp = Impurity(0.41, 0.003)
+        for y in self.YS:
+            for x in self.XS:
+                ref = _cutoff_point(0.41, 1, 2, x, y)
+                assert threshold_field(hard_wall, imp, 1, 2, (x, y)) == ref
+
+    def test_node_writes_incident_wave_with_one_warning(self, tmp_path):
+        out = tmp_path / "node.csv"
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert run("field", "--field-mode", "threshold", "--mode-n", "1",
+                       "--threshold-m", "2", "--epsilon", "0.5", "--rho0", "0.01",
+                       "--nx", str(self.NX), "--ny", str(self.NY), "--with-complex",
+                       "--out", str(out)) == 0
+        assert [w.category for w in record] == [DecoupledModeWarning]
+        k = longitudinal_wavenumber(1, threshold_energy(2)).value.real
+        rows = np.array([math.sin(PI * y) for y in self.YS])
+        incident = np.outer(rows, np.exp(1j * k * self.XS))
+        assert out.read_text() == _point_table(incident, self.XS, self.YS, True, "csv")
 
 
 class TestOned:

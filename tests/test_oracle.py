@@ -14,6 +14,7 @@ from wirescat import (
     solve_scattering,
     universality_probe,
 )
+from wirescat import oracle
 from wirescat.oracle import (
     OracleSolution,
     _lattice_modes,
@@ -152,7 +153,7 @@ class TestResidual:
         g_eps = (phi_eps * (wire.h_x / (2j * sin_kh))) @ phi_sup
         tau = math.sin(n * PI * wire.eps) / (wire.inverse_strength - wire.h_y * np.dot(g_eps, ws))
         return dict(mu=mu, sin_kh=sin_kh, exp_kh=exp_kh, support=support,
-                    phi_sup=phi_sup, u=ws * tau, ws=ws, tau=tau)
+                    phi_sup=phi_sup, u=ws * tau, ws=ws, tau=tau, g_eps=g_eps)
 
     def test_detects_inconsistent_inputs(self):
         wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, **FINE)
@@ -167,6 +168,33 @@ class TestResidual:
         shifted = self._point_inputs(wire, 1, OM * (1.0 + 1e-6))
         off = _residual(wire, 1, OM, **{**shifted, "u": args["u"], "tau": args["tau"]})
         assert off >= 1e-8
+
+    def test_fine_grid_local_coupling_residual_at_roundoff(self):
+        for eps in (0.12, 0.5, 0.81):
+            wire = DiscreteWire(eps=eps, rho=0.02, rho0=0.01, coupling="local",
+                                h_x=1.0 / 1600, h_y=1.0 / 1600)
+            assert oracle_solve(wire, 1, OM).residual < 1e-9
+
+    @pytest.mark.parametrize("coupling", ["point", "local"])
+    def test_detects_wrong_defect_strength(self, monkeypatch, coupling):
+        # tau and u scaled together still solve the Helmholtz rows; only the
+        # defect equation tau/g = psi(r0), (1/g) u = W psi can tell
+        seen = []
+        real = oracle._residual
+
+        def capture(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_residual", capture)
+        wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, coupling=coupling, **FINE)
+        assert oracle_solve(wire, 1, OM).residual < 1e-10
+        [args] = seen  # one solve, one residual
+        wire_, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws, tau, g_eps = args
+        scaled_tau = None if tau is None else 1.5 * tau
+        scaled = real(wire_, n, omega, mu, sin_kh, exp_kh, support, phi_sup, 1.5 * u, ws,
+                      scaled_tau, g_eps)
+        assert scaled >= 1e-3
 
 
 class TestExtrapolation:

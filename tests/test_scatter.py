@@ -30,6 +30,7 @@ from wirescat import (
     threshold_amplitude_limit,
     threshold_energy,
     threshold_field,
+    threshold_field_grid,
 )
 from conftest import brute_force_log_scale
 
@@ -404,6 +405,33 @@ class TestThresholdField:
         with pytest.raises(DomainError):
             threshold_field(hard_wall, Impurity(0.3, 0.01), 2, 2, (0.1, 0.5))
 
+    @pytest.mark.parametrize("r, name", [((math.nan, 0.5), "x"), ((math.inf, 0.5), "x"),
+                                         ((0.1, math.inf), "y"), ((0.1, math.nan), "y")])
+    def test_non_finite_position_rejected(self, hard_wall, r, name):
+        with pytest.raises(DomainError, match=f"positions {name} "):
+            threshold_field(hard_wall, Impurity(0.3, 0.01), 1, 2, r)
+
+    def test_point_value_is_the_grid_value_bit_for_bit(self, hard_wall):
+        geo = WireGeometry.from_potential([0.0, 1.0], [0.0, 0.0], num_modes=4)
+        xs = np.linspace(-2.0, 2.0, 21)
+        ys = np.linspace(0.0, 1.0, 13)[1:-1]
+        for geometry, m in ((hard_wall, 2), (hard_wall, 3), (geo, 2)):
+            imp = Impurity(0.37, 1e-3)
+            grid = threshold_field_grid(geometry, imp, 1, m, xs, ys)
+            assert grid.shape == (len(ys), len(xs))
+            points = np.array([[threshold_field(geometry, imp, 1, m, (x, y)) for x in xs]
+                               for y in ys])
+            assert np.array_equal(grid.view(np.uint64), points.view(np.uint64))
+
+    def test_node_warns_once_for_the_whole_grid(self, hard_wall):
+        xs = np.linspace(-1.0, 1.0, 9)
+        ys = np.linspace(0.1, 0.9, 5)
+        with pytest.warns(DecoupledModeWarning) as record:
+            grid = threshold_field_grid(hard_wall, Impurity(0.5, 0.01), 1, 2, xs, ys)
+        assert len(record) == 1
+        k = longitudinal_wavenumber(1, threshold_energy(2)).value.real
+        assert np.array_equal(grid, np.outer(np.sin(PI * ys), np.exp(1j * k * xs)))
+
 
 class TestSurfaceImpurity:
     def test_constant_value(self):
@@ -460,6 +488,21 @@ class TestOneDReference:
     def test_negative_energy_rejected(self):
         with pytest.raises(DomainError):
             reflection_1d(OneDBarrier(kind="delta", alpha=1.0), -0.5)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf])
+    def test_non_finite_energy_rejected(self, omega):
+        with pytest.raises(DomainError, match="energy"):
+            reflection_1d(OneDBarrier(kind="delta", alpha=1.0), omega)
+
+    @pytest.mark.parametrize("spec, name", [
+        (dict(kind="delta", alpha=math.nan), "alpha"),
+        (dict(kind="delta", alpha=math.inf), "alpha"),
+        (dict(kind="weak-finite", delta_v=math.nan, width=1e-3), "delta_v"),
+        (dict(kind="weak-finite", delta_v=50.0, width=math.nan), "width"),
+    ])
+    def test_non_finite_barrier_rejected(self, spec, name):
+        with pytest.raises(DomainError, match=name):
+            OneDBarrier(**spec)
 
     def test_strong_barrier_warns(self):
         with pytest.warns(ValidityWarning):

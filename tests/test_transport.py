@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wirescat import (
     DomainError,
@@ -189,6 +189,28 @@ class TestTransportProperties:
                 a_nl = scattering_amplitude(hard_wall, imp, n, l, omega)
                 a_ln = scattering_amplitude(hard_wall, imp, l, n, omega)
                 assert k[l - 1] * a_nl == pytest.approx(k[n - 1] * a_ln, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(m=st.sampled_from([2, 3]), eps=st.floats(0.05, 0.95),
+           rho0=st.floats(1e-5, 1e-1), side=st.sampled_from([-1.0, 1.0]))
+    def test_conductance_tends_to_open_channels_at_cutoff(self, hard_wall, m, eps, rho0,
+                                                          side):
+        # G -> m - 1 continuously as omega -> (m pi)^2 from either side.  The
+        # gap closes linearly in the offset: it is about |omega - (m pi)^2|
+        # |Delta_m^(-1/2)|^2, the universal-window parameter, which reaches
+        # 3e-6 at delta = 1e-12 for weak impurities near a node of m
+        assume(abs(math.sin(m * PI * eps)) >= 0.1)
+        imp = Impurity(eps, rho0)
+        deltas = (1e-6, 1e-9, 1e-12)
+        gaps = [
+            abs(transport_at(hard_wall, imp, threshold_energy(m) * (1.0 + side * delta))
+                .conductance - (m - 1))
+            for delta in deltas
+        ]
+        assert gaps[1] <= gaps[0] / 100.0
+        window = threshold_energy(m) * deltas[2] * abs(resonance_parameter(hard_wall, imp, m)) ** 2
+        assert gaps[2] <= 2.0 * window
+        assert gaps[2] < 1e-5
 
 
 class TestPatternThroughResonanceOnly:
