@@ -377,6 +377,8 @@ def run_universality(cfg: RunConfig) -> int:
         )
         probe = oracle_mod.universality_probe(wire, n, m, rho0s)
         report["oracle"] = {
+            "lattice_cutoff": probe.lattice_cutoff,
+            "continuum_cutoff": threshold_energy(m),
             "offset": probe.offset,
             "coefficients": [[c.real, c.imag] for c in probe.coefficients],
             "spread": probe.spread,

@@ -36,6 +36,12 @@ The defect couples in one of two ways:
 Both modes are parametrized internally by the inverse coupling
 1/g = rho ln(rho/rho0) / (2 sqrt(pi)), which is regular through rho = rho0;
 the infinitely-strong well is a regular point of the solve.
+
+Every sum over the transverse modes phi_j(y_i) = sqrt(2) sin(j pi i h_y)
+at the lattice rows is a DST-I or DCT-I and is taken by one FFT of length
+2/h_y (:func:`_fft_extension`); no sine matrix is formed.  A point-coupling
+solve therefore costs O(ny log ny) whatever the width; a local-coupling
+solve adds one dense LU on the column's support.
 """
 
 from __future__ import annotations
@@ -152,11 +158,17 @@ class OracleSolution:
         return -self.reflected
 
 
+def _transverse_eigenvalues(ny: int) -> np.ndarray:
+    """Eigenvalues mu_j = (2 - 2 cos(j pi / ny)) ny^2, j = 1..ny-1, of the
+    discrete transverse operator: the lattice cut-offs.  Each lies below its
+    continuum cut-off (j pi)^2 by about (j pi)^4 / (12 ny^2)."""
+    h_y = 1.0 / ny
+    return (2.0 - 2.0 * np.cos(np.arange(1, ny) * np.pi * h_y)) / h_y**2
+
+
 def _lattice_modes(ny: int, h_x: float, omega: float):
     """Discrete transverse spectrum and per-mode longitudinal factors."""
-    j = np.arange(1, ny)
-    h_y = 1.0 / ny
-    mu = (2.0 - 2.0 * np.cos(j * np.pi * h_y)) / h_y**2
+    mu = _transverse_eigenvalues(ny)
     c = 1.0 - (omega - mu) * h_x * h_x / 2.0
     if np.any(c < -1.0):
         raise ConfigurationError(
@@ -172,6 +184,41 @@ def _lattice_modes(ny: int, h_x: float, omega: float):
     sin_kh[~prop] = 1j * np.sinh(ch)
     exp_kh[~prop] = np.exp(-ch)
     return mu, sin_kh, exp_kh, prop
+
+
+def _fft_extension(c, parity: float) -> np.ndarray:
+    """The one FFT behind every mode sum over the lattice rows.
+
+    For coefficients c_1..c_{ny-1} along axis 0, the length-2 ny FFT of the
+    extension [0, c, 0, parity c[::-1]]: entry d = 0..2ny-1 is
+    sum_j c_j (e^{-i pi j d/ny} + parity e^{i pi j d/ny}), that is
+    -2i sum_j c_j sin(j pi d/ny) for parity -1 (DST-I) and
+    2 sum_j c_j cos(j pi d/ny) for parity +1 (DCT-I).  ``np.fft`` is reached
+    here, not at import, so importing the CLI does not load it.
+    """
+    ny = c.shape[0] + 1
+    ext = np.zeros((2 * ny,) + c.shape[1:], dtype=complex)
+    ext[1:ny] = c
+    ext[ny + 1:] = parity * c[::-1]
+    return np.fft.fft(ext, axis=0)
+
+
+def _dst(c) -> np.ndarray:
+    """sum_j c_j phi_j(y_i) = sum_j c_j sqrt(2) sin(j pi i/ny) at the rows
+    i = 1..ny-1, along axis 0.  The kernel is symmetric in (i, j), so the
+    same call projects a column of row values onto the modes."""
+    return _fft_extension(c, -1.0)[1:len(c) + 1] * (0.5j * math.sqrt(2.0))
+
+
+def _column_green(g_col, rows) -> np.ndarray:
+    """G(y_i, y_k) = sum_j g_j phi_j(y_i) phi_j(y_k) for i, k in ``rows``.
+
+    With 2 sin(a) sin(b) = cos(a - b) - cos(a + b) this is
+    C(|i - k|) - C(i + k), C(d) = sum_j g_j cos(j pi d/ny): one FFT and a
+    Toeplitz-minus-Hankel gather, with no sine matrix.
+    """
+    cos_sum = 0.5 * _fft_extension(g_col, 1.0)
+    return cos_sum[np.abs(rows[:, None] - rows)] - cos_sum[rows[:, None] + rows]
 
 
 def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
@@ -206,34 +253,35 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
         )
 
     h = wire.h_y
-    yi = np.arange(1, ny) * h
+    rows = np.arange(1, ny)
+    yi = rows * h
     mu, sin_kh, exp_kh, prop = _lattice_modes(ny, wire.h_x, omega)
     g_col = wire.h_x / (2j * sin_kh)  # same-column 1D lattice Green per mode
 
     w = np.exp(-(((yi - wire.eps) / wire.rho) ** 2))
     support = w >= 1e-14
-    ys, ws = yi[support], w[support]
-    if len(ys) < 4:
+    ws = w[support]
+    if len(ws) < 4:
         raise ConfigurationError("defect column support too small on this grid")
-    phi_sup = math.sqrt(2.0) * np.sin(np.outer(np.arange(1, ny), ys) * np.pi)
-    psi_inc_sup = np.sin(n * math.pi * ys)
     ginv = wire.inverse_strength
 
     if wire.coupling == "point":
         # unknown tau = g psi(r0): tau (1/g - h sum_i G(r0, y_i) w_i) = psi_inc(r0)
-        phi_eps = math.sqrt(2.0) * np.sin(np.arange(1, ny) * np.pi * wire.eps)
-        g_eps = (phi_eps * g_col) @ phi_sup  # G(r0, y_i)
+        phi_eps = math.sqrt(2.0) * np.sin(rows * np.pi * wire.eps)
+        g_eps = _dst(phi_eps * g_col)[support]  # G(r0, y_i)
         tau = math.sin(n * math.pi * wire.eps) / (ginv - h * np.dot(g_eps, ws))
         u = ws * tau  # u_i = V psi(r0) column values (times h_x)
     else:
         # unknowns u_i = g w_i psi(0, y_i): (g^{-1} I - h W G) u = W psi_inc
-        g_cc = (phi_sup * g_col[:, None]).T @ phi_sup
-        mat = ginv * np.eye(len(ys)) - h * (ws[:, None] * g_cc)
-        u = np.linalg.solve(mat, ws * psi_inc_sup)
+        g_cc = _column_green(g_col, rows[support])
+        mat = ginv * np.eye(len(ws)) - h * (ws[:, None] * g_cc)
+        u = np.linalg.solve(mat, ws * np.sin(n * math.pi * yi[support]))
         g_eps = tau = None
 
+    u_col = np.zeros(ny - 1, dtype=complex)
+    u_col[support] = u
     ls = np.arange(1, wire.lead_modes + 1)
-    proj = np.sin(np.outer(ls, ys) * np.pi) @ u
+    proj = _dst(u_col)[:wire.lead_modes] / math.sqrt(2.0)  # sum_i sin(l pi y_i) u_i
     scattered = wire.h_x * h * proj / (1j * sin_kh[ls - 1])
     transmitted = scattered.copy()
     transmitted[n - 1] += 1.0
@@ -246,8 +294,7 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
         np.sum(vel[live] * (np.abs(transmitted[live]) ** 2 + np.abs(reflected[live]) ** 2))
         / vel[n - 1]
     )
-    residual = _residual(wire, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws,
-                         tau, g_eps)
+    residual = _residual(wire, n, omega, mu, sin_kh, exp_kh, support, u, ws, tau, g_eps)
     return OracleSolution(
         wire=wire,
         incident_mode=n,
@@ -259,7 +306,7 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
     )
 
 
-def _residual(wire, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws, tau, g_eps):
+def _residual(wire, n, omega, mu, sin_kh, exp_kh, support, u, ws, tau, g_eps):
     """Larger of two normalized residuals of the solve.
 
     Helmholtz: psi is reconstructed from the lattice Green's function; the
@@ -274,25 +321,24 @@ def _residual(wire, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws, tau, 
     largest term it balances.
 
     It reuses what :func:`solve` already built: the lattice spectrum ``mu``,
-    ``sin_kh``, ``exp_kh``, the defect rows ``support`` with their sine
-    matrix ``phi_sup`` and weights ``ws``, and the source ``u`` (and ``tau``
-    and ``g_eps`` = G(r0, y_i) for point coupling, None for local).  The
-    mode sums over all ny - 1 rows of the five columns are one DST-I,
-    sum_j c_j sqrt(2) sin(j pi i / ny), taken as an FFT of the odd
-    extension [0, c, 0, -c[::-1]] of length 2 ny.
+    ``sin_kh``, ``exp_kh``, the defect rows ``support`` with their weights
+    ``ws``, and the source ``u`` (and ``tau`` and ``g_eps`` = G(r0, y_i)
+    for point coupling, None for local).  The mode sums are its own: one
+    :func:`_dst` projects ``u`` onto the modes, and one more rebuilds the
+    five columns on all ny - 1 rows, so a wrong ``u`` is not hidden by
+    sums that came from it.
     """
     ny = len(mu) + 1
     h = wire.h_y
     yi = np.arange(1, ny) * h
-    mode_src = phi_sup @ u  # sum_i phi_j(y_i) u_i per mode j
+    u_col = np.zeros(ny - 1, dtype=complex)
+    u_col[support] = u
+    mode_src = _dst(u_col)  # sum_i phi_j(y_i) u_i per mode j
     # incident discrete wavenumber for mode n
     kh_n = math.acos(1.0 - (omega - mu[n - 1]) * wire.h_x**2 / 2.0)
     ps = np.arange(-2, 3)
     coef = (wire.h_x * h * mode_src / (2j * sin_kh))[:, None] * exp_kh[:, None] ** np.abs(ps)
-    odd = np.zeros((2 * ny, len(ps)), dtype=complex)
-    odd[1:ny] = coef
-    odd[ny + 1:] = -coef[::-1]
-    psi_sc = np.fft.fft(odd, axis=0)[1:ny] * (0.5j * math.sqrt(2.0))
+    psi_sc = _dst(coef)
     inc = np.sin(n * math.pi * yi)
     cols = inc[:, None] * np.exp(1j * kh_n * ps) + psi_sc
 
@@ -398,6 +444,7 @@ class UniversalityReport:
     threshold_index: int
     energy: float
     offset: float
+    lattice_cutoff: float
     rho0_values: tuple
     coefficients: tuple
     target: float
@@ -415,22 +462,30 @@ def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list,
     """Measure how the resonant coefficient varies with the defect strength
     just above the m-th cut-off.
 
-    The energy offset is offset_scale times the smallest |Delta_m| over the
-    strength list (estimated from the analytic resonance parameter), which
-    keeps every run inside the universal window.  Each strength is solved on
-    the width ladder and extrapolated to zero width; the report carries the
-    spread across strengths and the deviation of the mean from the
-    zero-range prediction sin(n pi eps)/sin(m pi eps).
+    The energy is the lattice's own m-th cut-off
+    mu_m = (2 - 2 cos(m pi h_y)) / h_y^2 plus an offset of offset_scale
+    times the smallest |Delta_m| over the strength list (estimated from the
+    analytic resonance parameter), which keeps every run inside the
+    universal window.  mu_m lies about (m pi)^4 h_y^2 / 12 below the
+    continuum cut-off (m pi)^2 (8e-4 for m = 2 at h_y = 1/400), far more
+    than the offset, so an energy referenced to (m pi)^2 would leave that
+    window.  Each strength is solved on the width ladder and extrapolated
+    to zero width; the report carries the spread across strengths and the
+    deviation of the mean from the zero-range prediction
+    sin(n pi eps)/sin(m pi eps).
     """
     if len(rho0_list) < 1:
         raise DomainError("need at least one impurity strength")
+    if not 1 <= m <= wire.lead_modes:
+        raise DomainError(f"threshold index m must lie in 1..{wire.lead_modes}, got {m}")
     geometry = WireGeometry.hard_wall()
     delta_mag = []
     for r0 in rho0_list:
         d = resonance_parameter(geometry, Impurity(epsilon=wire.eps, rho0=float(r0)), m)
         delta_mag.append(1.0 / abs(d) ** 2)
     offset = offset_scale * min(delta_mag)
-    omega = threshold_energy(m) + offset
+    lattice_cutoff = float(_transverse_eigenvalues(int(round(1.0 / wire.h_y)))[m - 1])
+    omega = lattice_cutoff + offset
     coefficients = []
     for r0 in rho0_list:
         base = DiscreteWire(
@@ -451,6 +506,7 @@ def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list,
         threshold_index=m,
         energy=omega,
         offset=offset,
+        lattice_cutoff=lattice_cutoff,
         rho0_values=tuple(float(r) for r in rho0_list),
         coefficients=tuple(coefficients),
         target=target,

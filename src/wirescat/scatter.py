@@ -237,7 +237,15 @@ def regularized_scale(eps: float, omega: float, m: int, *,
     extrapolation orders agree to ``stability``.  For impurities very close
     to a wall the ladder is started lower (the sum decorrelates only once
     the Gaussian cut-off passes ~1/eps modes).  Raises ConvergenceError if
-    the ladder is exhausted while the defect still exceeds 1e-6.
+    the ladder is exhausted first.
+
+    Valid domain: S(rho) is not a series in rho^2 alone, so the gap between
+    orders only quarters per rung and the returned value is off by about a
+    third of the last gap.  That gap grows like |omega| (about
+    1e-13 |omega| at the deepest rung for ladder_start = 1e-2), so at the
+    default stability the ladder is a cross-check for |omega| up to about
+    1e4, which covers the windows of m <= 30; beyond that it raises
+    unless ``stability`` is loosened (or ``ladder_start`` lowered).
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"impurity position must satisfy 0 < eps < 1, got {eps}")
@@ -245,7 +253,7 @@ def regularized_scale(eps: float, omega: float, m: int, *,
     edge = min(eps, 1.0 - eps)
     start = min(ladder_start, max(2.0 * edge, 1e-4))
     rhos, values = [], []
-    best, best_gap = None, math.inf
+    gap = math.inf
     for k in range(max_levels + 1):
         rho = start * 0.5**k
         if 4.11 / rho > _TERM_BUDGET:  # term budget for the deepest ladder rung
@@ -254,15 +262,12 @@ def regularized_scale(eps: float, omega: float, m: int, *,
         values.append(math.log(rho) + evanescent_gaussian_sum(eps, omega, m, rho))
         if k >= 3:
             limit, gap = neville_zero(np.array(rhos) ** 2, values)
-            if gap < best_gap:
-                best, best_gap = limit, gap
             if gap < stability:
                 return math.exp(limit)
-    if best_gap > 1e-6:
-        raise ConvergenceError(
-            f"regularized-scale ladder did not stabilise (defect {best_gap:.2e})"
-        )
-    return math.exp(best)
+    raise ConvergenceError(
+        f"regularized-scale ladder did not stabilise to {stability:.1e} "
+        f"(last gap {gap:.2e})"
+    )
 
 
 def regularized_scale_tail_subtraction(eps: float, omega: float, m: int) -> float:
@@ -486,6 +491,17 @@ def solve_scattering(geometry: WireGeometry, impurity: Impurity,
     )
 
 
+def _finite_positions(xs, ys):
+    """xs and ys as float arrays; DomainError naming the axis that holds a
+    non-finite position."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    for name, values in (("x", xs), ("y", ys)):
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"field positions {name} must be finite")
+    return xs, ys
+
+
 def scattered_field(geometry: WireGeometry, impurity: Impurity,
                     n: int, omega: float, r, m: int | None = None,
                     l_max: int | None = None) -> complex:
@@ -508,13 +524,13 @@ def scattered_field_grid(geometry: WireGeometry, impurity: Impurity,
     l_max defaults to m + 40 plus however many modes still reach the nearest
     sampled |x| above the 1e-12 level (hard cap 400: directly at the
     impurity cross-section the evanescent series converges only like the
-    log-singular Green's function it resums).
+    log-singular Green's function it resums).  Raises DomainError on a
+    non-finite position.
     """
+    xs, ys = _finite_positions(xs, ys)
     if m is None:
         m = nearest_threshold_index(omega)
     sol_lmax = l_max
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
     if sol_lmax is None:
         dx_min = float(np.min(np.abs(xs)))
         sol_lmax = m + 40
@@ -579,10 +595,12 @@ def near_threshold_field(geometry: WireGeometry, impurity: Impurity,
     Valid while |omega - (m pi)^2| |Delta_m^(-1)| << 1; outside that region
     the value is still computed but a ValidityWarning is emitted.  Below the
     cut-off k_m is the decaying imaginary branch, so the resonant term is a
-    real evanescent dressing of the incident wave.
+    real evanescent dressing of the incident wave.  Raises DomainError on a
+    non-finite position.
     """
     _require_hard_wall(geometry)
     x, y = r
+    _finite_positions(x, y)
     eps = impurity.epsilon
     d_inv_sqrt = resonance_parameter(geometry, impurity, m, omega)
     k_m = longitudinal_wavenumber(m, omega).value
@@ -630,11 +648,7 @@ def threshold_field_grid(geometry: WireGeometry, impurity: Impurity,
     incident wave is returned and one DecoupledModeWarning is emitted for the
     whole grid.  Raises DomainError on a non-finite position.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    for name, values in (("x", xs), ("y", ys)):
-        if not np.all(np.isfinite(values)):
-            raise DomainError(f"field positions {name} must be finite")
+    xs, ys = _finite_positions(xs, ys)
     eps = impurity.epsilon
     if geometry.kind == HARD_WALL:
         if n >= m:

@@ -340,6 +340,10 @@ class TestUniversality:
         assert report["verdict"] == "PASS"
         assert report["oracle"]["spread"] < 0.05
         assert report["oracle"]["mean_deviation"] < 0.05
+        lattice, continuum = (report["oracle"]["lattice_cutoff"],
+                              report["oracle"]["continuum_cutoff"])
+        assert continuum == (2 * PI) ** 2
+        assert continuum - 1e-3 < lattice < continuum - 5e-4  # (2 pi)^4 h^2 / 12 below
 
     def test_requires_strength_list(self):
         assert run("universality", "--mode-n", "1", "--threshold-m", "2",

@@ -17,6 +17,8 @@ from wirescat import (
 from wirescat import oracle
 from wirescat.oracle import (
     OracleSolution,
+    _column_green,
+    _dst,
     _lattice_modes,
     _residual,
     amplitude_records,
@@ -132,6 +134,39 @@ class TestSolve:
             assert rel < 0.03
 
 
+def _dense_modes(ny, rows):
+    """phi_j(y_i) = sqrt(2) sin(j pi i/ny) as a dense (ny - 1) x len(rows)
+    matrix: the reference the FFT mode sums are checked against.  j i is
+    reduced mod 2 ny first, exactly in integers; unreduced, the rounding of
+    pi alone puts ~2e-13 relative error into a product at ny = 1600."""
+    return math.sqrt(2.0) * np.sin((np.outer(np.arange(1, ny), rows) % (2 * ny)) * PI / ny)
+
+
+class TestModeSums:
+    @pytest.mark.parametrize("ny", [8, 400, 1600])
+    def test_dst_matches_dense_sine_product(self, ny):
+        rng = np.random.default_rng(ny)
+        phi = _dense_modes(ny, np.arange(1, ny))
+        for shape in ((ny - 1,), (ny - 1, 5)):
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            dense = phi.T @ c
+            assert np.max(np.abs(_dst(c) - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("eps", [0.3, 0.05])  # 0.05: support clipped by the wall
+    @pytest.mark.parametrize("ny", [400, 1600])
+    def test_column_green_matches_dense(self, ny, eps):
+        _, sin_kh, _, _ = _lattice_modes(ny, 1.0 / ny, OM)
+        g_col = (1.0 / ny) / (2j * sin_kh)
+        rows = np.arange(1, ny)
+        rows = rows[np.exp(-(((rows / ny - eps) / 0.04) ** 2)) >= 1e-14]
+        if eps == 0.05:
+            assert rows[0] == 1
+        phi_sup = _dense_modes(ny, rows)
+        dense = (phi_sup * g_col[:, None]).T @ phi_sup
+        got = _column_green(g_col, rows)
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
 class TestResidual:
     @pytest.mark.parametrize("eps", [0.12, 0.5, 0.81])
     def test_fine_grid_residual_at_roundoff(self, eps):
@@ -148,12 +183,11 @@ class TestResidual:
         w = np.exp(-(((yi - wire.eps) / wire.rho) ** 2))
         support = w >= 1e-14
         ws = w[support]
-        phi_sup = math.sqrt(2.0) * np.sin(np.outer(np.arange(1, ny), yi[support]) * PI)
         phi_eps = math.sqrt(2.0) * np.sin(np.arange(1, ny) * PI * wire.eps)
-        g_eps = (phi_eps * (wire.h_x / (2j * sin_kh))) @ phi_sup
+        g_eps = _dst(phi_eps * (wire.h_x / (2j * sin_kh)))[support]
         tau = math.sin(n * PI * wire.eps) / (wire.inverse_strength - wire.h_y * np.dot(g_eps, ws))
         return dict(mu=mu, sin_kh=sin_kh, exp_kh=exp_kh, support=support,
-                    phi_sup=phi_sup, u=ws * tau, ws=ws, tau=tau, g_eps=g_eps)
+                    u=ws * tau, ws=ws, tau=tau, g_eps=g_eps)
 
     def test_detects_inconsistent_inputs(self):
         wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, **FINE)
@@ -190,9 +224,9 @@ class TestResidual:
         wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, coupling=coupling, **FINE)
         assert oracle_solve(wire, 1, OM).residual < 1e-10
         [args] = seen  # one solve, one residual
-        wire_, n, omega, mu, sin_kh, exp_kh, support, phi_sup, u, ws, tau, g_eps = args
+        wire_, n, omega, mu, sin_kh, exp_kh, support, u, ws, tau, g_eps = args
         scaled_tau = None if tau is None else 1.5 * tau
-        scaled = real(wire_, n, omega, mu, sin_kh, exp_kh, support, phi_sup, 1.5 * u, ws,
+        scaled = real(wire_, n, omega, mu, sin_kh, exp_kh, support, 1.5 * u, ws,
                       scaled_tau, g_eps)
         assert scaled >= 1e-3
 
@@ -259,6 +293,22 @@ class TestUniversalityProbe:
         wire = DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, **FINE)
         report = universality_probe(wire, 1, 2, [1e-2])
         assert report.spread == 0.0
+
+    def test_energy_referenced_to_lattice_cutoff(self):
+        # offset from (3 pi)^2 the lattice sat 4e-3 above its own cut-off,
+        # outside the universal window: spread 10% there, under 1% here
+        wire = DiscreteWire(eps=0.2, rho=0.04, rho0=0.01, **FINE)
+        report = universality_probe(wire, 1, 3, [1e-5, 1e-3, 1e-1])
+        assert report.lattice_cutoff == pytest.approx(
+            (2.0 - 2.0 * math.cos(3 * PI / 400)) * 400**2, rel=1e-14)
+        assert report.energy == report.lattice_cutoff + report.offset
+        assert report.verdict == "PASS"
+        assert report.spread < 0.05 and report.mean_deviation < 0.05
+
+    def test_threshold_index_beyond_lead_modes_rejected(self):
+        wire = DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, lead_modes=2, **FINE)
+        with pytest.raises(DomainError, match="threshold index"):
+            universality_probe(wire, 1, 3, [1e-2])
 
     def test_quarter_position_coefficient(self):
         wire = DiscreteWire(eps=0.25, rho=0.04, rho0=0.01, **FINE)

@@ -37,6 +37,12 @@ from conftest import brute_force_log_scale
 PI = math.pi
 OM_2 = (2 * PI) ** 2
 
+NON_FINITE_POSITIONS = pytest.mark.parametrize("r, name", [
+    ((bad, 0.5), "x") for bad in (math.nan, math.inf, -math.inf)
+] + [
+    ((0.1, bad), "y") for bad in (math.nan, math.inf, -math.inf)
+])
+
 
 class TestImpurity:
     def test_bound_state_scale_ratio(self):
@@ -126,6 +132,17 @@ class TestRegularizedScale:
             regularized_scale(0.3, 8.9 * PI**2, 1)   # propagating modes above m
         with pytest.raises(DomainError):
             regularized_scale(1.5, OM_2, 2)
+
+    def test_omega_domain_edge(self):
+        # the last-rung gap grows like |omega|: at -1e4 the default ladder
+        # still meets its 1e-9 target, at -2e4 it raises instead of returning
+        # a value ~3e-8 off (as it did at -1e6); a looser target is honoured
+        ref = math.log(regularized_scale_tail_subtraction(0.3, -1e4, 1))
+        assert abs(math.log(regularized_scale(0.3, -1e4, 1)) - ref) < 1e-9
+        with pytest.raises(ConvergenceError):
+            regularized_scale(0.3, -2e4, 1)
+        ref = math.log(regularized_scale_tail_subtraction(0.3, -1e6, 1))
+        assert abs(math.log(regularized_scale(0.3, -1e6, 1, stability=1e-7)) - ref) < 1e-7
 
     def test_unconverged_ladder_raises(self):
         # an impurity this close to the wall needs rungs beyond the term
@@ -241,6 +258,15 @@ class TestAmplitudes:
 class TestScatteredField:
     OM = 1.05 * OM_2
 
+    @NON_FINITE_POSITIONS
+    def test_non_finite_position_rejected(self, hard_wall, canonical_impurity, r, name):
+        with pytest.raises(DomainError, match=f"positions {name} "):
+            scattered_field(hard_wall, canonical_impurity, 1, self.OM, r)
+        xs = np.array([-0.5, r[0], 0.5])
+        ys = np.array([0.25, r[1], 0.75])
+        with pytest.raises(DomainError, match=f"positions {name} "):
+            scattered_field_grid(hard_wall, canonical_impurity, 1, self.OM, xs, ys)
+
     def test_continuity_across_the_impurity_plane(self, hard_wall, canonical_impurity):
         up = scattered_field(hard_wall, canonical_impurity, 1, self.OM, (1e-9, 0.43))
         dn = scattered_field(hard_wall, canonical_impurity, 1, self.OM, (-1e-9, 0.43))
@@ -316,6 +342,11 @@ class TestResonanceParameter:
 
 
 class TestNearThresholdField:
+    @NON_FINITE_POSITIONS
+    def test_non_finite_position_rejected(self, hard_wall, canonical_impurity, r, name):
+        with pytest.raises(DomainError, match=f"positions {name} "):
+            near_threshold_field(hard_wall, canonical_impurity, 1, 2, 40.0, r)
+
     def test_reduces_to_threshold_field_exactly_at_cutoff(self, hard_wall,
                                                           canonical_impurity):
         omega = threshold_energy(2)
