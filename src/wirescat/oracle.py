@@ -275,7 +275,12 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
         # unknowns u_i = g w_i psi(0, y_i): (g^{-1} I - h W G) u = W psi_inc
         g_cc = _column_green(g_col, rows[support])
         mat = ginv * np.eye(len(ws)) - h * (ws[:, None] * g_cc)
-        u = np.linalg.solve(mat, ws * np.sin(n * math.pi * yi[support]))
+        rhs = ws * np.sin(n * math.pi * yi[support])
+        # rows carry the weights w_i, down to 1e-14 (and 1/g = 0 at rho = rho0):
+        # dividing each row by its largest entry keeps matrix roundoff relative
+        # to the row, not to the heaviest row
+        scale = np.max(np.abs(mat), axis=1)
+        u = np.linalg.solve(mat / scale[:, None], rhs / scale)
         g_eps = tau = None
 
     u_col = np.zeros(ny - 1, dtype=complex)

@@ -24,6 +24,11 @@ with amplitudes
            { i k_l [ ln(rho0/rho_bar)/(2 pi)
                      + sum_{q<=m} sin^2(q pi eps)/(i k_q) ] }.
 
+Every amplitude the library reports (single amplitudes, solution tables,
+transport matrices, field maps) comes from one private core,
+``_amplitude_table``, which evaluates rho_bar once and is the only place
+the bracket and the quotient are written.
+
 Near a cut-off all impurity dependence funnels through the complex scale
 Delta_m; exactly at the cut-off the resonant pattern loses every trace of
 the impurity strength (and, for wall impurities, of its position).
@@ -398,20 +403,42 @@ def _require_hard_wall(geometry: WireGeometry) -> None:
         )
 
 
-def _bracket(impurity: Impurity, omega: float, m: int, rho_bar: float) -> complex:
-    """The denominator bracket ln(rho0/rho_bar)/(2 pi) + sum_{q<=m}
-    sin^2(q pi eps)/(i k_q)."""
+def _amplitude_table(impurity: Impurity, omega: float, m: int, ns, ls):
+    """The closed-form amplitudes of the module docstring for the incident
+    modes ``ns`` and outgoing modes ``ls`` (sequences of mode indices): the
+    one place the bracket and the quotient A_nl are written.
+
+    Returns (rho_bar, k, amp): rho_bar from
+    :func:`regularized_scale_tail_subtraction` (evaluated once),
+    k[q-1] = k_q for q = 1..max(m, max(ls)) and amp[i, j] = A_{ns[i], ls[j]}.
+    Raises DomainError for a mode index below 1, an energy outside the window
+    of cut-off m or an incident mode that does not propagate, and
+    ThresholdEnergyError when omega sits on the cut-off of a mode q <= m.
+    """
+    if min(ns) < 1 or min(ls) < 1:
+        raise DomainError("mode indices must be >= 1")
+    _validate_window(omega, m)
+    if omega <= threshold_energy(max(ns)):
+        raise DomainError(f"incident mode {max(ns)} does not propagate at omega={omega}")
+    k = [longitudinal_wavenumber(q, omega).value for q in range(1, max(m, max(ls)) + 1)]
+    if 0 in k[:m]:
+        raise ThresholdEnergyError(
+            f"omega sits exactly on the cut-off of mode {k.index(0) + 1}; "
+            "use the threshold-limit operations"
+        )
     eps = impurity.epsilon
-    total = complex(math.log(impurity.rho0 / rho_bar) / (2.0 * math.pi), 0.0)
-    for q in range(1, m + 1):
-        k = longitudinal_wavenumber(q, omega).value
-        if k == 0:
-            raise ThresholdEnergyError(
-                f"omega sits exactly on the cut-off of mode {q}; use the "
-                "threshold-limit operations"
-            )
-        total += math.sin(q * math.pi * eps) ** 2 / (1j * k)
-    return total
+    rho_bar = regularized_scale_tail_subtraction(eps, omega, m)
+    s = np.sin(np.arange(1, len(k) + 1) * math.pi * eps)
+    # the bracket is summed on Python scalars: CPython divides a complex
+    # exactly where numpy multiplies by a reciprocal, and transport keeps the
+    # bits of this scalar form
+    bracket = math.log(impurity.rho0 / rho_bar) / (2.0 * math.pi)
+    for s_q, k_q in zip(s[:m].tolist(), k):
+        bracket += s_q ** 2 / (1j * k_q)
+    k = np.array(k)
+    cols = np.asarray(ls) - 1
+    amp = np.outer(s[np.asarray(ns) - 1], s[cols]) / (1j * k[cols] * bracket)
+    return rho_bar, k, amp
 
 
 def scattering_amplitude(geometry: WireGeometry, impurity: Impurity,
@@ -424,25 +451,9 @@ def scattering_amplitude(geometry: WireGeometry, impurity: Impurity,
     numerator vanishes together with the divergent bracket term.
     """
     _require_hard_wall(geometry)
-    if n < 1 or l < 1:
-        raise DomainError("mode indices must be >= 1")
     if m is None:
         m = nearest_threshold_index(omega)
-    _validate_window(omega, m)
-    if omega <= threshold_energy(n):
-        raise DomainError(
-            f"incident mode {n} does not propagate at omega={omega}"
-        )
-    k_l = longitudinal_wavenumber(l, omega).value
-    if k_l == 0:
-        raise ThresholdEnergyError(
-            f"outgoing mode {l} sits exactly at its cut-off; use "
-            "threshold_field / threshold_amplitude_limit"
-        )
-    eps = impurity.epsilon
-    rho_bar = regularized_scale_tail_subtraction(eps, omega, m)
-    bracket = _bracket(impurity, omega, m, rho_bar)
-    return math.sin(n * math.pi * eps) * math.sin(l * math.pi * eps) / (1j * k_l * bracket)
+    return complex(_amplitude_table(impurity, omega, m, [n], [l])[2][0, 0])
 
 
 def solve_scattering(geometry: WireGeometry, impurity: Impurity,
@@ -450,44 +461,34 @@ def solve_scattering(geometry: WireGeometry, impurity: Impurity,
                      l_max: int | None = None) -> ScatteringSolution:
     """Assemble the amplitude table A_nl for l = 1..l_max plus diagnostics.
 
-    The flux unitarity defect |1 - sum_l (k_l/k_n)(|delta - A|^2 + |A|^2)|
-    over propagating l is reported, never silently normalized away.
+    l_max defaults to m + 20 and must be >= 1.  The flux unitarity defect
+    |1 - sum_l (k_l/k_n)(|delta - A|^2 + |A|^2)| runs over every propagating
+    l, whatever l_max is, and is reported, never silently normalized away.
     """
     _require_hard_wall(geometry)
     if m is None:
         m = nearest_threshold_index(omega)
-    _validate_window(omega, m)
-    if omega <= threshold_energy(n):
-        raise DomainError(f"incident mode {n} does not propagate at omega={omega}")
     if l_max is None:
         l_max = m + 20
-    eps = impurity.epsilon
-    rho_bar = regularized_scale_tail_subtraction(eps, omega, m)
-    bracket = _bracket(impurity, omega, m, rho_bar)
-    s_n = math.sin(n * math.pi * eps)
-    amps: dict[int, complex] = {}
-    for l in range(1, l_max + 1):
-        k_l = longitudinal_wavenumber(l, omega).value
-        amps[l] = s_n * math.sin(l * math.pi * eps) / (1j * k_l * bracket)
+    if l_max < 1:
+        raise DomainError(f"mode truncation l_max must be >= 1, got {l_max}")
     p = propagating_count(omega)
-    k_n = longitudinal_wavenumber(n, omega).value.real
-    flux = 0.0
-    for l in range(1, p + 1):
-        k_l = longitudinal_wavenumber(l, omega).value.real
-        t = (1.0 if l == n else 0.0) - amps[l]
-        flux += k_l / k_n * (abs(t) ** 2 + abs(amps[l]) ** 2)
+    rho_bar, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, max(l_max, p) + 1))
+    row, k_p = amp[0], k[:p].real
+    t = (np.arange(1, p + 1) == n) - row[:p]
+    flux = np.sum(k_p / k_p[n - 1] * (np.abs(t) ** 2 + np.abs(row[:p]) ** 2))
     try:
-        d_inv_sqrt = resonance_parameter(geometry, impurity, m, omega)
+        d_inv_sqrt = _resonance_inv_sqrt(impurity, m, rho_bar)
     except DecoupledModeError:
         d_inv_sqrt = None
     return ScatteringSolution(
         incident_mode=n,
         energy=omega,
         threshold_index=m,
-        amplitudes=amps,
+        amplitudes=dict(enumerate(row[:l_max].tolist(), start=1)),
         rho_bar=rho_bar,
         resonance_inv_sqrt=d_inv_sqrt,
-        unitarity_defect=abs(1.0 - flux),
+        unitarity_defect=float(abs(1.0 - flux)),
     )
 
 
@@ -524,23 +525,22 @@ def scattered_field_grid(geometry: WireGeometry, impurity: Impurity,
     l_max defaults to m + 40 plus however many modes still reach the nearest
     sampled |x| above the 1e-12 level (hard cap 400: directly at the
     impurity cross-section the evanescent series converges only like the
-    log-singular Green's function it resums).  Raises DomainError on a
-    non-finite position.
+    log-singular Green's function it resums).  An empty xs or ys gives an
+    empty grid.  Raises DomainError on a non-finite position.
     """
     xs, ys = _finite_positions(xs, ys)
+    _require_hard_wall(geometry)
     if m is None:
         m = nearest_threshold_index(omega)
-    sol_lmax = l_max
-    if sol_lmax is None:
-        dx_min = float(np.min(np.abs(xs)))
-        sol_lmax = m + 40
-        while sol_lmax < 400 and math.pi * sol_lmax * dx_min < 27.6:
-            sol_lmax += 20
-    sol = solve_scattering(geometry, impurity, n, omega, m=m, l_max=sol_lmax)
-    ks = np.array([longitudinal_wavenumber(l, omega).value
-                   for l in range(1, sol_lmax + 1)])
-    amps = np.array([sol.amplitudes[l] for l in range(1, sol_lmax + 1)])
-    k_n = longitudinal_wavenumber(n, omega).value
+    if l_max is None:
+        dx_min = float(np.min(np.abs(xs), initial=math.inf))
+        l_max = m + 40
+        while l_max < 400 and math.pi * l_max * dx_min < 27.6:
+            l_max += 20
+    if l_max < 1:
+        raise DomainError(f"mode truncation l_max must be >= 1, got {l_max}")
+    _, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, l_max + 1))
+    amps, ks, k_n = amp[0], k[:l_max], k[n - 1]
 
     out = np.empty((len(ys), len(xs)), dtype=complex)
     pos = xs >= 0.0
@@ -570,6 +570,13 @@ def resonance_parameter(geometry: WireGeometry, impurity: Impurity,
         raise DomainError(f"cut-off index must be >= 1, got {m}")
     if omega is None:
         omega = threshold_energy(m)
+    rho_bar = regularized_scale_tail_subtraction(impurity.epsilon, omega, m)
+    return _resonance_inv_sqrt(impurity, m, rho_bar)
+
+
+def _resonance_inv_sqrt(impurity: Impurity, m: int, rho_bar: float) -> complex:
+    """Delta_m^(-1/2) of :func:`resonance_parameter` from a rho_bar already
+    evaluated; DecoupledModeError on a node of mode m."""
     eps = impurity.epsilon
     s_m = math.sin(m * math.pi * eps)
     if abs(s_m) <= 1e-8:
@@ -577,7 +584,6 @@ def resonance_parameter(geometry: WireGeometry, impurity: Impurity,
             f"impurity sits on a node of mode {m} (sin(m pi eps) = {s_m:.1e}); "
             "the reduced near-threshold forms are 0/0 - use the full amplitudes"
         )
-    rho_bar = regularized_scale_tail_subtraction(eps, omega, m)
     value = complex(math.log(impurity.rho0 / rho_bar) / (2.0 * math.pi * s_m**2), 0.0)
     for q in range(1, m):
         value -= 1j * (math.sin(q * math.pi * eps) ** 2 / s_m**2

@@ -8,20 +8,13 @@ the matrices (they carry no flux) but remain in field reconstructions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ThresholdEnergyError, WirescatError
-from .scatter import (
-    Impurity,
-    nearest_threshold_index,
-    regularized_scale_tail_subtraction,
-    _bracket,
-    _require_hard_wall,
-)
-from .specfun import longitudinal_wavenumber, threshold_energy
+from .errors import DomainError, WirescatError
+from .scatter import Impurity, _amplitude_table, _require_hard_wall, nearest_threshold_index
+from .specfun import threshold_energy
 from .wire import WireGeometry, propagating_count
 
 __all__ = ["TransportResult", "SweepPoint", "transport_at", "threshold_transport", "sweep"]
@@ -72,19 +65,10 @@ def transport_at(geometry: WireGeometry, impurity: Impurity, omega: float) -> Tr
     p = propagating_count(omega)
     if p < 1:
         raise DomainError(f"no propagating modes at omega={omega}")
-    for q in range(1, p + 2):
-        if omega == threshold_energy(q):
-            raise ThresholdEnergyError(
-                f"omega sits exactly on the cut-off of mode {q}; "
-                "use threshold_transport"
-            )
     m = nearest_threshold_index(omega)
-    rho_bar = regularized_scale_tail_subtraction(impurity.epsilon, omega, m)
-    bracket = _bracket(impurity, omega, m, rho_bar)
-    eps = impurity.epsilon
-    k = np.array([longitudinal_wavenumber(l, omega).value.real for l in range(1, p + 1)])
-    s = np.sin(np.arange(1, p + 1) * math.pi * eps)
-    amp = np.outer(s, s) / (1j * k[None, :] * bracket)  # A_nl
+    modes = range(1, p + 1)
+    _, k, amp = _amplitude_table(impurity, omega, m, modes, modes)
+    k = k[:p].real
     delta = np.eye(p)
     flux = k[None, :] / k[:, None]
     transmission = flux * np.abs(delta - amp) ** 2

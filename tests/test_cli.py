@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,3 +367,26 @@ class TestOracleCompare:
         assert rels[1] < 0.02 and rels[2] < 0.02
         # 3 ladder blocks + 1 extrapolated block, 12 modes each
         assert len(lines) == 4 * 12 + 1
+
+    def test_fewer_lead_modes_than_open_channels(self, tmp_path):
+        # two channels are open at omega = 45; one lead mode still compares
+        out = tmp_path / "cmp.jsonl"
+        assert run("oracle-compare", "--epsilon", "0.3", "--rho0", "0.01", "--omega", "45",
+                   "--grid-ny", "400", "--lead-modes", "1", "--out", str(out)) == 0
+        summary = json.loads(out.read_text().splitlines()[-1])
+        assert summary["type"] == "comparison"
+        assert [row["l"] for row in summary["rows"]] == [1]
+
+
+def test_import_loads_neither_numba_nor_numpy_fft():
+    # set-up time of every CLI run: numpy.fft is reached only by the oracle
+    import wirescat
+
+    src = str(Path(wirescat.__file__).resolve().parents[1])
+    code = ("import sys, wirescat, wirescat.cli; "
+            "print(','.join(m for m in ('numba', 'numpy.fft') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == ""

@@ -209,6 +209,27 @@ class TestResidual:
                                 h_x=1.0 / 1600, h_y=1.0 / 1600)
             assert oracle_solve(wire, 1, OM).residual < 1e-9
 
+    def test_local_coupling_solve_is_row_equilibrated(self, monkeypatch):
+        # at rho = rho0 (1/g = 0) the rows scale with weights w_i down to
+        # 1e-14; relative noise of 1e-16 in the matrix must stay at roundoff
+        wire = DiscreteWire(eps=0.55, rho=0.02, rho0=0.02, coupling="local",
+                            h_x=1.0 / 1600, h_y=1.0 / 1600)
+        base = oracle_solve(wire, 1, OM)
+        rng = np.random.default_rng(7)
+        real = np.linalg.solve
+        seen = []
+
+        def noisy(a, b):
+            seen.append(a.shape)
+            return real(a * (1.0 + 1e-16 * rng.standard_normal(a.shape)), b)
+
+        monkeypatch.setattr(np.linalg, "solve", noisy)
+        moved = oracle_solve(wire, 1, OM)
+        assert len(seen) == 1
+        for name in ("transmitted", "reflected"):
+            a, b = getattr(base, name), getattr(moved, name)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+
     @pytest.mark.parametrize("coupling", ["point", "local"])
     def test_detects_wrong_defect_strength(self, monkeypatch, coupling):
         # tau and u scaled together still solve the Helmholtz rows; only the

@@ -255,6 +255,59 @@ class TestAmplitudes:
         assert slope == pytest.approx(0.5, abs=0.05)
 
 
+class TestOneAmplitudeRoute:
+    """solve_scattering, scattering_amplitude and resonance_parameter read one
+    closed-form core, so they agree bit for bit and a solve pays for rho_bar
+    once."""
+
+    def test_rho_bar_evaluated_once_per_solve(self, monkeypatch, hard_wall,
+                                              canonical_impurity):
+        from wirescat import scatter
+
+        calls = []
+        real = scatter.regularized_scale_tail_subtraction
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scatter, "regularized_scale_tail_subtraction", counted)
+        sol = solve_scattering(hard_wall, canonical_impurity, 1, 1.05 * OM_2)
+        assert sol.resonance_inv_sqrt is not None
+        assert len(calls) == 1
+
+    def test_solution_matches_single_amplitudes_bit_for_bit(self, hard_wall):
+        rng = np.random.default_rng(23)
+        for _ in range(16):
+            omega = float(rng.uniform(1.1, 15.9)) * PI**2
+            imp = Impurity(float(rng.uniform(0.05, 0.95)), float(10 ** rng.uniform(-5, -1)))
+            m = nearest_threshold_index(omega)
+            n = int(rng.integers(1, m)) if m > 1 else 1
+            sol = solve_scattering(hard_wall, imp, n, omega)
+            for l in sorted({1, n, m, m + 1, m + 20}):
+                assert sol.amplitudes[l] == scattering_amplitude(hard_wall, imp, n, l, omega)
+            assert sol.resonance_inv_sqrt == resonance_parameter(hard_wall, imp, m, omega)
+
+    def test_decoupled_resonance_reported_as_none(self, hard_wall):
+        imp = Impurity(0.5, 0.01)
+        sol = solve_scattering(hard_wall, imp, 1, 1.05 * OM_2)
+        assert sol.resonance_inv_sqrt is None
+        with pytest.raises(DecoupledModeError):
+            resonance_parameter(hard_wall, imp, 2, 1.05 * OM_2)
+
+    def test_short_truncation_keeps_every_open_channel_in_the_defect(self, hard_wall,
+                                                                     canonical_impurity):
+        # omega = 45 opens two channels; l_max = 1 truncates below them
+        full = solve_scattering(hard_wall, canonical_impurity, 1, 45.0)
+        short = solve_scattering(hard_wall, canonical_impurity, 1, 45.0, l_max=1)
+        assert list(short.amplitudes) == [1]
+        assert short.amplitudes[1] == full.amplitudes[1]
+        assert short.unitarity_defect == full.unitarity_defect < 1e-8
+        for bad in (0, -3):
+            with pytest.raises(DomainError, match="l_max"):
+                solve_scattering(hard_wall, canonical_impurity, 1, 45.0, l_max=bad)
+
+
 class TestScatteredField:
     OM = 1.05 * OM_2
 
@@ -266,6 +319,13 @@ class TestScatteredField:
         ys = np.array([0.25, r[1], 0.75])
         with pytest.raises(DomainError, match=f"positions {name} "):
             scattered_field_grid(hard_wall, canonical_impurity, 1, self.OM, xs, ys)
+
+    def test_empty_axis_gives_empty_grid(self, hard_wall, canonical_impurity):
+        xs, ys, empty = np.linspace(-1.0, 1.0, 5), np.linspace(0.1, 0.9, 3), np.array([])
+        for grid_xs, grid_ys in ((empty, ys), (xs, empty), (empty, empty)):
+            grid = scattered_field_grid(hard_wall, canonical_impurity, 1, self.OM,
+                                        grid_xs, grid_ys)
+            assert grid.shape == (len(grid_ys), len(grid_xs))
 
     def test_continuity_across_the_impurity_plane(self, hard_wall, canonical_impurity):
         up = scattered_field(hard_wall, canonical_impurity, 1, self.OM, (1e-9, 0.43))
