@@ -57,6 +57,23 @@ class TestConfig:
                    "--omega-grid", "1.5:1.5:1", "--out", str(out2)) == 0
         assert out.read_text() == out2.read_text()
 
+    def test_consecutive_calls_share_no_values(self, tmp_path):
+        # the parser is built once per process; no flag of one call may
+        # reach the next
+        first = tmp_path / "first.json"
+        assert run("field", "--field-mode", "clean", "--omega", "20.0", "--nx", "5",
+                   "--ny", "2", "--with-complex", "--format", "json",
+                   "--out", str(first)) == 0
+        assert run("oned", "--alpha", "1.0", "--omega-grid", "0.5:1:2",
+                   "--out", str(tmp_path / "oned.csv")) == 0
+        second = tmp_path / "second.csv"
+        assert run("field", "--field-mode", "clean", "--omega", "20.0", "--ny", "2",
+                   "--out", str(second)) == 0
+        assert len(first.read_text().splitlines()) == 5 * 2
+        lines = second.read_text().splitlines()
+        assert lines[0] == "x,y,density"
+        assert len(lines) == 1 + RunConfig.nx * 2
+
 
 class TestSweep:
     def test_deterministic_output(self, tmp_path):
@@ -198,6 +215,15 @@ class TestField:
         # floor set by the off-resonant evanescent cloud around x = 0
         assert devs[2] < 1e-2
 
+    @pytest.mark.parametrize("omega, message", [("5", "does not propagate"),
+                                                ("nan", "finite")])
+    def test_clean_mode_needs_a_propagating_incident_mode(self, tmp_path, capsys,
+                                                          omega, message):
+        out = tmp_path / "clean.csv"
+        assert run("field", "--field-mode", "clean", "--omega", omega, "--nx", "2",
+                   "--ny", "1", "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+
     def test_requires_mode(self):
         assert run("field", "--omega", "39.0") == 2
 
@@ -290,6 +316,67 @@ class TestFieldOutputBytes:
         assert out.read_text() == _point_table(incident, self.XS, self.YS, True, "csv")
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="forks on Linux only")
+class TestRowBlocks:
+    """Large maps are formatted in forked workers, one per usable CPU; the
+    bytes equal those of one process."""
+
+    ARGS = ["field", "--field-mode", "threshold", "--mode-n", "1", "--threshold-m", "2",
+            "--epsilon", "0.41", "--rho0", "0.003", "--nx", "401", "--ny", "201"]
+
+    def _write(self, capsys, tmp_path, options, to_stdout):
+        out = tmp_path / "map"
+        target = [] if to_stdout else ["--out", str(out)]
+        capsys.readouterr()
+        assert run(*self.ARGS, *options, *target) == 0
+        return capsys.readouterr().out if to_stdout else out.read_text()
+
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    @pytest.mark.parametrize("options", [["--with-complex"], [],
+                                         ["--format", "json", "--with-complex"]])
+    def test_forked_bytes_equal_one_process(self, monkeypatch, capsys, tmp_path,
+                                            options, to_stdout):
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        single = self._write(capsys, tmp_path, options, to_stdout)
+        assert forks == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        forked = self._write(capsys, tmp_path, options, to_stdout)
+        assert len(forks) == 2
+        assert len(single.splitlines()) == 401 * 201 + (0 if "json" in options else 1)
+        assert forked == single
+
+    def test_small_map_never_forks(self, monkeypatch, tmp_path):
+        def no_fork():
+            raise AssertionError("a 21x11 map must not fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        out = tmp_path / "small.csv"
+        assert run("field", "--field-mode", "threshold", "--threshold-m", "2",
+                   "--epsilon", "0.41", "--rho0", "0.003", "--nx", "21", "--ny", "11",
+                   "--with-complex", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 1 + 21 * 11
+
+    def test_failed_worker_raises_and_is_reaped(self, monkeypatch, tmp_path):
+        real_fork = os.fork
+
+        def dying_fork():
+            pid = real_fork()
+            if pid == 0:
+                os._exit(1)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", dying_fork)
+        with pytest.raises(RuntimeError, match="worker exited with status 1"):
+            run(*self.ARGS, "--out", str(tmp_path / "broken.csv"))
+        with pytest.raises(ChildProcessError):  # no zombie is left to reap
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestOned:
     def test_reference_values(self, tmp_path):
         out = tmp_path / "oned.csv"
@@ -353,6 +440,11 @@ class TestUniversality:
         assert run("universality", "--mode-n", "1", "--threshold-m", "2",
                    "--epsilon", "0.3") == 2
 
+    def test_zero_grid_ny_is_config_error(self, capsys):
+        assert run("universality", "--epsilon", "0.3", "--threshold-m", "2",
+                   "--rho0-list", "0.01", "--oracle", "--grid-ny", "0") == 2
+        assert "grid_ny" in capsys.readouterr().err
+
 
 class TestOracleCompare:
     def test_emits_records_and_comparison(self, tmp_path):
@@ -377,14 +469,21 @@ class TestOracleCompare:
         assert summary["type"] == "comparison"
         assert [row["l"] for row in summary["rows"]] == [1]
 
+    def test_zero_grid_ny_is_config_error(self, capsys):
+        assert run("oracle-compare", "--epsilon", "0.3", "--rho0", "0.01",
+                   "--omega", "41", "--grid-ny", "0") == 2
+        assert "grid_ny" in capsys.readouterr().err
+
 
 def test_import_loads_neither_numba_nor_numpy_fft():
-    # set-up time of every CLI run: numpy.fft is reached only by the oracle
+    # set-up time of every CLI run: numpy.fft is reached only by the oracle,
     import wirescat
 
     src = str(Path(wirescat.__file__).resolve().parents[1])
+    # either; the field writer forks by os alone, so no process pool is loaded
     code = ("import sys, wirescat, wirescat.cli; "
-            "print(','.join(m for m in ('numba', 'numpy.fft') if m in sys.modules))")
+            "print(','.join(m for m in ('numba', 'numpy.fft', 'multiprocessing', "
+            "'concurrent.futures') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
