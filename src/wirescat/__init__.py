@@ -40,6 +40,7 @@ from .scatter import (
     reflection_1d,
     regularized_scale,
     regularized_scale_tail_subtraction,
+    regularized_scales,
     resonance_parameter,
     scattered_field,
     scattered_field_grid,

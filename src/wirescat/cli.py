@@ -7,8 +7,9 @@ float precision, so identical configs give byte-identical outputs.
 
 Exit codes: 0 success, 1 partial numerical failure (a sweep with more than
 10% failed points), 2 configuration or domain error (the message names the
-violated constraint), 3 numerical failure (a sum, limit or grid that did not
-converge: ConvergenceError, ResolutionError).
+violated constraint; an --out path that cannot be opened for writing is
+one), 3 numerical failure (a sum, limit or grid that did not converge:
+ConvergenceError, ResolutionError).
 """
 
 from __future__ import annotations
@@ -162,6 +163,9 @@ def _parse_grid(spec: str, scale: float = math.pi**2) -> np.ndarray:
         raise ConfigurationError(
             f"omega grid must be 'lo:hi:count', got {spec!r}"
         ) from None
+    for name, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"omega grid needs a finite {name}, got {value}")
     if count < 1:
         raise ConfigurationError("omega grid needs at least one point")
     if count == 1:
@@ -195,9 +199,14 @@ def _grid_step(cfg: RunConfig) -> float:
 
 
 def _open_out(cfg: RunConfig):
-    if cfg.out:
+    """The --out file opened for writing, or stdout; ConfigurationError
+    naming the path when it cannot be opened."""
+    if not cfg.out:
+        return sys.stdout
+    try:
         return open(cfg.out, "w", encoding="utf-8")
-    return sys.stdout
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --out {cfg.out!r}: {exc.strerror}") from None
 
 
 def _write_table(cfg: RunConfig, header: list[str], rows: list[list]) -> None:

@@ -1,7 +1,7 @@
 """Numeric kernels: evanescent mode sums and field-grid evaluation, in numpy.
 
 ``tail_sum`` is the exact head of the production rho_bar route
-(``scatter.regularized_scale_tail_subtraction``); ``cut_sum`` feeds only the
+(``scatter.regularized_scales``); ``cut_sum`` feeds only the
 Neville-ladder cross-check ``scatter.regularized_scale``; ``field_grid``
 synthesizes the fields of ``scatter.scattered_field_grid``.  They live in one
 module so that the per-layer benchmark (``perfbench/spans.py``) can time
@@ -28,19 +28,40 @@ def cut_sum(eps, omega, m, rho, n_max):
     return total
 
 
-def tail_sum(eps, omega, m, n_max):
-    """sum_{n=m+1}^{n_max} sin^2(n pi eps) * [1/sqrt((n pi)^2 - omega) - 1/(n pi)].
+def tail_sum(eps, omegas, m, n_max):
+    """sum_{n=m+1}^{n_max} sin^2(n pi eps) * [1/sqrt((n pi)^2 - omega) - 1/(n pi)]
+    for each energy omega in ``omegas``; returns an array like ``omegas``.
 
     The bracket is evaluated in the cancellation-free form
     omega / (sqrt(A - omega) sqrt(A) (sqrt(A) + sqrt(A - omega))), A = (n pi)^2.
+    The terms are taken in chunks of _CHUNK; sin^2 is computed once per chunk
+    for all energies, and the energies go through it in blocks whose
+    temporaries hold at most _CHUNK terms.  Each energy's chunk is summed as
+    one contiguous row, so its sum does not depend on the other energies in
+    the call.
     """
-    total = 0.0
+    omegas = np.asarray(omegas, dtype=np.float64)
+    totals = np.zeros(len(omegas))
     for lo in range(m + 1, n_max + 1, _CHUNK):
-        n = np.arange(lo, min(lo + _CHUNK, n_max + 1), dtype=np.float64)
-        npi = n * np.pi
-        root = np.sqrt(npi * npi - omega)
-        total += np.sum(np.sin(npi * eps) ** 2 * omega / (root * npi * (npi + root)))
-    return total
+        npi = np.arange(lo, min(lo + _CHUNK, n_max + 1), dtype=np.float64) * np.pi
+        sin2 = np.square(np.sin(npi * eps))
+        rows = max(1, _CHUNK // len(npi))
+        for r in range(0, len(omegas), rows):
+            totals[r:r + rows] += _tail_terms(npi, sin2, omegas[r:r + rows, None]).sum(axis=1)
+        del npi, sin2  # freed before the next chunk is built
+    return totals
+
+
+def _tail_terms(npi, sin2, omega):
+    """The terms of :func:`tail_sum`, one row per energy of the column ``omega``."""
+    root = npi * npi - omega
+    np.sqrt(root, out=root)
+    den = root * npi
+    root += npi
+    den *= root
+    terms = np.multiply(sin2, omega, out=root)  # root is spent
+    terms /= den
+    return terms
 
 
 def field_grid(xs, ys, coefs, kxs):

@@ -25,9 +25,10 @@ with amplitudes
                      + sum_{q<=m} sin^2(q pi eps)/(i k_q) ] }.
 
 Every amplitude the library reports (single amplitudes, solution tables,
-transport matrices, field maps) comes from one private core,
-``_amplitude_table``, which evaluates rho_bar once and is the only place
-the bracket and the quotient are written.
+transport matrices, field maps, cut-off limits) comes from one private core,
+``_amplitudes``, the only place the bracket and the quotient are written.
+It takes any number of energies of one window with their rho_bar, which
+:func:`regularized_scales` evaluates for all of them in one pass.
 
 Near a cut-off all impurity dependence funnels through the complex scale
 Delta_m; exactly at the cut-off the resonant pattern loses every trace of
@@ -68,6 +69,7 @@ __all__ = [
     "nearest_threshold_index",
     "regularized_scale",
     "regularized_scale_tail_subtraction",
+    "regularized_scales",
     "scattering_amplitude",
     "solve_scattering",
     "scattered_field",
@@ -220,8 +222,32 @@ _TERM_BUDGET = 3e7
 #: B_2i / (2i)! for i = 1..5, the Euler-Maclaurin coefficients.
 _EM_COEFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0)
 
+#: Orders j = 1..63 of the smooth tail's series in omega.
+_ORDERS = range(1, 64)
+
+
+def _em_table() -> np.ndarray:
+    """B_2i/(2i)! (s)_{2i-1}, row i - 1 for i = 1..5, column j - 1 for the
+    orders j (s = 2j + 1), built on Python floats as the series defines it."""
+    table = []
+    for j in _ORDERS:
+        s = 2 * j + 1
+        rising, row = float(s), []
+        for i, c in enumerate(_EM_COEFS, start=1):
+            row.append(c * rising)
+            rising *= (s + 2 * i - 1) * (s + 2 * i)
+        table.append(row)
+    return np.array(table).T
+
+
+_EM_TABLE = _em_table()
+_ODD = np.array([2.0 * j - 1.0 for j in _ORDERS])   # 2j - 1
+_EVEN = np.array([2.0 * j for j in _ORDERS])        # 2j = s - 1
+_INV_EVEN = np.array([1.0 / (2 * j) for j in _ORDERS])
+
 #: Most summation-by-parts terms the oscillating tail may take.
 _SBP_TERMS = 8
+_SBP_OFFSETS = np.array([[float(k)] for k in range(_SBP_TERMS)])  # column of k
 
 
 def regularized_scale(eps: float, omega: float, m: int, *,
@@ -277,7 +303,15 @@ def regularized_scale(eps: float, omega: float, m: int, *,
 
 def regularized_scale_tail_subtraction(eps: float, omega: float, m: int) -> float:
     """rho_bar(eps, omega, m) in closed form; the production route behind
-    every amplitude, transport matrix and resonance parameter.
+    every amplitude, transport matrix and resonance parameter.  This is the
+    one-energy call of :func:`regularized_scales`, which has the formulas.
+    """
+    return float(regularized_scales(eps, [omega], [m])[0])
+
+
+def regularized_scales(eps: float, omegas, ms) -> np.ndarray:
+    """rho_bar(eps, omegas[i], ms[i]) in closed form for every energy at one
+    impurity position, in one pass.
 
     Subtracting the Gaussian-damped asymptotic tail
     sum_n e^{-(n pi rho/2)^2}/n analytically, with
@@ -294,16 +328,27 @@ def regularized_scale_tail_subtraction(eps: float, omega: float, m: int) -> floa
     N0 = max(512, 64/min(eps, 1-eps), 8 sqrt|omega|/pi, m).  Above N0,
     sin^2 = (1 - cos(2 n pi eps))/2 splits it into a smooth tail, closed by
     a binomial series in omega with Euler-Maclaurin Hurwitz-zeta tails, and
-    an oscillating tail, closed by summation by parts.  Raises
-    ConvergenceError when N0 exceeds the term budget (an impurity within
-    ~2e-6 of a wall).
+    an oscillating tail, closed by summation by parts.  The heads of energies
+    that share (m, N0) are summed together by ``kernels.tail_sum``, and both
+    tails are (energies x order) arrays that stop each energy at its own
+    order, so no value depends on the other energies of the batch: each
+    equals the one-energy call bit for bit.  Raises DomainError for a
+    position outside (0, 1) or an energy outside the window of its cut-off,
+    and ConvergenceError when N0 exceeds the term budget (an impurity within
+    ~2e-6 of a wall); the first energy at fault is reported.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"impurity position must satisfy 0 < eps < 1, got {eps}")
-    _validate_window(omega, m)
-    # sin^2(n pi eps) and cos(2 n pi eps) are symmetric under eps -> 1 - eps,
-    # and 1 - eps is exact: the distance to the nearer wall keeps full
-    # relative precision in sin(pi eps) for impurities at either wall
+    n0s = []
+    for omega, m in zip(omegas, ms, strict=True):
+        _validate_window(omega, m)
+        n0s.append(_head_terms(eps, omega, m))
+    return _scales(eps, omegas, ms, n0s)
+
+
+def _head_terms(eps: float, omega: float, m: int) -> int:
+    """N0 of :func:`regularized_scales`; ConvergenceError above the term
+    budget."""
     edge = min(eps, 1.0 - eps)
     n0 = max(512, math.ceil(64.0 / edge), math.ceil(8.0 * math.sqrt(abs(omega)) / math.pi), m)
     if n0 > _TERM_BUDGET:
@@ -311,84 +356,117 @@ def regularized_scale_tail_subtraction(eps: float, omega: float, m: int) -> floa
             f"tail subtraction needs {n0} exact terms at eps={eps}, omega={omega}, "
             f"above the {_TERM_BUDGET:.0e}-term budget"
         )
-    harmonic = sum(1.0 / q for q in range(1, m + 1))
-    cos_part = sum(math.cos(2.0 * q * math.pi * eps) / q for q in range(1, m + 1))
-    rest = kernels.tail_sum(edge, float(omega), int(m), n0)
-    rest += 0.5 * _smooth_tail(omega, n0) - 0.5 * _oscillating_tail(edge, omega, n0)
-    ln_rb = (
-        math.log(2.0 / math.pi)
-        + EULER_GAMMA / 2.0
-        - harmonic
-        + math.log(2.0 * math.sin(math.pi * edge))
-        + cos_part
-        + 2.0 * math.pi * rest
-    )
-    return math.exp(ln_rb)
+    return n0
 
 
-def _smooth_tail(omega: float, n0: int) -> float:
-    """sum_{n>n0} g(n), g(n) = 1/sqrt((n pi)^2 - omega) - 1/(n pi).
+def _scales(eps: float, omegas, ms, n0s) -> np.ndarray:
+    """rho_bar of :func:`regularized_scales` for energies already checked,
+    with their N0 from :func:`_head_terms`."""
+    # sin^2(n pi eps) and cos(2 n pi eps) are symmetric under eps -> 1 - eps,
+    # and 1 - eps is exact: the distance to the nearer wall keeps full
+    # relative precision in sin(pi eps) for impurities at either wall
+    edge = min(eps, 1.0 - eps)
+    omegas = np.asarray(omegas, dtype=np.float64)
+    ms = [int(m) for m in ms]
+    heads = np.empty(len(omegas))
+    groups = {}
+    for i, key in enumerate(zip(ms, n0s)):
+        groups.setdefault(key, []).append(i)
+    for (m, n0), idx in groups.items():
+        heads[idx] = kernels.tail_sum(edge, omegas[idx], m, n0)
+    first = np.asarray(n0s) + 1.0  # N = N0 + 1, the first term of both tails
+    smooth = _smooth_tails(omegas, first).tolist()
+    oscillating = _oscillating_tails(edge, omegas, first).tolist()
+    fixed = {}  # m -> the terms of ln(rho_bar) before the mode sum, summed in order
+    for m in set(ms):
+        harmonic = sum(1.0 / q for q in range(1, m + 1))
+        cos_part = sum(math.cos(2.0 * q * math.pi * eps) / q for q in range(1, m + 1))
+        fixed[m] = (
+            math.log(2.0 / math.pi)
+            + EULER_GAMMA / 2.0
+            - harmonic
+            + math.log(2.0 * math.sin(math.pi * edge))
+            + cos_part
+        )
+    # on Python floats; math.exp, as numpy's vector exp may round differently
+    return np.array([
+        math.exp(fixed[m] + 2.0 * math.pi * (head + (0.5 * s - 0.5 * o)))
+        for m, head, s, o in zip(ms, heads.tolist(), smooth, oscillating)
+    ])
+
+
+def _smooth_tails(omegas: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """sum_{n>=N} g(n), g(n) = 1/sqrt((n pi)^2 - omega) - 1/(n pi), for each
+    energy omega and its first term N.
 
     Expanding g in omega gives (1/pi) sum_{j>=1} a_j (omega/pi^2)^j
-    zeta(2j+1, a), a_j = C(2j, j)/4^j, a = n0 + 1.  Each Hurwitz tail comes
-    from Euler-Maclaurin in the scaled form
+    zeta(2j+1, N), a_j = C(2j, j)/4^j.  Each Hurwitz tail comes from
+    Euler-Maclaurin in the scaled form
     a^s zeta(s, a) = a/(s-1) + 1/2 + sum_i B_2i/(2i)! (s)_{2i-1} a^{1-2i},
-    whose first omitted term is negligible for a > 512.  With
-    |omega| <= (n0 pi / 8)^2 the series in j shrinks 64-fold per term.
+    a = N, whose first omitted term is negligible for a > 512.  With
+    |omega| <= (N0 pi / 8)^2 the terms shrink at least 64-fold per order.
+    They are summed in order of j over all 63 orders.  That gives the bits
+    of a sum that stops after its first term below 1e-17 of the running
+    total: that term and every later one lie below half an ulp of the
+    total, which they therefore leave unchanged.
     """
-    a = n0 + 1.0
-    x = omega / (math.pi * a) ** 2
-    inv_a2 = 1.0 / (a * a)
-    total = 0.0
-    coef = 1.0
-    for j in range(1, 64):
-        coef *= x * (2 * j - 1) / (2 * j)  # a_j x^j
-        s = 2 * j + 1
-        scaled = 1.0 / (s - 1) + 0.5 / a  # a^(s-1) zeta(s, a)
-        rising, power = float(s), inv_a2  # (s)_{2i-1}, a^{-2i}
-        for i, c in enumerate(_EM_COEFS, start=1):
-            scaled += c * rising * power
-            rising *= (s + 2 * i - 1) * (s + 2 * i)
-            power *= inv_a2
-        term = coef * scaled
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total / math.pi
+    a = first
+    # (pi a)^2 on Python floats: float ** 2 is C pow, which need not round
+    # as numpy's square does
+    x = omegas / np.array([(math.pi * v) ** 2 for v in a.tolist()])
+    coef = np.cumprod(x[:, None] * _ODD / _EVEN, axis=1)  # a_j x^j
+    inv_a2 = (1.0 / (a * a))[:, None]
+    scaled = _INV_EVEN + (0.5 / a)[:, None]  # a^(s-1) zeta(s, a)
+    power = inv_a2  # a^{-2i}
+    for em_term in _EM_TABLE:
+        scaled = scaled + em_term * power
+        power = power * inv_a2
+    return (coef * scaled).cumsum(axis=1)[:, -1] / math.pi
 
 
-def _oscillating_tail(eps: float, omega: float, n0: int) -> float:
-    """sum_{n>n0} cos(2 n pi eps) g(n) by repeated summation by parts,
+def _oscillating_tails(eps: float, omegas: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """sum_{n>=N} cos(2 n pi eps) g(n) for each energy omega and its first
+    term N, by repeated summation by parts,
 
         sum_{n>=N} z^n g(n) = sum_{k>=0} z^(N+k) Delta^k g(N) / (1-z)^(k+1),
 
-    with z = e^{2 pi i eps}, N = n0 + 1 and forward differences Delta.  The
-    series is asymptotic: true terms fall by ~N |1-z| / (k+3) >= 25 per
-    order, while the roundoff in Delta^k g grows like |1-z|^-k.  Near a wall a
-    fixed length would let that roundoff through, so the sum stops before
-    its first term that does not shrink.
+    with z = e^{2 pi i eps} and forward differences Delta.  The series is
+    asymptotic: true terms fall by ~N |1-z| / (k+3) >= 25 per order, while
+    the roundoff in Delta^k g grows like |1-z|^-k.  Near a wall a fixed
+    length would let that roundoff through, so each sum stops before its
+    first term that does not shrink.
     """
-    n = np.arange(n0 + 1, n0 + 1 + _SBP_TERMS, dtype=np.float64) * np.pi
-    root = np.sqrt(n * n - omega)
-    diffs = omega / (root * n * (n + root))  # g(n), cancellation-free
+    # one column per energy, one row per order k
+    n = (first + _SBP_OFFSETS) * np.pi
+    root = np.sqrt(n * n - omegas)
+    delta = omegas / (root * n * (n + root))  # g(n), cancellation-free
+    for k in range(1, _SBP_TERMS):  # then delta[k] = Delta^k g(N)
+        np.subtract(delta[k:], delta[k - 1:-1], out=delta[k:])
     # 1 - z = -2i sin(pi eps) e^{i pi eps} has no cancellation near a wall, so
     # z / (1 - z) = i e^{i pi eps} / (2 sin(pi eps)) and
-    # z^N / (1 - z) = i e^{i pi (2 N eps - eps)} / (2 sin(pi eps))
+    # z^N / (1 - z) = i e^{i pi (2 N eps - eps)} / (2 sin(pi eps)); the
+    # coefficients z^(N+k) / (1-z)^(k+1) depend on N alone and are built on
+    # Python complexes, one product per order, for each distinct N
     half = 0.5 / math.sin(math.pi * eps)
     ratio = complex(-math.sin(math.pi * eps), math.cos(math.pi * eps)) * half
-    phase = math.pi * (2.0 * ((n0 + 1) * eps % 1.0) - eps)
-    lead = complex(-math.sin(phase), math.cos(phase)) * half
-    total = 0.0
-    last = math.inf
-    for _ in range(_SBP_TERMS):
-        term = lead * diffs[0]
-        if abs(term) >= last:
-            break
-        total += term
-        last = abs(term)
-        lead *= ratio
-        diffs = np.diff(diffs)
-    return total.real
+    columns = {}
+    for big_n in first.tolist():
+        columns.setdefault(big_n, len(columns))
+    leads = np.empty((_SBP_TERMS, len(columns)), dtype=complex)
+    for big_n, col in columns.items():
+        phase = math.pi * (2.0 * (big_n * eps % 1.0) - eps)
+        lead = complex(-math.sin(phase), math.cos(phase)) * half
+        for k in range(_SBP_TERMS):
+            leads[k, col] = lead
+            lead *= ratio
+    leads = leads[:, [columns[big_n] for big_n in first.tolist()]]
+    # the terms lead * Delta^k g as two real parts; hypot is libm's, as in
+    # abs() of a Python complex
+    re = leads.real * delta
+    size = np.hypot(re, leads.imag * delta)
+    # a term after the stop is multiplied by 0 and leaves the sum unchanged
+    re[1:] *= (size[1:] < size[:-1]).cumprod(axis=0)
+    return re.cumsum(axis=0)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +481,12 @@ def _require_hard_wall(geometry: WireGeometry) -> None:
         )
 
 
-def _amplitude_table(impurity: Impurity, omega: float, m: int, ns, ls):
-    """The closed-form amplitudes of the module docstring for the incident
-    modes ``ns`` and outgoing modes ``ls`` (sequences of mode indices): the
-    one place the bracket and the quotient A_nl are written.
-
-    Returns (rho_bar, k, amp): rho_bar from
-    :func:`regularized_scale_tail_subtraction` (evaluated once),
-    k[q-1] = k_q for q = 1..max(m, max(ls)) and amp[i, j] = A_{ns[i], ls[j]}.
-    Raises DomainError for a mode index below 1, an energy outside the window
-    of cut-off m or an incident mode that does not propagate, and
-    ThresholdEnergyError when omega sits on the cut-off of a mode q <= m.
-    """
+def _wavenumbers(omega: float, m: int, ns, ls) -> list:
+    """k_q for q = 1..max(m, max(ls)) as Python complexes, after the checks
+    of an amplitude table at one energy: DomainError for a mode index below
+    1, an energy outside the window of cut-off m or an incident mode that
+    does not propagate, and ThresholdEnergyError when omega sits on the
+    cut-off of a mode q <= m."""
     if min(ns) < 1 or min(ls) < 1:
         raise DomainError("mode indices must be >= 1")
     _validate_window(omega, m)
@@ -426,19 +498,46 @@ def _amplitude_table(impurity: Impurity, omega: float, m: int, ns, ls):
             f"omega sits exactly on the cut-off of mode {k.index(0) + 1}; "
             "use the threshold-limit operations"
         )
+    return k
+
+
+def _amplitudes(impurity: Impurity, m: int, ns, ls, ks, rho_bars):
+    """The closed-form amplitudes of the module docstring for the incident
+    modes ``ns`` and outgoing modes ``ls`` at several energies of one window
+    m, given each energy's wavenumbers ``ks[e]`` (from :func:`_wavenumbers`)
+    and rho_bar: the one place the bracket and the quotient A_nl are
+    written.  Returns (k, amp) with k[e] the array of ks[e] and
+    amp[e, i, j] = A_{ns[i], ls[j]}.
+    """
     eps = impurity.epsilon
-    rho_bar = regularized_scale_tail_subtraction(eps, omega, m)
-    s = np.sin(np.arange(1, len(k) + 1) * math.pi * eps)
+    s = np.sin(np.arange(1, len(ks[0]) + 1) * math.pi * eps)
+    s_open = s[:m].tolist()
     # the bracket is summed on Python scalars: CPython divides a complex
     # exactly where numpy multiplies by a reciprocal, and transport keeps the
     # bits of this scalar form
-    bracket = math.log(impurity.rho0 / rho_bar) / (2.0 * math.pi)
-    for s_q, k_q in zip(s[:m].tolist(), k):
-        bracket += s_q ** 2 / (1j * k_q)
-    k = np.array(k)
+    brackets = []
+    for k_e, rho_bar in zip(ks, rho_bars):
+        bracket = math.log(impurity.rho0 / rho_bar) / (2.0 * math.pi)
+        for s_q, k_q in zip(s_open, k_e):
+            bracket += s_q ** 2 / (1j * k_q)
+        brackets.append(bracket)
+    k = np.array(ks)
     cols = np.asarray(ls) - 1
-    amp = np.outer(s[np.asarray(ns) - 1], s[cols]) / (1j * k[cols] * bracket)
-    return rho_bar, k, amp
+    quotient = 1j * k[:, cols] * np.array(brackets)[:, None]
+    amp = np.outer(s[np.asarray(ns) - 1], s[cols]) / quotient[:, None, :]
+    return k, amp
+
+
+def _amplitude_table(impurity: Impurity, omega: float, m: int, ns, ls):
+    """:func:`_amplitudes` at one energy, with the checks of
+    :func:`_wavenumbers`.  Returns (rho_bar, k, amp): rho_bar from
+    :func:`regularized_scale_tail_subtraction` (evaluated once),
+    k[q-1] = k_q for q = 1..max(m, max(ls)) and amp[i, j] = A_{ns[i], ls[j]}.
+    """
+    k = _wavenumbers(omega, m, ns, ls)
+    rho_bar = regularized_scale_tail_subtraction(impurity.epsilon, omega, m)
+    k, amp = _amplitudes(impurity, m, ns, ls, [k], [rho_bar])
+    return rho_bar, k[0], amp[0]
 
 
 def scattering_amplitude(geometry: WireGeometry, impurity: Impurity,
@@ -783,9 +882,18 @@ def threshold_amplitude_limit(geometry: WireGeometry, impurity: Impurity,
         l = m
     base = threshold_energy(m)
     ks = k_start * 0.5 ** np.arange(levels)
-    vals = [
-        scattering_amplitude(geometry, impurity, n, l, base + k * k, m=m)
-        for k in ks
-    ]
+    omegas = (base + ks * ks).tolist()
+    vals = []
+    if omegas:
+        # the checks of scattering_amplitude, rung by rung, then one rho_bar
+        # pass and one amplitude pass over the rungs
+        _require_hard_wall(geometry)
+        eps = impurity.epsilon
+        waves, n0s = [], []
+        for omega in omegas:
+            waves.append(_wavenumbers(omega, m, [n], [l]))
+            n0s.append(_head_terms(eps, omega, m))
+        rho_bars = _scales(eps, omegas, [m] * len(omegas), n0s)
+        vals = _amplitudes(impurity, m, [n], [l], waves, rho_bars.tolist())[1][:, 0, 0].tolist()
     diag = neville_diagonal(ks, vals)
     return diag[-1]

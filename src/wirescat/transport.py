@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, WirescatError
-from .scatter import Impurity, _amplitude_table, _require_hard_wall, nearest_threshold_index
+from .scatter import (
+    Impurity,
+    _amplitudes,
+    _head_terms,
+    _require_hard_wall,
+    _scales,
+    _wavenumbers,
+    nearest_threshold_index,
+)
 from .specfun import threshold_energy
 from .wire import WireGeometry, propagating_count
 
@@ -59,30 +67,68 @@ def transport_at(geometry: WireGeometry, impurity: Impurity, omega: float) -> Tr
     Requires at least one propagating mode and an energy strictly between
     cut-offs (exact cut-offs are handled analytically by
     :func:`threshold_transport`).  Hard-wall wires only: other geometries
-    raise :class:`DomainError`.
+    raise :class:`DomainError`.  The one-energy case of :func:`sweep`.
     """
-    _require_hard_wall(geometry)
-    p = propagating_count(omega)
-    if p < 1:
-        raise DomainError(f"no propagating modes at omega={omega}")
-    m = nearest_threshold_index(omega)
-    modes = range(1, p + 1)
-    _, k, amp = _amplitude_table(impurity, omega, m, modes, modes)
-    k = k[:p].real
-    delta = np.eye(p)
-    flux = k[None, :] / k[:, None]
-    transmission = flux * np.abs(delta - amp) ** 2
-    reflection = flux * np.abs(amp) ** 2
-    row_sums = transmission.sum(axis=1) + reflection.sum(axis=1)
-    return TransportResult(
-        energy=omega,
-        threshold_index=m,
-        num_propagating=p,
-        transmission=transmission,
-        reflection=reflection,
-        conductance=float(transmission.sum()),
-        unitarity_defect=float(np.max(np.abs(1.0 - row_sums))),
-    )
+    (result,) = _transport(geometry, impurity, [omega])
+    if isinstance(result, WirescatError):
+        raise result
+    return result
+
+
+def _transport(geometry: WireGeometry, impurity: Impurity, omegas) -> list:
+    """The TransportResult of :func:`transport_at` for each energy, or the
+    WirescatError it raises there, in input order.
+
+    Every energy is checked first, in the order of the one-energy
+    computation; one rho_bar pass then serves all energies that pass, and
+    the matrices are built from arrays stacked over the energies that share
+    a cut-off window m and a channel count p.
+    """
+    results: list = [None] * len(omegas)
+    eps = impurity.epsilon
+    valid = []  # (index, m, p, wavenumbers, N0)
+    for i, omega in enumerate(omegas):
+        try:
+            _require_hard_wall(geometry)
+            p = propagating_count(omega)
+            if p < 1:
+                raise DomainError(f"no propagating modes at omega={omega}")
+            m = nearest_threshold_index(omega)
+            modes = range(1, p + 1)
+            k = _wavenumbers(omega, m, modes, modes)
+            valid.append((i, m, p, k, _head_terms(eps, omega, m)))
+        except WirescatError as exc:
+            results[i] = exc
+    if not valid:
+        return results
+    index, ms, ps, ks, n0s = zip(*valid)
+    rho_bars = _scales(eps, [omegas[i] for i in index], ms, n0s).tolist()
+    groups: dict = {}
+    for j, key in enumerate(zip(ms, ps)):
+        groups.setdefault(key, []).append(j)
+    for (m, p), rows in groups.items():
+        modes = range(1, p + 1)
+        k, amp = _amplitudes(impurity, m, modes, modes, [ks[j] for j in rows],
+                             [rho_bars[j] for j in rows])
+        k = k[:, :p].real
+        flux = k[:, None, :] / k[:, :, None]
+        transmission = flux * np.abs(np.eye(p) - amp) ** 2
+        reflection = flux * np.abs(amp) ** 2
+        row_sums = transmission.sum(axis=2) + reflection.sum(axis=2)
+        conductance = transmission.reshape(len(rows), -1).sum(axis=1).tolist()
+        defect = np.max(np.abs(1.0 - row_sums), axis=1).tolist()
+        for r, j in enumerate(rows):
+            i = index[j]
+            results[i] = TransportResult(
+                energy=omegas[i],
+                threshold_index=m,
+                num_propagating=p,
+                transmission=transmission[r],
+                reflection=reflection[r],
+                conductance=conductance[r],
+                unitarity_defect=defect[r],
+            )
+    return results
 
 
 def threshold_transport(geometry: WireGeometry, impurity: Impurity, m: int) -> TransportResult:
@@ -115,17 +161,17 @@ def threshold_transport(geometry: WireGeometry, impurity: Impurity, m: int) -> T
 
 
 def sweep(geometry: WireGeometry, impurity: Impurity, omega_grid) -> list[SweepPoint]:
-    """Evaluate :func:`transport_at` over an energy grid.
+    """Evaluate :func:`transport_at` over an energy grid, in one pass.
 
     Points are independent; per-point failures are collected as
     :class:`SweepPoint` errors instead of aborting the sweep, and results
-    keep the input order.
+    keep the input order.  Each point carries the bits and the error message
+    that :func:`transport_at` gives at its energy.
     """
-    points: list[SweepPoint] = []
-    for omega in omega_grid:
-        omega = float(omega)
-        try:
-            points.append(SweepPoint(omega=omega, result=transport_at(geometry, impurity, omega)))
-        except WirescatError as exc:
-            points.append(SweepPoint(omega=omega, result=None, error=str(exc)))
-    return points
+    omegas = [float(omega) for omega in omega_grid]
+    return [
+        SweepPoint(omega=omega, result=None, error=str(result))
+        if isinstance(result, WirescatError)
+        else SweepPoint(omega=omega, result=result)
+        for omega, result in zip(omegas, _transport(geometry, impurity, omegas))
+    ]

@@ -120,6 +120,54 @@ class TestSweep:
         assert "cut-off" in capsys.readouterr().err
 
 
+DATA = Path(__file__).parent / "data"
+
+
+class TestSweepBytes:
+    """The CSVs under tests/data were written by the point-by-point sweep
+    that preceded the one-pass sweep; the bytes must not move."""
+
+    @pytest.mark.parametrize("eps", ["0.3", "0.02"])
+    def test_matches_pinned_csv(self, tmp_path, eps):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--epsilon", eps, "--rho0", "0.01",
+                   "--omega-grid", "1.1:8.9:200", "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA / f"sweep_eps{eps}_rho0.01.csv").read_bytes()
+
+
+class TestGridBounds:
+    @pytest.mark.parametrize("spec, bound", [
+        ("1.1:nan:3", "hi"), ("nan:2:3", "lo"), ("inf:2:3", "lo"), ("1.1:-inf:1", "hi"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--epsilon", "0.3", "--rho0", "0.01"], ["oned", "--alpha", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_non_finite_bound_is_config_error(self, capsys, argv, spec, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, "--omega-grid", spec) == 2
+        err = capsys.readouterr().err
+        assert f"finite {bound}" in err
+        assert "sweep point" not in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--epsilon", "0.3", "--rho0", "0.01", "--omega-grid", "1.1:2:3"],
+        ["field", "--field-mode", "clean", "--omega", "20", "--nx", "2", "--ny", "1"],
+        ["universality", "--threshold-m", "2", "--epsilon", "0.3", "--rho0-list", "1e-3"],
+        ["oned", "--alpha", "1", "--omega-grid", "0:1:3"],
+        ["oracle-compare", "--epsilon", "0.3", "--rho0", "0.01", "--omega", "41.452",
+         "--grid-ny", "200", "--rho-ladder", "0.08,0.04,0.02", "--lead-modes", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_is_config_error_naming_the_path(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "out.csv"
+        assert run(*argv, "--out", str(path)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not path.parent.exists()
+
+
 class TestExitCodes:
     def test_domain_error_exits_two(self, capsys):
         assert run("field", "--field-mode", "defect", "--epsilon", "1.5",

@@ -19,6 +19,7 @@ from wirescat import (
     reflection_1d,
     regularized_scale,
     regularized_scale_tail_subtraction,
+    regularized_scales,
     resonance_parameter,
     scattered_field,
     scattered_field_grid,
@@ -33,6 +34,7 @@ from wirescat import (
     threshold_field_grid,
 )
 from conftest import brute_force_log_scale
+from wirescat.numerics import neville_diagonal
 
 PI = math.pi
 OM_2 = (2 * PI) ** 2
@@ -186,6 +188,125 @@ class TestTailSubtraction:
     def test_wall_beyond_term_budget_raises(self):
         with pytest.raises(ConvergenceError):
             regularized_scale_tail_subtraction(1e-8, OM_2, 2)
+
+
+def scalar_loop_scale(eps, omega, m):
+    """rho_bar by the one-energy loops that preceded regularized_scales: the
+    same formulas and the same floating-point operations in the same order,
+    one energy at a time (the reference for bit-for-bit equality)."""
+    edge = min(eps, 1.0 - eps)
+    n0 = max(512, math.ceil(64.0 / edge), math.ceil(8.0 * math.sqrt(abs(omega)) / PI), m)
+    head = 0.0
+    for lo in range(m + 1, n0 + 1, 1 << 19):
+        npi = np.arange(lo, min(lo + (1 << 19), n0 + 1), dtype=np.float64) * np.pi
+        root = np.sqrt(npi * npi - omega)
+        head += np.sum(np.sin(npi * edge) ** 2 * omega / (root * npi * (npi + root)))
+    a = n0 + 1.0
+    x, inv_a2 = omega / (PI * a) ** 2, 1.0 / (a * a)
+    smooth, coef = 0.0, 1.0
+    for j in range(1, 64):
+        coef *= x * (2 * j - 1) / (2 * j)
+        s = 2 * j + 1
+        scaled = 1.0 / (s - 1) + 0.5 / a
+        rising, power = float(s), inv_a2
+        for i, c in enumerate((1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160), 1):
+            scaled += c * rising * power
+            rising *= (s + 2 * i - 1) * (s + 2 * i)
+            power *= inv_a2
+        term = coef * scaled
+        smooth += term
+        if abs(term) <= 1e-17 * abs(smooth):
+            break
+    n = np.arange(n0 + 1, n0 + 9, dtype=np.float64) * np.pi
+    root = np.sqrt(n * n - omega)
+    diffs = omega / (root * n * (n + root))
+    half = 0.5 / math.sin(PI * edge)
+    ratio = complex(-math.sin(PI * edge), math.cos(PI * edge)) * half
+    phase = PI * (2.0 * ((n0 + 1) * edge % 1.0) - edge)
+    lead = complex(-math.sin(phase), math.cos(phase)) * half
+    osc, last = 0.0, math.inf
+    for _ in range(8):
+        term = lead * diffs[0]
+        if abs(term) >= last:
+            break
+        osc += term
+        last = abs(term)
+        lead *= ratio
+        diffs = np.diff(diffs)
+    rest = head + (0.5 * (smooth / PI) - 0.5 * osc.real)
+    harmonic = sum(1.0 / q for q in range(1, m + 1))
+    cos_part = sum(math.cos(2.0 * q * PI * eps) / q for q in range(1, m + 1))
+    return math.exp(math.log(2.0 / PI) + 0.5772156649015329 / 2.0 - harmonic
+                    + math.log(2.0 * math.sin(PI * edge)) + cos_part + 2.0 * PI * rest)
+
+
+def window_energies(m):
+    """Three energies of the window of cut-off m: below its cut-off (for
+    m = 1, below pi^2, where no mode propagates), just above it, and just
+    below the next one."""
+    lo, hi = threshold_energy(m), threshold_energy(m + 1)
+    below = lo - 0.3 * (lo - threshold_energy(m - 1)) if m > 1 else 0.4 * lo
+    return [below, lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)]
+
+
+class TestBatchedScale:
+    """regularized_scales is the production rho_bar route; the one-energy
+    call is its batch of one, and every energy of a batch gets the bits of
+    that call whatever else the batch holds."""
+
+    WALL_WINDOWS = [(omega, m) for m in (1, 30) for omega in window_energies(m)]
+
+    @pytest.mark.parametrize("eps, energies", [
+        # energies below pi^2 with |omega| large enough to set N0 themselves
+        (0.3, [(omega, m) for m in range(1, 31) for omega in window_energies(m)]
+         + [(omega, 1) for omega in (-1e6, -1e5, -4e4, 1e-3, 0.0)]),
+        # N0 = 6.4e6 at either wall: thirteen 2^19-term chunks per energy
+        (1e-5, WALL_WINDOWS),
+        (1.0 - 1e-5, WALL_WINDOWS),
+        # N0 = 32000: the 40 energies of window 2 take 3 blocks of the head
+        (2e-3, [(omega, 2) for omega in np.linspace(12.0, 88.0, 40)] + [(-1e6, 1)]),
+    ], ids=["middle", "lower-wall", "upper-wall", "blocks"])
+    def test_batch_equals_one_energy_calls(self, eps, energies):
+        omegas, ms = zip(*energies)
+        got = regularized_scales(eps, omegas, ms)
+        assert got.shape == (len(omegas),)
+        for omega, m, value in zip(omegas, ms, got.tolist()):
+            assert value == regularized_scale_tail_subtraction(eps, omega, m), (omega, m)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.5, 0.77, 0.999])
+    def test_equals_scalar_loops(self, eps):
+        rng = np.random.default_rng(int(eps * 1000))
+        ms = rng.integers(1, 31, 120)
+        omegas = [float(rng.uniform(threshold_energy(m) - 40.0, threshold_energy(m + 1)))
+                  for m in ms]
+        # |omega| = (N0 pi / 8)^2, where the smooth tail's series is longest,
+        # and both zeros
+        omegas += [-1e6, -(2547 * PI / 8.0) ** 2, -3e5, 0.0, -0.0]
+        ms = [*ms, 1, 1, 1, 1, 1]
+        got = regularized_scales(eps, omegas, ms)
+        assert got.tolist() == [scalar_loop_scale(eps, o, int(m)) for o, m in zip(omegas, ms)]
+
+    def test_first_faulty_energy_is_reported(self):
+        with pytest.raises(DomainError, match="above the cut-off of mode 3"):
+            regularized_scales(0.3, [50.0, 100.0, 1e4], [2, 2, 2])
+        with pytest.raises(ConvergenceError, match="terms"):
+            regularized_scales(1e-8, [50.0], [2])
+        with pytest.raises(DomainError, match="0 < eps < 1"):
+            regularized_scales(1.0, [50.0], [2])
+
+    def test_empty_batch(self):
+        assert regularized_scales(0.3, [], []).shape == (0,)
+
+    @pytest.mark.parametrize("n, m, l", [(1, 2, None), (1, 2, 1), (2, 5, 7), (1, 3, 2)])
+    def test_threshold_limit_equals_scalar_rungs(self, hard_wall, n, m, l):
+        # one rho_bar pass over the 8 rungs gives the amplitudes of 8
+        # scattering_amplitude calls bit for bit
+        imp = Impurity(0.61, 3e-4)
+        ks = 0.08 * 0.5 ** np.arange(8)
+        rungs = [scattering_amplitude(hard_wall, imp, n, m if l is None else l,
+                                      threshold_energy(m) + k * k, m=m) for k in ks]
+        assert threshold_amplitude_limit(hard_wall, imp, n, m, l) == \
+            neville_diagonal(ks, rungs)[-1]
 
 
 class TestAmplitudes:

@@ -8,6 +8,7 @@ from wirescat import (
     DomainError,
     Impurity,
     ThresholdEnergyError,
+    WirescatError,
     longitudinal_wavenumber,
     resonance_parameter,
     scattering_amplitude,
@@ -144,6 +145,51 @@ class TestSweep:
                        [0.5 * PI**2, 1.3 * OM_2, threshold_energy(2)])
         assert [pt.ok for pt in points] == [False, True, False]
         assert points[0].error and points[2].error
+
+    def test_grid_equals_point_by_point_transport(self, hard_wall):
+        # one rho_bar pass and matrices stacked per (m, p) give every point the
+        # bits of transport_at, and every failed point its error message
+        omegas = list(np.linspace(0.5, 15.5, 200) * PI**2)
+        omegas[3] = 0.25 * PI**2
+        omegas[40] = OM_2
+        omegas[41] = threshold_energy(3)
+        omegas[77] = math.nan
+        omegas[78] = -math.inf
+        imp = Impurity(0.41, 2e-3)
+        points = sweep(hard_wall, imp, omegas)
+        assert np.array_equal([pt.omega for pt in points], omegas, equal_nan=True)
+        errors = []
+        for pt in points:
+            try:
+                direct = transport_at(hard_wall, imp, pt.omega)
+            except WirescatError as exc:
+                errors.append(str(exc))
+                assert pt.result is None and pt.error == str(exc)
+                continue
+            res = pt.result
+            assert (res.energy, res.threshold_index, res.num_propagating) == \
+                (direct.energy, direct.threshold_index, direct.num_propagating)
+            assert res.transmission.tobytes() == direct.transmission.tobytes()
+            assert res.reflection.tobytes() == direct.reflection.tobytes()
+            assert res.conductance == direct.conductance
+            assert res.unitarity_defect == direct.unitarity_defect
+        assert errors == [pt.error for pt in points if not pt.ok]
+        assert len(errors) >= 6  # the five above and the grid's own start below pi^2
+        assert {pt.result.num_propagating for pt in points if pt.ok} == {1, 2, 3}
+
+    def test_wall_sweep_memory_stays_bounded(self, hard_wall):
+        # at eps = 1e-5 each energy sums N0 = 6.4e6 exact terms in 2^19-term
+        # chunks; the whole sweep peaks at about 16 MiB of numpy temporaries
+        tracemalloc = pytest.importorskip("tracemalloc")
+        omegas = np.linspace(1.1, 8.9, 20) * PI**2
+        tracemalloc.start()
+        try:
+            points = sweep(hard_wall, Impurity(1e-5, 0.01), omegas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(pt.ok for pt in points)
+        assert peak <= 24 * 2**20
 
     def test_nan_energy_is_one_failed_point(self, hard_wall, canonical_impurity):
         points = sweep(hard_wall, canonical_impurity, [math.nan, 20.0])
