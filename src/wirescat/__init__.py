@@ -31,10 +31,13 @@ from .oracle import (
 )
 from .oracle import solve as oracle_solve
 from .oracle import solve_ladder as oracle_solve_ladder
+from .oracle import solve_table as oracle_solve_table
 from .scatter import (
+    CutoffScan,
     Impurity,
     OneDBarrier,
     ScatteringSolution,
+    cutoff_scan,
     near_threshold_field,
     nearest_threshold_index,
     reflection_1d,
@@ -42,6 +45,7 @@ from .scatter import (
     regularized_scale_tail_subtraction,
     regularized_scales,
     resonance_parameter,
+    resonance_parameters,
     scattered_field,
     scattered_field_grid,
     scattering_amplitude,

@@ -33,11 +33,10 @@ from .errors import (
 from .scatter import (
     Impurity,
     OneDBarrier,
+    cutoff_scan,
     reflection_1d,
-    resonance_parameter,
     scattered_field_grid,
     solve_scattering,
-    threshold_amplitude_limit,
     threshold_field,
     threshold_field_grid,
 )
@@ -435,10 +434,8 @@ def run_universality(cfg: RunConfig) -> int:
     offset_scales = _parse_list(cfg.offsets, "offsets") if cfg.offsets else [1e-2, 1e-4, 1e-6]
     geometry = WireGeometry.hard_wall()
 
-    limits = [
-        complex(threshold_amplitude_limit(geometry, Impurity(cfg.epsilon, r0), n, m))
-        for r0 in rho0s
-    ]
+    scan = cutoff_scan(geometry, cfg.epsilon, rho0s, n, m, offset_scales)
+    limits = list(scan.limits)
     target = math.sin(n * math.pi * cfg.epsilon) / math.sin(m * math.pi * cfg.epsilon)
     mean_limit = np.mean(limits)
     threshold_spread = (
@@ -454,18 +451,8 @@ def run_universality(cfg: RunConfig) -> int:
     field_spread = max(abs(a - b) for a in field_samples for b in field_samples) \
         if len(field_samples) > 1 else 0.0
 
-    delta_mags = [
-        1.0 / abs(resonance_parameter(geometry, Impurity(cfg.epsilon, r0), m)) ** 2
-        for r0 in rho0s
-    ]
-    base_delta = min(delta_mags)
     near = []
-    for scale in offset_scales:
-        omega = threshold_energy(m) + scale * base_delta
-        coefs = [
-            solve_scattering(geometry, Impurity(cfg.epsilon, r0), n, omega, m=m).amplitudes[m]
-            for r0 in rho0s
-        ]
+    for scale, omega, coefs in zip(offset_scales, scan.offset_energies, scan.offset_amplitudes):
         spread = (
             max(abs(a - b) for a in coefs for b in coefs) / abs(np.mean(coefs))
             if len(coefs) > 1 else 0.0
@@ -586,31 +573,20 @@ def run_oracle_compare(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wirescat",
-        description="Scattering of waveguide modes off a single point impurity "
-                    "in a quasi-1D wire.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _common_arguments(p):
+    p.add_argument("--config", help="key = value config file; flags override it")
+    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--format", choices=("csv", "json"), help="table format")
+    p.add_argument("--epsilon", type=float, help="impurity transverse position in (0,1)")
+    p.add_argument("--rho0", type=float, help="impurity strength length scale")
+    p.add_argument("--mode-n", type=int, dest="mode_n", help="incident mode index")
+    p.add_argument("--threshold-m", type=int, dest="threshold_m", help="cut-off index m")
+    p.add_argument("--omega", type=float, help="energy (units 1/width^2)")
+    p.add_argument("--omega-grid", dest="omega_grid",
+                   help="lo:hi:count in units of pi^2")
 
-    def common(p):
-        p.add_argument("--config", help="key = value config file; flags override it")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="table format")
-        p.add_argument("--epsilon", type=float, help="impurity transverse position in (0,1)")
-        p.add_argument("--rho0", type=float, help="impurity strength length scale")
-        p.add_argument("--mode-n", type=int, dest="mode_n", help="incident mode index")
-        p.add_argument("--threshold-m", type=int, dest="threshold_m", help="cut-off index m")
-        p.add_argument("--omega", type=float, help="energy (units 1/width^2)")
-        p.add_argument("--omega-grid", dest="omega_grid",
-                       help="lo:hi:count in units of pi^2")
 
-    p = sub.add_parser("sweep", help="transport matrices over an energy grid")
-    common(p)
-
-    p = sub.add_parser("field", help="wavefunction / density on an (x, y) lattice")
-    common(p)
+def _field_arguments(p):
     p.add_argument("--field-mode", dest="field_mode",
                    choices=("clean", "defect", "threshold"))
     p.add_argument("--nx", type=int, help="grid points along x")
@@ -620,8 +596,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-complex", dest="with_complex", action="store_const", const=True,
                    help="emit re/im columns next to the density")
 
-    p = sub.add_parser("universality", help="strength-independence experiment at a cut-off")
-    common(p)
+
+def _universality_arguments(p):
     p.add_argument("--rho0-list", dest="rho0_list", help="comma-separated strength scales")
     p.add_argument("--offsets", help="comma-separated offsets in units of |Delta_m|")
     p.add_argument("--oracle", action="store_const", const=True,
@@ -629,46 +605,70 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-ny", type=int, dest="grid_ny")
     p.add_argument("--lead-modes", type=int, dest="lead_modes")
 
-    p = sub.add_parser("oned", help="1D reference reflection curves")
-    common(p)
+
+def _oned_arguments(p):
     p.add_argument("--alpha", type=float, help="delta-barrier strength")
     p.add_argument("--delta-v", type=float, dest="delta_v", help="weak-barrier height")
     p.add_argument("--barrier-width", type=float, dest="barrier_width")
 
-    p = sub.add_parser("oracle-compare", help="finite-difference ladder vs analytic amplitudes")
-    common(p)
+
+def _oracle_compare_arguments(p):
     p.add_argument("--rho-ladder", dest="rho_ladder", help="comma-separated widths")
     p.add_argument("--grid-ny", type=int, dest="grid_ny")
     p.add_argument("--lead-modes", type=int, dest="lead_modes")
-    return parser
 
 
-_RUNNERS = {
-    "sweep": run_sweep,
-    "field": run_field,
-    "universality": run_universality,
-    "oned": run_oned,
-    "oracle-compare": run_oracle_compare,
+#: subcommand -> (runner, help, adder of the arguments beyond the common ones)
+_SUBCOMMANDS = {
+    "sweep": (run_sweep, "transport matrices over an energy grid", None),
+    "field": (run_field, "wavefunction / density on an (x, y) lattice", _field_arguments),
+    "universality": (run_universality, "strength-independence experiment at a cut-off",
+                     _universality_arguments),
+    "oned": (run_oned, "1D reference reflection curves", _oned_arguments),
+    "oracle-compare": (run_oracle_compare, "finite-difference ladder vs analytic amplitudes",
+                       _oracle_compare_arguments),
 }
 
 
-_PARSER: argparse.ArgumentParser | None = None
+def _build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand registered and its help,
+    and the arguments of ``subcommand`` alone: argparse builds a help
+    formatter per argument, so arguments no run reads are not built."""
+    parser = argparse.ArgumentParser(
+        prog="wirescat",
+        description="Scattering of waveguide modes off a single point impurity "
+                    "in a quasi-1D wire.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, text, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == subcommand:
+            _common_arguments(p)
+            if add_arguments is not None:
+                add_arguments(p)
+    return parser
 
 
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: every flag defaults to
-    None and parsing leaves the parser unchanged, so calls share it safely."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    return _PARSER
+_PARSERS: dict = {}
+
+
+def _parser(subcommand: str | None) -> argparse.ArgumentParser:
+    """The argument parser for ``subcommand``, built once per process: every
+    flag defaults to None and parsing leaves the parser unchanged, so calls
+    share it safely."""
+    if subcommand not in _PARSERS:
+        _PARSERS[subcommand] = _build_parser(subcommand)
+    return _PARSERS[subcommand]
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand is the first argument; anything else is argparse's to report
+    subcommand = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = _parser(subcommand).parse_args(argv)
     try:
         cfg = build_config(args)
-        return _RUNNERS[args.subcommand](cfg)
+        return _SUBCOMMANDS[args.subcommand][0](cfg)
     except (ConvergenceError, ResolutionError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -21,19 +21,21 @@ def neville_diagonal(x, y):
 
     Element k uses the first k+1 ladder points; the gap between successive
     elements is the usual self-estimate of the remaining extrapolation error.
-    Works for real or complex y.
+    y is real or complex with the ladder on axis 0: a sequence of scalars,
+    or an array of shape (len(x), ...) whose trailing entries are
+    extrapolated independently, each element of the result then being an
+    array of that trailing shape.  Every entry takes the scalar tableau's
+    arithmetic, so it gets the bits of a one-series call.
     """
     x = _check_ladder(x)
-    y = list(y)
-    n = len(y)
-    # column c of the tableau, updated in place order by order
-    col = list(y)
-    diag = [y[0]]
-    for order in range(1, n):
-        col = [
-            (x[i] * col[i + 1] - x[i + order] * col[i]) / (x[i] - x[i + order])
-            for i in range(n - order)
-        ]
+    col = np.asarray(y)
+    if len(col) != len(x):
+        raise DomainError(f"need one value per ladder point, got {len(col)} for {len(x)}")
+    x = x.reshape((-1,) + (1,) * (col.ndim - 1))  # broadcast along the trailing axes
+    diag = [col[0]]
+    # column `order` of the tableau, from the previous column
+    for order in range(1, len(col)):
+        col = (x[:-order] * col[1:] - x[order:] * col[:-1]) / (x[:-order] - x[order:])
         diag.append(col[0])
     return diag
 

@@ -46,15 +46,15 @@ solve adds one dense LU on the column's support.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .numerics import neville_diagonal
-from .scatter import nearest_threshold_index, resonance_parameter, Impurity
+from .scatter import nearest_threshold_index, resonance_parameters
 from .specfun import threshold_energy
 from .wire import WireGeometry
 
@@ -64,11 +64,11 @@ __all__ = [
     "ExtrapolatedAmplitudes",
     "UniversalityReport",
     "solve",
+    "solve_table",
     "solve_ladder",
     "extrapolate_to_zero_width",
     "universality_probe",
     "amplitude_records",
-    "write_amplitude_records",
 ]
 
 
@@ -221,9 +221,10 @@ def _column_green(g_col, rows) -> np.ndarray:
     return cos_sum[np.abs(rows[:, None] - rows)] - cos_sum[rows[:, None] + rows]
 
 
-def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
-    """Scatter lattice mode n off the defect column at energy omega."""
-    ny = int(round(1.0 / wire.h_y))
+def _check_energy(wire: DiscreteWire, n: int, omega: float) -> None:
+    """The checks of a solve that read neither width nor strength: the
+    incident mode index, the domain length against the slowest retained
+    evanescent mode, and a propagating incident mode."""
     if n < 1 or n > wire.lead_modes:
         raise DomainError(f"incident mode must lie in 1..{wire.lead_modes}")
     m = nearest_threshold_index(omega)
@@ -236,83 +237,156 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
     if omega <= threshold_energy(n):
         raise DomainError(f"incident mode {n} does not propagate at omega={omega}")
 
-    if not wire.has_defect:
-        # clean wire: psi = psi_inc exactly on the lattice
-        transmitted = np.zeros(wire.lead_modes, dtype=complex)
-        transmitted[n - 1] = 1.0
-        return OracleSolution(
-            wire=wire, incident_mode=n, energy=omega,
-            transmitted=transmitted,
-            reflected=np.zeros(wire.lead_modes, dtype=complex),
-            flux_defect=0.0, residual=0.0,
-        )
 
-    if wire.rho / wire.h_y < 4.0:
-        raise ConfigurationError(
-            f"impurity width under-resolved: rho/h_y = {wire.rho / wire.h_y:.2f} < 4"
-        )
+def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
+    """Scatter lattice mode n off the defect column at energy omega.
 
+    The 1 x 1 call of :func:`solve_table`.  A clean wire (no defect)
+    transmits the incident mode unchanged.
+    """
+    if wire.has_defect:
+        return solve_table(wire, n, omega, [wire.rho], [wire.rho0])[0][0]
+    _check_energy(wire, n, omega)
+    # clean wire: psi = psi_inc exactly on the lattice
+    transmitted = np.zeros(wire.lead_modes, dtype=complex)
+    transmitted[n - 1] = 1.0
+    return OracleSolution(
+        wire=wire, incident_mode=n, energy=omega,
+        transmitted=transmitted,
+        reflected=np.zeros(wire.lead_modes, dtype=complex),
+        flux_defect=0.0, residual=0.0,
+    )
+
+
+class _Cell(NamedTuple):
+    """One solved cell of a table: its wire, the defect rows ``support``
+    with their weights ``ws``, the source u_i = g w_i psi(0, y_i) h_x on
+    those rows, and for point coupling tau = g psi(r0) and
+    ``g_eps`` = G(r0, y_i) (None for local coupling)."""
+
+    wire: DiscreteWire
+    support: np.ndarray
+    ws: np.ndarray
+    u: np.ndarray
+    tau: complex | None
+    g_eps: np.ndarray | None
+
+
+def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
+                rho0s) -> list[list[OracleSolution]]:
+    """Solve every (width, strength) cell of a table at one energy:
+    ``table[i][j]`` is the solve of ``wire`` with rho = rhos[i] and
+    rho0 = rho0s[j].
+
+    What the cells share is built once: the lattice modes and the
+    same-column Green's function per mode, G(r0, .) on every row for point
+    coupling (it reads neither width nor strength), and per width the
+    defect rows, their weights and the Green's function on them.  Only the
+    strength term 1/g is per cell, and a local-coupling cell keeps its own
+    LU.  The cells' mode projections are one FFT over stacked columns, and
+    so are the residual's (:func:`_residual`).  Each cell gets the bits of
+    its own 1 x 1 table, and an invalid cell raises the error its 1 x 1
+    table would, the first in row-major order.
+    """
+    if not len(rhos) or not len(rho0s):
+        return [[] for _ in rhos]
+    ny = int(round(1.0 / wire.h_y))
     h = wire.h_y
     rows = np.arange(1, ny)
     yi = rows * h
-    mu, sin_kh, exp_kh, prop = _lattice_modes(ny, wire.h_x, omega)
-    g_col = wire.h_x / (2j * sin_kh)  # same-column 1D lattice Green per mode
+    rho0s = list(rho0s)
+    modes = None
+    solved, residuals = [], []
+    for rho in rhos:
+        # each check comes where the row-major sequence of 1 x 1 solves
+        # meets it: the row's first wire, then the checks, then the others
+        row = [replace(wire, rho=rho, rho0=rho0s[0])]
+        if modes is None:
+            _check_energy(wire, n, omega)
+        if rho / h < 4.0:
+            raise ConfigurationError(
+                f"impurity width under-resolved: rho/h_y = {rho / h:.2f} < 4"
+            )
+        if modes is None:
+            modes = _lattice_modes(ny, wire.h_x, omega)
+            sin_kh = modes[1]
+            s_n = math.sin(n * math.pi * wire.eps)
+            g_col = wire.h_x / (2j * sin_kh)  # same-column 1D lattice Green per mode
+            if wire.coupling == "point":
+                phi_eps = math.sqrt(2.0) * np.sin(rows * np.pi * wire.eps)
+                green_eps = _dst(phi_eps * g_col)  # G(r0, y_i) on every row
+        w = np.exp(-(((yi - wire.eps) / rho) ** 2))
+        support = w >= 1e-14
+        ws = w[support]
+        if len(ws) < 4:
+            raise ConfigurationError("defect column support too small on this grid")
+        row += [replace(wire, rho=rho, rho0=rho0) for rho0 in rho0s[1:]]
+        if wire.coupling == "point":
+            # unknown tau = g psi(r0): tau (1/g - h sum_i G(r0, y_i) w_i) = psi_inc(r0)
+            g_eps = green_eps[support]
+            coupled = h * np.dot(g_eps, ws)
+            row_cells = []
+            for cell in row:
+                tau = s_n / (cell.inverse_strength - coupled)
+                # u_i = V psi(r0) column values (times h_x)
+                row_cells.append(_Cell(cell, support, ws, ws * tau, tau, g_eps))
+        else:
+            # unknowns u_i = g w_i psi(0, y_i): (g^{-1} I - h W G) u = W psi_inc
+            eye = np.eye(len(ws))
+            coupled = h * (ws[:, None] * _column_green(g_col, rows[support]))
+            rhs = ws * np.sin(n * math.pi * yi[support])
+            row_cells = []
+            for cell in row:
+                mat = cell.inverse_strength * eye - coupled
+                # rows carry the weights w_i, down to 1e-14 (and 1/g = 0 at
+                # rho = rho0): dividing each row by its largest entry keeps
+                # matrix roundoff relative to the row, not to the heaviest row
+                scale = np.max(np.abs(mat), axis=1)
+                u = np.linalg.solve(mat / scale[:, None], rhs / scale)
+                row_cells.append(_Cell(cell, support, ws, u, None, None))
+        # row by row, which bounds the residual's temporaries
+        residuals += _residual(n, omega, *modes[:3], row_cells)
+        solved += row_cells
 
-    w = np.exp(-(((yi - wire.eps) / wire.rho) ** 2))
-    support = w >= 1e-14
-    ws = w[support]
-    if len(ws) < 4:
-        raise ConfigurationError("defect column support too small on this grid")
-    ginv = wire.inverse_strength
-
-    if wire.coupling == "point":
-        # unknown tau = g psi(r0): tau (1/g - h sum_i G(r0, y_i) w_i) = psi_inc(r0)
-        phi_eps = math.sqrt(2.0) * np.sin(rows * np.pi * wire.eps)
-        g_eps = _dst(phi_eps * g_col)[support]  # G(r0, y_i)
-        tau = math.sin(n * math.pi * wire.eps) / (ginv - h * np.dot(g_eps, ws))
-        u = ws * tau  # u_i = V psi(r0) column values (times h_x)
-    else:
-        # unknowns u_i = g w_i psi(0, y_i): (g^{-1} I - h W G) u = W psi_inc
-        g_cc = _column_green(g_col, rows[support])
-        mat = ginv * np.eye(len(ws)) - h * (ws[:, None] * g_cc)
-        rhs = ws * np.sin(n * math.pi * yi[support])
-        # rows carry the weights w_i, down to 1e-14 (and 1/g = 0 at rho = rho0):
-        # dividing each row by its largest entry keeps matrix roundoff relative
-        # to the row, not to the heaviest row
-        scale = np.max(np.abs(mat), axis=1)
-        u = np.linalg.solve(mat / scale[:, None], rhs / scale)
-        g_eps = tau = None
-
-    u_col = np.zeros(ny - 1, dtype=complex)
-    u_col[support] = u
-    ls = np.arange(1, wire.lead_modes + 1)
-    proj = _dst(u_col)[:wire.lead_modes] / math.sqrt(2.0)  # sum_i sin(l pi y_i) u_i
-    scattered = wire.h_x * h * proj / (1j * sin_kh[ls - 1])
-    transmitted = scattered.copy()
-    transmitted[n - 1] += 1.0
-    reflected = scattered
-
+    u_cols = _source_columns(ny, solved)
+    lead = wire.lead_modes
+    proj = _dst(u_cols)[:lead] / math.sqrt(2.0)  # sum_i sin(l pi y_i) u_i per cell
+    scattered = wire.h_x * h * proj / (1j * sin_kh[:lead, None])
     # discrete flux: group velocity per mode ~ sin(k~ h)/h for propagating modes
-    vel = np.real(sin_kh[ls - 1]) / wire.h_x
+    vel = np.real(sin_kh[:lead]) / wire.h_x
     live = vel > 0.0
-    flux = float(
-        np.sum(vel[live] * (np.abs(transmitted[live]) ** 2 + np.abs(reflected[live]) ** 2))
-        / vel[n - 1]
-    )
-    residual = _residual(wire, n, omega, mu, sin_kh, exp_kh, support, u, ws, tau, g_eps)
-    return OracleSolution(
-        wire=wire,
-        incident_mode=n,
-        energy=omega,
-        transmitted=transmitted,
-        reflected=reflected,
-        flux_defect=abs(flux - 1.0),
-        residual=residual,
-    )
+    out = []
+    for k, (cell, residual) in enumerate(zip(solved, residuals)):
+        reflected = scattered[:, k].copy()
+        transmitted = reflected.copy()
+        transmitted[n - 1] += 1.0
+        flux = float(
+            np.sum(vel[live] * (np.abs(transmitted[live]) ** 2 + np.abs(reflected[live]) ** 2))
+            / vel[n - 1]
+        )
+        out.append(OracleSolution(
+            wire=cell.wire,
+            incident_mode=n,
+            energy=omega,
+            transmitted=transmitted,
+            reflected=reflected,
+            flux_defect=abs(flux - 1.0),
+            residual=residual,
+        ))
+    return [out[i:i + len(rho0s)] for i in range(0, len(out), len(rho0s))]
 
 
-def _residual(wire, n, omega, mu, sin_kh, exp_kh, support, u, ws, tau, g_eps):
-    """Larger of two normalized residuals of the solve.
+def _source_columns(ny: int, cells) -> np.ndarray:
+    """The cells' sources on all ny - 1 rows of the defect column, one
+    column per cell, zero off each support."""
+    u_cols = np.zeros((ny - 1, len(cells)), dtype=complex)
+    for k, cell in enumerate(cells):
+        u_cols[cell.support, k] = cell.u
+    return u_cols
+
+
+def _residual(n, omega, mu, sin_kh, exp_kh, cells) -> list[float]:
+    """Per cell, the larger of two normalized residuals of the solve.
 
     Helmholtz: psi is reconstructed from the lattice Green's function; the
     residual checks (Laplacian_h + omega) psi - V psi(.) = 0 row by row on
@@ -325,57 +399,60 @@ def _residual(wire, n, omega, mu, sin_kh, exp_kh, support, u, ws, tau, g_eps):
     (1/g) u_i = w_i psi(0, y_i) on the support rows.  Normalized by the
     largest term it balances.
 
-    It reuses what :func:`solve` already built: the lattice spectrum ``mu``,
-    ``sin_kh``, ``exp_kh``, the defect rows ``support`` with their weights
-    ``ws``, and the source ``u`` (and ``tau`` and ``g_eps`` = G(r0, y_i)
-    for point coupling, None for local).  The mode sums are its own: one
-    :func:`_dst` projects ``u`` onto the modes, and one more rebuilds the
-    five columns on all ny - 1 rows, so a wrong ``u`` is not hidden by
-    sums that came from it.
+    It reuses what :func:`solve_table` already built: the lattice spectrum
+    ``mu``, ``sin_kh``, ``exp_kh`` and the solved ``cells`` (:class:`_Cell`),
+    which share one grid, energy and incident mode n.  The mode sums are
+    its own: one :func:`_dst` projects every cell's ``u`` onto the modes,
+    and one more rebuilds the five columns of every cell on all ny - 1
+    rows, so a wrong ``u`` is not hidden by sums that came from it.
     """
+    wire = cells[0].wire
     ny = len(mu) + 1
     h = wire.h_y
     yi = np.arange(1, ny) * h
-    u_col = np.zeros(ny - 1, dtype=complex)
-    u_col[support] = u
-    mode_src = _dst(u_col)  # sum_i phi_j(y_i) u_i per mode j
+    u_cols = _source_columns(ny, cells)
+    mode_src = _dst(u_cols)  # sum_i phi_j(y_i) u_i per mode j, per cell
     # incident discrete wavenumber for mode n
     kh_n = math.acos(1.0 - (omega - mu[n - 1]) * wire.h_x**2 / 2.0)
     ps = np.arange(-2, 3)
-    coef = (wire.h_x * h * mode_src / (2j * sin_kh))[:, None] * exp_kh[:, None] ** np.abs(ps)
-    psi_sc = _dst(coef)
+    # the scattered wave is even in p: columns |p| = 0, 1, 2 carry
+    # e^{i k~ h_x |p|} per mode
+    hops = np.stack((np.ones_like(exp_kh), exp_kh, exp_kh * exp_kh), axis=1)
+    coef = (wire.h_x * h * mode_src / (2j * sin_kh[:, None]))[:, None, :] * hops[:, :, None]
+    psi_sc = _dst(coef)  # [row, |p|, cell]
     inc = np.sin(n * math.pi * yi)
-    cols = inc[:, None] * np.exp(1j * kh_n * ps) + psi_sc
+    cols = (inc[:, None] * np.exp(1j * kh_n * ps))[:, :, None] + psi_sc[:, np.abs(ps)]
 
     psi = cols[:, 1:-1]  # p = -1, 0, 1
-    lap_x = (cols[:, :-2] - 2.0 * psi + cols[:, 2:]) / wire.h_x**2
-    walls = np.pad(psi, ((1, 1), (0, 0)))  # Dirichlet rows above and below
-    lap_y = (walls[:-2] - 2.0 * psi + walls[2:]) / h**2
-    rhs = np.zeros_like(psi)
-    rhs[support, 1] = (ws * tau if tau is not None else u) / wire.h_x
-    res = lap_x + lap_y + omega * psi - rhs
-    scale = omega * max(np.max(np.abs(cols[:, 2])), 1e-30)
-    helmholtz = float(np.max(np.abs(res))) / scale
+    res = cols[:, :-2] + cols[:, 2:]  # h_x^2 Laplacian_x psi + 2 psi
+    res *= 1.0 / wire.h_x**2
+    res[1:] += psi[:-1] * (1.0 / h**2)  # h_y^2 Laplacian_y psi + 2 psi, Dirichlet walls
+    res[:-1] += psi[1:] * (1.0 / h**2)
+    res += psi * (omega - 2.0 / wire.h_x**2 - 2.0 / h**2)
+    res[:, 1] -= u_cols * (1.0 / wire.h_x)
+    scale = omega * np.maximum(np.max(np.abs(cols[:, 2]), axis=0), 1e-30)
+    helmholtz = (np.max(np.abs(res), axis=(0, 1)) / scale).tolist()
 
-    ginv = wire.inverse_strength
-    if tau is not None:  # tau/g = sin(n pi eps) + h sum_i G(r0, y_i) u_i
-        terms = (tau * ginv, math.sin(n * math.pi * wire.eps), h * np.dot(g_eps, u))
-    else:  # u_i/g = w_i psi_inc(0, y_i) + w_i psi_sc(0, y_i) on the support rows
-        terms = (ginv * u, ws * inc[support], ws * psi_sc[support, 2])
-    gap = float(np.max(np.abs(terms[0] - terms[1] - terms[2])))
-    size = max(float(np.max(np.abs(t))) for t in terms)
-    return max(helmholtz, gap / max(size, 1e-30))
+    out = []
+    for k, cell in enumerate(cells):
+        ginv = cell.wire.inverse_strength
+        if cell.tau is not None:  # tau/g = sin(n pi eps) + h sum_i G(r0, y_i) u_i
+            terms = (cell.tau * ginv, math.sin(n * math.pi * cell.wire.eps),
+                     h * np.dot(cell.g_eps, cell.u))
+        else:  # u_i/g = w_i psi_inc(0, y_i) + w_i psi_sc(0, y_i) on the support rows
+            terms = (ginv * cell.u, cell.ws * inc[cell.support],
+                     cell.ws * psi_sc[cell.support, 0, k])
+        gap = np.max(np.abs(terms[0] - terms[1] - terms[2]))
+        size = max(np.max(np.abs(t)) for t in terms)
+        out.append(max(helmholtz[k], float(gap / max(size, 1e-30))))
+    return out
 
 
 def solve_ladder(wire: DiscreteWire, n: int, omega: float, rhos) -> list[OracleSolution]:
-    """Solve the same configuration over a decreasing ladder of widths."""
-    out = []
-    for rho in rhos:
-        out.append(solve(DiscreteWire(
-            eps=wire.eps, rho=float(rho), rho0=wire.rho0, h_x=wire.h_x, h_y=wire.h_y,
-            x_extent=wire.x_extent, lead_modes=wire.lead_modes, coupling=wire.coupling,
-        ), n, omega))
-    return out
+    """Solve the same configuration over a decreasing ladder of widths: the
+    one-strength column of :func:`solve_table`."""
+    table = solve_table(wire, n, omega, [float(rho) for rho in rhos], [wire.rho0])
+    return [row[0] for row in table]
 
 
 @dataclass(frozen=True)
@@ -401,6 +478,8 @@ def extrapolate_to_zero_width(solutions) -> ExtrapolatedAmplitudes:
     amplitude, in the variable rho^2 (exact on tables of the form
     a + b rho^2).  The error estimate is the difference of the last two
     extrapolation orders; non-monotone ladders are flagged, not rejected.
+    All amplitudes of the ladder go through one array Neville tableau
+    (rungs x transmitted and reflected amplitudes).
     """
     sols = sorted(solutions, key=lambda s: -s.wire.rho)
     if len(sols) < 3:
@@ -408,35 +487,28 @@ def extrapolate_to_zero_width(solutions) -> ExtrapolatedAmplitudes:
     rhos = np.array([s.wire.rho for s in sols])
     if np.any(np.diff(rhos) >= 0):
         raise DomainError("width ladder must be strictly decreasing")
-    x = rhos**2
-    notes = []
     nl = len(sols[0].transmitted)
-    t_ext = np.empty(nl, dtype=complex)
-    r_ext = np.empty(nl, dtype=complex)
-    t_err = np.empty(nl)
-    r_err = np.empty(nl)
-
-    def _extrap(series, label, idx):
-        diag = neville_diagonal(x, series)
-        steps = np.diff(np.asarray(series, dtype=complex))
-        sizes = np.abs(steps)
-        flips = np.real(steps[1:] * np.conj(steps[:-1])) < 0.0
-        growth = sizes[1:] > sizes[:-1]
-        if np.any((flips | growth) & (sizes[1:] > 1e-12)):
-            notes.append(f"non-monotone ladder for {label}[{idx}]")
-        return diag[-1], abs(diag[-1] - diag[-2])
-
-    for i in range(nl):
-        t_ext[i], t_err[i] = _extrap([s.transmitted[i] for s in sols], "t", i + 1)
-        r_ext[i], r_err[i] = _extrap([s.reflected[i] for s in sols], "r", i + 1)
+    series = np.array([np.concatenate((s.transmitted, s.reflected)) for s in sols],
+                      dtype=complex)
+    diag = neville_diagonal(rhos**2, series)
+    gap = diag[-1] - diag[-2]
+    err = np.hypot(gap.real, gap.imag)  # libm's hypot, as abs() of one complex
+    # a ladder is non-monotone where a step turns back or grows
+    steps = np.diff(series, axis=0)
+    sizes = np.abs(steps)
+    flips = np.real(steps[1:] * np.conj(steps[:-1])) < 0.0
+    growth = sizes[1:] > sizes[:-1]
+    bad = np.any((flips | growth) & (sizes[1:] > 1e-12), axis=0).tolist()
+    notes = [f"non-monotone ladder for {label}[{i + 1}]"
+             for i in range(nl) for label, j in (("t", i), ("r", nl + i)) if bad[j]]
     return ExtrapolatedAmplitudes(
         incident_mode=sols[0].incident_mode,
         energy=sols[0].energy,
         rhos=tuple(rhos),
-        transmitted=t_ext,
-        reflected=r_ext,
-        transmitted_err=t_err,
-        reflected_err=r_err,
+        transmitted=diag[-1][:nl],
+        reflected=diag[-1][nl:],
+        transmitted_err=err[:nl],
+        reflected_err=err[nl:],
         warnings=tuple(notes),
     )
 
@@ -483,23 +555,14 @@ def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list,
         raise DomainError("need at least one impurity strength")
     if not 1 <= m <= wire.lead_modes:
         raise DomainError(f"threshold index m must lie in 1..{wire.lead_modes}, got {m}")
-    geometry = WireGeometry.hard_wall()
-    delta_mag = []
-    for r0 in rho0_list:
-        d = resonance_parameter(geometry, Impurity(epsilon=wire.eps, rho0=float(r0)), m)
-        delta_mag.append(1.0 / abs(d) ** 2)
-    offset = offset_scale * min(delta_mag)
+    d_inv_sqrt = resonance_parameters(WireGeometry.hard_wall(), wire.eps, rho0_list, m)
+    offset = offset_scale * min(1.0 / abs(d) ** 2 for d in d_inv_sqrt)
     lattice_cutoff = float(_transverse_eigenvalues(int(round(1.0 / wire.h_y)))[m - 1])
     omega = lattice_cutoff + offset
-    coefficients = []
-    for r0 in rho0_list:
-        base = DiscreteWire(
-            eps=wire.eps, rho=rhos[0], rho0=float(r0), h_x=wire.h_x, h_y=wire.h_y,
-            x_extent=wire.x_extent, lead_modes=wire.lead_modes, coupling=wire.coupling,
-        )
-        ladder = solve_ladder(base, n, omega, rhos)
-        ext = extrapolate_to_zero_width(ladder)
-        coefficients.append(complex(ext.amplitude[m - 1]))
+    table = solve_table(wire, n, omega, [float(rho) for rho in rhos],
+                        [float(r0) for r0 in rho0_list])
+    coefficients = [complex(extrapolate_to_zero_width(ladder).amplitude[m - 1])
+                    for ladder in zip(*table)]
     target = math.sin(n * math.pi * wire.eps) / math.sin(m * math.pi * wire.eps)
     mean = np.mean(coefficients)
     if len(coefficients) > 1:
@@ -549,10 +612,3 @@ def amplitude_records(solution_or_table, err=None) -> list[dict]:
         raise DomainError("expected an OracleSolution or ExtrapolatedAmplitudes")
     return records
 
-
-def write_amplitude_records(path, items) -> None:
-    """Write amplitude tables as JSON lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            for rec in amplitude_records(item):
-                fh.write(json.dumps(rec) + "\n")

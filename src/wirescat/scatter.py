@@ -75,6 +75,9 @@ __all__ = [
     "scattered_field",
     "scattered_field_grid",
     "resonance_parameter",
+    "resonance_parameters",
+    "cutoff_scan",
+    "CutoffScan",
     "near_threshold_field",
     "threshold_field",
     "threshold_field_grid",
@@ -663,14 +666,24 @@ def resonance_parameter(geometry: WireGeometry, impurity: Impurity,
 
     Stored and returned as the inverse square root; squaring and re-rooting
     would pick an arbitrary branch.  omega defaults to the cut-off (m pi)^2.
+    The one-strength call of :func:`resonance_parameters`.
     """
+    return resonance_parameters(geometry, impurity.epsilon, [impurity.rho0], m, omega)[0]
+
+
+def resonance_parameters(geometry: WireGeometry, epsilon: float, rho0s,
+                         m: int, omega: float | None = None) -> list[complex]:
+    """Delta_m^(-1/2) of :func:`resonance_parameter` for each strength scale
+    in ``rho0s`` at one position: rho_bar depends on neither strength, so it
+    is evaluated once for all of them."""
     _require_hard_wall(geometry)
     if m < 1:
         raise DomainError(f"cut-off index must be >= 1, got {m}")
+    impurities = [Impurity(epsilon, rho0) for rho0 in rho0s]
     if omega is None:
         omega = threshold_energy(m)
-    rho_bar = regularized_scale_tail_subtraction(impurity.epsilon, omega, m)
-    return _resonance_inv_sqrt(impurity, m, rho_bar)
+    rho_bar = regularized_scale_tail_subtraction(epsilon, omega, m)
+    return [_resonance_inv_sqrt(impurity, m, rho_bar) for impurity in impurities]
 
 
 def _resonance_inv_sqrt(impurity: Impurity, m: int, rho_bar: float) -> complex:
@@ -867,6 +880,16 @@ def reflection_1d(barrier: OneDBarrier, omega: float) -> float:
 # threshold limit through the full pipeline
 # ---------------------------------------------------------------------------
 
+def _limit_ladder(m: int, k_start: float, levels: int):
+    """The rungs of the cut-off limit: the geometric ladder
+    k_j = k_start 2^-j in k_m = sqrt(omega - (m pi)^2), j < levels, as the
+    Neville abscissae ks and the energies (m pi)^2 + k_j^2 (Python floats)."""
+    if levels < 2:
+        raise DomainError("need at least two ladder points to extrapolate")
+    ks = k_start * 0.5 ** np.arange(levels)
+    return ks, (threshold_energy(m) + ks * ks).tolist()
+
+
 def threshold_amplitude_limit(geometry: WireGeometry, impurity: Impurity,
                               n: int, m: int, l: int | None = None,
                               k_start: float = 0.08, levels: int = 8) -> complex:
@@ -876,24 +899,68 @@ def threshold_amplitude_limit(geometry: WireGeometry, impurity: Impurity,
 
     A_nl is analytic in k_m near the cut-off, so the ladder converges at
     machine precision; for l = m the limit is sin(n pi eps)/sin(m pi eps)
-    independent of rho0, for every other mode it is 0.
+    independent of rho0, for every other mode it is 0.  rho_bar is
+    evaluated for all rungs in one pass.
     """
+    _require_hard_wall(geometry)
     if l is None:
         l = m
-    base = threshold_energy(m)
-    ks = k_start * 0.5 ** np.arange(levels)
-    omegas = (base + ks * ks).tolist()
-    vals = []
-    if omegas:
-        # the checks of scattering_amplitude, rung by rung, then one rho_bar
-        # pass and one amplitude pass over the rungs
-        _require_hard_wall(geometry)
-        eps = impurity.epsilon
-        waves, n0s = [], []
-        for omega in omegas:
-            waves.append(_wavenumbers(omega, m, [n], [l]))
-            n0s.append(_head_terms(eps, omega, m))
-        rho_bars = _scales(eps, omegas, [m] * len(omegas), n0s)
-        vals = _amplitudes(impurity, m, [n], [l], waves, rho_bars.tolist())[1][:, 0, 0].tolist()
-    diag = neville_diagonal(ks, vals)
-    return diag[-1]
+    ks, omegas = _limit_ladder(m, k_start, levels)
+    waves = [_wavenumbers(omega, m, [n], [l]) for omega in omegas]
+    rho_bars = regularized_scales(impurity.epsilon, omegas, [m] * levels).tolist()
+    amplitudes = _amplitudes(impurity, m, [n], [l], waves, rho_bars)[1][:, 0, 0].tolist()
+    return neville_diagonal(ks, amplitudes)[-1]
+
+
+@dataclass(frozen=True)
+class CutoffScan:
+    """The closed-form side of a cut-off universality test at one impurity
+    position, strength by strength in the order given.
+
+    ``resonance_inv_sqrt[j]`` is Delta_m^(-1/2) and ``limits[j]`` the limit
+    of A_nl at the cut-off for strength j.  ``offset_energies[i]`` is
+    (m pi)^2 plus offset scale i times the smallest |Delta_m| of the
+    strengths, and ``offset_amplitudes[i][j]`` is A_nl there.
+    """
+
+    resonance_inv_sqrt: tuple
+    limits: tuple
+    offset_energies: tuple
+    offset_amplitudes: tuple
+
+
+def cutoff_scan(geometry: WireGeometry, epsilon: float, rho0s, n: int, m: int,
+                offset_scales=(), l: int | None = None,
+                k_start: float = 0.08, levels: int = 8) -> CutoffScan:
+    """Delta_m^(-1/2), the cut-off limit of A_nl and A_nl at energies just
+    above the cut-off, for every strength scale in ``rho0s`` at position
+    ``epsilon``, with two rho_bar passes: one at the cut-off (for Delta_m),
+    one for the limit rungs and the offset energies, which every strength
+    shares.  Each value gets the bits of its one-strength route:
+    :func:`resonance_parameter`, :func:`threshold_amplitude_limit` and
+    :func:`scattering_amplitude`.  DecoupledModeError when the impurity sits
+    on a node of mode m.
+    """
+    if not len(rho0s):
+        raise DomainError("need at least one impurity strength")
+    if l is None:
+        l = m
+    d_inv_sqrt = resonance_parameters(geometry, epsilon, rho0s, m)
+    base_delta = min(1.0 / abs(d) ** 2 for d in d_inv_sqrt)
+    offsets = [threshold_energy(m) + scale * base_delta for scale in offset_scales]
+    ks, rungs = _limit_ladder(m, k_start, levels)
+    energies = rungs + offsets
+    waves = [_wavenumbers(omega, m, [n], [l]) for omega in energies]
+    rho_bars = regularized_scales(epsilon, energies, [m] * len(energies)).tolist()
+    limits, near = [], []
+    for rho0 in rho0s:
+        amp = _amplitudes(Impurity(epsilon, rho0), m, [n], [l], waves, rho_bars)[1][:, 0, 0]
+        amp = amp.tolist()
+        limits.append(complex(neville_diagonal(ks, amp[:levels])[-1]))
+        near.append(amp[levels:])
+    return CutoffScan(
+        resonance_inv_sqrt=tuple(d_inv_sqrt),
+        limits=tuple(limits),
+        offset_energies=tuple(offsets),
+        offset_amplitudes=tuple(zip(*near)) if near else (),
+    )

@@ -23,6 +23,7 @@ from wirescat import (
 from wirescat.cli import RunConfig, main, parse_config_file
 
 PI = math.pi
+DATA = Path(__file__).parent / "data"
 
 
 def run(*argv):
@@ -492,6 +493,64 @@ class TestUniversality:
         assert run("universality", "--epsilon", "0.3", "--threshold-m", "2",
                    "--rho0-list", "0.01", "--oracle", "--grid-ny", "0") == 2
         assert "grid_ny" in capsys.readouterr().err
+
+
+class TestUniversalityPasses:
+    """A report evaluates rho_bar in two passes (the cut-off; the limit rungs
+    with the offset energies) and the probe in one, on one lattice table."""
+
+    ARGS = ("universality", "--mode-n", "1", "--threshold-m", "3", "--epsilon", "0.2",
+            "--rho0-list", "1e-5,1e-3,1e-1")
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from wirescat import oracle, scatter
+
+        seen = {"rho_bar": 0, "modes": 0}
+        for module, name, key in ((scatter, "regularized_scales", "rho_bar"),
+                                  (oracle, "_lattice_modes", "modes")):
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _key=key):
+                seen[_key] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        return seen
+
+    def test_closed_form_report(self, counts, tmp_path):
+        assert run(*self.ARGS, "--out", str(tmp_path / "u.json")) == 0
+        assert counts == {"rho_bar": 2, "modes": 0}
+
+    def test_report_with_probe(self, counts, tmp_path):
+        assert run(*self.ARGS, "--oracle", "--out", str(tmp_path / "u.json")) == 0
+        assert counts == {"rho_bar": 3, "modes": 1}
+
+
+@pytest.mark.parametrize("name", ["universality_eps0.3_m2.json", "universality_eps0.3552_m3.json"])
+def test_universality_report_pinned(tmp_path, name):
+    # criterion 8's configuration, and a m = 3 report whose impurity sits
+    # near a node of mode 3 (|Delta_3^(-1/2)| = 37)
+    text = (DATA / name).read_text()
+    ref = json.loads(text)
+    out = tmp_path / name
+    assert run("universality", "--mode-n", str(ref["mode_n"]),
+               "--threshold-m", str(ref["threshold_m"]), "--epsilon", repr(ref["epsilon"]),
+               "--rho0-list", ",".join(repr(r) for r in ref["rho0_list"]),
+               "--oracle", "--out", str(out)) == 0
+    assert out.read_text() == text
+
+
+@pytest.mark.parametrize("name", ["", "sweep", "field", "universality", "oned",
+                                  "oracle-compare"])
+def test_help_text_pinned(name, monkeypatch, capsys):
+    # each run builds the arguments of its own subcommand alone; every help
+    # text stays what it was when the parser held all of them
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(([name] if name else []) + ["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == json.loads((DATA / "cli_help.json").read_text())[name]
 
 
 class TestOracleCompare:

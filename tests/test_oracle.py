@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,18 +10,19 @@ from wirescat import (
     extrapolate_to_zero_width,
     oracle_solve,
     oracle_solve_ladder,
+    oracle_solve_table,
     solve_scattering,
     universality_probe,
 )
-from wirescat import oracle
+from wirescat import oracle, scatter
 from wirescat.oracle import (
     OracleSolution,
+    _Cell,
     _column_green,
     _dst,
     _lattice_modes,
     _residual,
     amplitude_records,
-    write_amplitude_records,
 )
 
 PI = math.pi
@@ -134,6 +134,82 @@ class TestSolve:
             assert rel < 0.03
 
 
+class TestSolveTable:
+    RHOS = (0.04, 0.02, 0.01)
+    RHO0S = (1e-3, 0.02, 0.1)  # 0.02 puts rho = rho0 (1/g = 0) in one cell
+
+    @staticmethod
+    def _wire(eps, ny, coupling="point", **extra):
+        return DiscreteWire(eps=eps, rho=0.04, rho0=0.01, h_x=1.0 / ny, h_y=1.0 / ny,
+                            coupling=coupling, **extra)
+
+    @pytest.mark.parametrize("coupling", ["point", "local"])
+    @pytest.mark.parametrize("ny", [400, 1600])
+    @pytest.mark.parametrize("eps", [0.3, 0.05])  # 0.05: support clipped by the wall
+    def test_cells_equal_one_cell_solves(self, coupling, ny, eps):
+        wire = self._wire(eps, ny, coupling)
+        table = oracle_solve_table(wire, 1, OM, self.RHOS, self.RHO0S)
+        assert [len(row) for row in table] == [3, 3, 3]
+        for row, rho in zip(table, self.RHOS):
+            for sol, rho0 in zip(row, self.RHO0S):
+                one = oracle_solve(DiscreteWire(eps=eps, rho=rho, rho0=rho0, h_x=1.0 / ny,
+                                                h_y=1.0 / ny, coupling=coupling), 1, OM)
+                assert sol.wire == one.wire
+                assert sol.transmitted.tolist() == one.transmitted.tolist()
+                assert sol.reflected.tolist() == one.reflected.tolist()
+                assert (sol.flux_defect, sol.residual) == (one.flux_defect, one.residual)
+
+    def test_ladder_is_the_one_strength_column(self):
+        wire = self._wire(0.3, 400)
+        ladder = oracle_solve_ladder(wire, 2, OM, self.RHOS)
+        column = [row[0] for row in oracle_solve_table(wire, 2, OM, self.RHOS, [0.01])]
+        for a, b in zip(ladder, column):
+            assert a.wire == b.wire and a.reflected.tolist() == b.reflected.tolist()
+
+    @pytest.mark.parametrize("n, rhos, rho0s, extra", [
+        (0, (0.04, 0.02), (0.01,), {}),                       # incident mode index
+        (3, (0.04, 0.02), (0.01,), {}),                       # mode 3 closed at OM
+        (1, (0.04, 0.001), (0.01, 0.1), {}),                  # second width under-resolved
+        (1, (0.04, 0.02), (0.01, -1.0), {}),                  # bad strength, second column
+        (1, (0.04, 0.001), (0.01,), {"h_x": 0.5}),            # band edge before row 2
+        (1, (0.04,), (0.01,), {"x_extent": 0.5}),             # domain too short
+    ], ids=["mode-index", "closed-mode", "under-resolved", "strength", "band-edge", "extent"])
+    def test_errors_match_the_first_failing_cell(self, n, rhos, rho0s, extra):
+        spec = dict(eps=0.3, rho=0.04, rho0=0.01, h_x=1.0 / 400, h_y=1.0 / 400)
+        spec.update(extra)
+        wire = DiscreteWire(**spec)
+        expected = None
+        for rho in rhos:  # the row-major sequence of one-cell solves
+            for rho0 in rho0s:
+                try:
+                    oracle_solve(DiscreteWire(**{**spec, "rho": rho, "rho0": rho0}), n, OM)
+                except (ConfigurationError, DomainError) as exc:
+                    expected = exc
+                    break
+            if expected is not None:
+                break
+        assert expected is not None
+        with pytest.raises(type(expected)) as got:
+            oracle_solve_table(wire, n, OM, rhos, rho0s)
+        assert str(got.value) == str(expected)
+
+    def test_probe_solves_one_table(self, monkeypatch):
+        tables, modes, scales = [], [], []
+        for module, name, seen in ((oracle, "solve_table", tables),
+                                   (oracle, "_lattice_modes", modes),
+                                   (scatter, "regularized_scales", scales)):
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _seen=seen, **kwargs):
+                _seen.append(args)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        wire = DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, **FINE)
+        universality_probe(wire, 1, 2, [1e-3, 1e-2, 1e-1])
+        assert (len(tables), len(modes), len(scales)) == (1, 1, 1)
+
+
 def _dense_modes(ny, rows):
     """phi_j(y_i) = sqrt(2) sin(j pi i/ny) as a dense (ny - 1) x len(rows)
     matrix: the reference the FFT mode sums are checked against.  j i is
@@ -176,7 +252,8 @@ class TestResidual:
 
     @staticmethod
     def _point_inputs(wire, n, omega):
-        """The arrays solve() hands to _residual, rebuilt for point coupling."""
+        """The lattice spectrum and the solved cell solve() hands to
+        _residual, rebuilt for point coupling."""
         ny = round(1.0 / wire.h_y)
         yi = np.arange(1, ny) * wire.h_y
         mu, sin_kh, exp_kh, _ = _lattice_modes(ny, wire.h_x, omega)
@@ -186,21 +263,20 @@ class TestResidual:
         phi_eps = math.sqrt(2.0) * np.sin(np.arange(1, ny) * PI * wire.eps)
         g_eps = _dst(phi_eps * (wire.h_x / (2j * sin_kh)))[support]
         tau = math.sin(n * PI * wire.eps) / (wire.inverse_strength - wire.h_y * np.dot(g_eps, ws))
-        return dict(mu=mu, sin_kh=sin_kh, exp_kh=exp_kh, support=support,
-                    u=ws * tau, ws=ws, tau=tau, g_eps=g_eps)
+        return (mu, sin_kh, exp_kh), _Cell(wire, support, ws, ws * tau, tau, g_eps)
 
     def test_detects_inconsistent_inputs(self):
         wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, **FINE)
-        args = self._point_inputs(wire, 1, OM)
-        baseline = _residual(wire, 1, OM, **args)
+        modes, cell = self._point_inputs(wire, 1, OM)
+        [baseline] = _residual(1, OM, *modes, [cell])
         assert baseline == oracle_solve(wire, 1, OM).residual
         assert baseline < 1e-10
         # a source that no longer matches the right-hand side
-        scaled = _residual(wire, 1, OM, **{**args, "u": args["u"] * (1.0 + 1e-6)})
+        [scaled] = _residual(1, OM, *modes, [cell._replace(u=cell.u * (1.0 + 1e-6))])
         assert scaled >= 1e-8
         # a lattice Green's function for a slightly different energy
-        shifted = self._point_inputs(wire, 1, OM * (1.0 + 1e-6))
-        off = _residual(wire, 1, OM, **{**shifted, "u": args["u"], "tau": args["tau"]})
+        shifted, other = self._point_inputs(wire, 1, OM * (1.0 + 1e-6))
+        [off] = _residual(1, OM, *shifted, [other._replace(u=cell.u, tau=cell.tau)])
         assert off >= 1e-8
 
     def test_fine_grid_local_coupling_residual_at_roundoff(self):
@@ -245,10 +321,10 @@ class TestResidual:
         wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, coupling=coupling, **FINE)
         assert oracle_solve(wire, 1, OM).residual < 1e-10
         [args] = seen  # one solve, one residual
-        wire_, n, omega, mu, sin_kh, exp_kh, support, u, ws, tau, g_eps = args
-        scaled_tau = None if tau is None else 1.5 * tau
-        scaled = real(wire_, n, omega, mu, sin_kh, exp_kh, support, 1.5 * u, ws,
-                      scaled_tau, g_eps)
+        n, omega, mu, sin_kh, exp_kh, [cell] = args
+        scaled_tau = None if cell.tau is None else 1.5 * cell.tau
+        [scaled] = real(n, omega, mu, sin_kh, exp_kh,
+                        [cell._replace(u=1.5 * cell.u, tau=scaled_tau)])
         assert scaled >= 1e-3
 
 
@@ -346,14 +422,3 @@ class TestRecords:
         assert len(recs) == wire.lead_modes
         assert set(recs[0]) == {"rho", "n", "l", "re", "im", "err"}
         assert recs[0]["rho"] == 0.02 and recs[0]["n"] == 1
-
-    def test_json_lines_roundtrip(self, tmp_path):
-        wire = DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, **FINE)
-        ladder = oracle_solve_ladder(wire, 1, OM, (0.04, 0.02, 0.01))
-        ext = extrapolate_to_zero_width(ladder)
-        path = tmp_path / "amps.jsonl"
-        write_amplitude_records(path, [*ladder, ext])
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(lines) == 4 * wire.lead_modes
-        assert lines[-1]["rho"] is None  # extrapolated block ends the file
-        assert lines[-1]["err"] is not None
