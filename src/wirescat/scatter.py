@@ -880,14 +880,28 @@ def reflection_1d(barrier: OneDBarrier, omega: float) -> float:
 # threshold limit through the full pipeline
 # ---------------------------------------------------------------------------
 
-def _limit_ladder(m: int, k_start: float, levels: int):
-    """The rungs of the cut-off limit: the geometric ladder
-    k_j = k_start 2^-j in k_m = sqrt(omega - (m pi)^2), j < levels, as the
-    Neville abscissae ks and the energies (m pi)^2 + k_j^2 (Python floats)."""
+def _limit_ladder(m: int, k_start: float, levels: int, d_inv_sqrt=None):
+    """The rungs of the cut-off limit: energies (m pi)^2 + k_j^2 on the
+    geometric ladder k_j = k0 2^-j, j < levels, as Python floats, and the
+    wavenumbers k_m = sqrt(omega - (m pi)^2) they realize, the Neville
+    abscissae (the difference is exact).
+
+    A_nm ~ (s_n/s_m) / (1 + i k_m Delta_m^(-1/2)) is analytic in k_m within
+    1/|Delta_m^(-1/2)|, so the ladder starts at
+    k0 = min(k_start, 0.25/|Delta_m^(-1/2)|) when ``d_inv_sqrt`` is given,
+    but never so low that its last rung moves the energy by less than two
+    units in the last place of (m pi)^2: there the rungs would merge.
+    """
     if levels < 2:
         raise DomainError("need at least two ladder points to extrapolate")
-    ks = k_start * 0.5 ** np.arange(levels)
-    return ks, (threshold_energy(m) + ks * ks).tolist()
+    base = threshold_energy(m)
+    k0 = k_start
+    if d_inv_sqrt is not None:
+        resolved = 2.0 ** (levels - 1) * math.sqrt(2.0 * math.ulp(base))
+        k0 = max(min(k_start, 0.25 / abs(d_inv_sqrt)), min(k_start, resolved))
+    ks = k0 * 0.5 ** np.arange(levels)
+    omegas = (base + ks * ks).tolist()
+    return np.sqrt(np.array(omegas) - base), omegas
 
 
 def threshold_amplitude_limit(geometry: WireGeometry, impurity: Impurity,
@@ -895,21 +909,15 @@ def threshold_amplitude_limit(geometry: WireGeometry, impurity: Impurity,
                               k_start: float = 0.08, levels: int = 8) -> complex:
     """lim_{omega -> (m pi)^2+} A_nl computed through the full amplitude
     pipeline on a geometric ladder in k_m = sqrt(omega - (m pi)^2), with
-    polynomial (Neville) extrapolation in k_m.
+    polynomial (Neville) extrapolation in k_m; the one-strength call of
+    :func:`cutoff_scan`, which places the ladder.
 
     A_nl is analytic in k_m near the cut-off, so the ladder converges at
     machine precision; for l = m the limit is sin(n pi eps)/sin(m pi eps)
-    independent of rho0, for every other mode it is 0.  rho_bar is
-    evaluated for all rungs in one pass.
+    independent of rho0, for every other mode it is 0.
     """
-    _require_hard_wall(geometry)
-    if l is None:
-        l = m
-    ks, omegas = _limit_ladder(m, k_start, levels)
-    waves = [_wavenumbers(omega, m, [n], [l]) for omega in omegas]
-    rho_bars = regularized_scales(impurity.epsilon, omegas, [m] * levels).tolist()
-    amplitudes = _amplitudes(impurity, m, [n], [l], waves, rho_bars)[1][:, 0, 0].tolist()
-    return neville_diagonal(ks, amplitudes)[-1]
+    return cutoff_scan(geometry, impurity.epsilon, [impurity.rho0], n, m, (), l,
+                       k_start, levels).limits[0]
 
 
 @dataclass(frozen=True)
@@ -934,33 +942,52 @@ def cutoff_scan(geometry: WireGeometry, epsilon: float, rho0s, n: int, m: int,
                 k_start: float = 0.08, levels: int = 8) -> CutoffScan:
     """Delta_m^(-1/2), the cut-off limit of A_nl and A_nl at energies just
     above the cut-off, for every strength scale in ``rho0s`` at position
-    ``epsilon``, with two rho_bar passes: one at the cut-off (for Delta_m),
-    one for the limit rungs and the offset energies, which every strength
-    shares.  Each value gets the bits of its one-strength route:
-    :func:`resonance_parameter`, :func:`threshold_amplitude_limit` and
-    :func:`scattering_amplitude`.  DecoupledModeError when the impurity sits
-    on a node of mode m.
+    ``epsilon``, with two rho_bar passes: one at the cut-off, for Delta_m,
+    and one for the energies of every strength's limit ladder together with
+    the offset energies.
+
+    The limit ladder of a strength starts at
+    min(k_start, 0.25/|Delta_m^(-1/2)|), inside the disc where A_nm is
+    analytic in k_m (see :func:`_limit_ladder`).  On a node of mode m
+    (DecoupledModeError from :func:`resonance_parameters`) no pole is near
+    and the ladder starts at k_start, unless offsets are asked for: they
+    need Delta_m, and the error is raised.  Each value gets the bits of its
+    one-energy route: :func:`resonance_parameter` and
+    :func:`scattering_amplitude`.
     """
     if not len(rho0s):
         raise DomainError("need at least one impurity strength")
     if l is None:
         l = m
-    d_inv_sqrt = resonance_parameters(geometry, epsilon, rho0s, m)
-    base_delta = min(1.0 / abs(d) ** 2 for d in d_inv_sqrt)
-    offsets = [threshold_energy(m) + scale * base_delta for scale in offset_scales]
-    ks, rungs = _limit_ladder(m, k_start, levels)
-    energies = rungs + offsets
+    try:
+        d_inv_sqrt = resonance_parameters(geometry, epsilon, rho0s, m)
+    except DecoupledModeError:
+        if len(offset_scales):
+            raise
+        d_inv_sqrt = [None] * len(rho0s)
+    offsets = []
+    if len(offset_scales):
+        base_delta = min(1.0 / abs(d) ** 2 for d in d_inv_sqrt)
+        offsets = [threshold_energy(m) + scale * base_delta for scale in offset_scales]
+    ladders = [_limit_ladder(m, k_start, levels, d) for d in d_inv_sqrt]
+    # one rho_bar per distinct energy: strengths far from a pole share rungs
+    index = {}
+    for omega in [o for _, rungs in ladders for o in rungs] + offsets:
+        index.setdefault(omega, len(index))
+    energies = list(index)
     waves = [_wavenumbers(omega, m, [n], [l]) for omega in energies]
     rho_bars = regularized_scales(epsilon, energies, [m] * len(energies)).tolist()
+    near_rows = [index[omega] for omega in offsets]
     limits, near = [], []
-    for rho0 in rho0s:
-        amp = _amplitudes(Impurity(epsilon, rho0), m, [n], [l], waves, rho_bars)[1][:, 0, 0]
-        amp = amp.tolist()
+    for rho0, (ks, rungs) in zip(rho0s, ladders):
+        rows = [index[omega] for omega in rungs] + near_rows
+        amp = _amplitudes(Impurity(epsilon, rho0), m, [n], [l], [waves[i] for i in rows],
+                          [rho_bars[i] for i in rows])[1][:, 0, 0].tolist()
         limits.append(complex(neville_diagonal(ks, amp[:levels])[-1]))
         near.append(amp[levels:])
     return CutoffScan(
         resonance_inv_sqrt=tuple(d_inv_sqrt),
         limits=tuple(limits),
         offset_energies=tuple(offsets),
-        offset_amplitudes=tuple(zip(*near)) if near else (),
+        offset_amplitudes=tuple(zip(*near)),
     )

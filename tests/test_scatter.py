@@ -300,11 +300,16 @@ class TestBatchedScale:
     @pytest.mark.parametrize("n, m, l", [(1, 2, None), (1, 2, 1), (2, 5, 7), (1, 3, 2)])
     def test_threshold_limit_equals_scalar_rungs(self, hard_wall, n, m, l):
         # one rho_bar pass over the 8 rungs gives the amplitudes of 8
-        # scattering_amplitude calls bit for bit
+        # scattering_amplitude calls bit for bit; the ladder starts inside
+        # the disc |k_m| < 1/|Delta_m^(-1/2)| and its abscissae are the k_m
+        # the rung energies realize
         imp = Impurity(0.61, 3e-4)
-        ks = 0.08 * 0.5 ** np.arange(8)
-        rungs = [scattering_amplitude(hard_wall, imp, n, m if l is None else l,
-                                      threshold_energy(m) + k * k, m=m) for k in ks]
+        base = threshold_energy(m)
+        k0 = min(0.08, 0.25 / abs(resonance_parameter(hard_wall, imp, m)))
+        omegas = [base + (k0 * 0.5**j) * (k0 * 0.5**j) for j in range(8)]
+        ks = [math.sqrt(omega - base) for omega in omegas]
+        rungs = [scattering_amplitude(hard_wall, imp, n, m if l is None else l, omega, m=m)
+                 for omega in omegas]
         assert threshold_amplitude_limit(hard_wall, imp, n, m, l) == \
             neville_diagonal(ks, rungs)[-1]
 
@@ -730,3 +735,39 @@ class TestThresholdLimit:
     def test_off_resonant_modes_decouple(self, hard_wall):
         lim = threshold_amplitude_limit(hard_wall, Impurity(0.3, 1e-3), 1, 2, l=1)
         assert abs(lim) < 1e-9
+
+
+    @staticmethod
+    def _spread(hard_wall, eps, m, rho0s=(1e-5, 1e-3, 1e-1)):
+        limits = [threshold_amplitude_limit(hard_wall, Impurity(eps, r0), 1, m) for r0 in rho0s]
+        target = math.sin(PI * eps) / math.sin(m * PI * eps)
+        spread = max(abs(a - b) for a in limits for b in limits) / abs(target)
+        return spread, max(abs(c - target) for c in limits) / abs(target)
+
+    def test_ladder_starts_inside_the_disc_of_analyticity(self, hard_wall):
+        # |Delta_3^(-1/2)| = 37 for the strongest of these strengths: a
+        # ladder from k_m = 0.08 started outside the radius 1/37 and spread
+        # 2.4e-6 across strengths
+        rho0s = (0.03893918219645293, 1.3316703468977595e-05, 0.01734200501769414)
+        eps = 0.3552165050993091
+        assert max(abs(resonance_parameter(hard_wall, Impurity(eps, r0), 3))
+                   for r0 in rho0s) > 12.5
+        spread, deviation = self._spread(hard_wall, eps, 3, rho0s)
+        assert spread < 1e-8 and deviation < 1e-6
+
+    @pytest.mark.parametrize("m, node", [(2, 0.5), (3, 1.0 / 3.0), (3, 2.0 / 3.0)])
+    def test_near_node_sweep(self, hard_wall, m, node):
+        # closer to a node of mode m, |Delta_m^(-1/2)| grows like 1/(eps - node)^2
+        checked = 0
+        for gap in np.geomspace(0.2, 1e-3, 25):
+            for eps in (node - gap, node + gap):
+                if not 0.05 <= eps <= 0.95:
+                    continue
+                size = max(abs(resonance_parameter(hard_wall, Impurity(eps, r0), m))
+                           for r0 in (1e-5, 1e-3, 1e-1))
+                if size > 1e3:
+                    continue
+                spread, deviation = self._spread(hard_wall, eps, m)
+                assert spread < 1e-8 and deviation < 1e-6, (eps, size, spread, deviation)
+                checked += 1
+        assert checked >= 20
