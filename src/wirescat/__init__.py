@@ -32,6 +32,11 @@ from .oracle import (
 from .oracle import solve as oracle_solve
 from .oracle import solve_ladder as oracle_solve_ladder
 from .oracle import solve_table as oracle_solve_table
+from .rhobar import (
+    regularized_scale,
+    regularized_scale_tail_subtraction,
+    regularized_scales,
+)
 from .scatter import (
     CutoffScan,
     Impurity,
@@ -41,9 +46,6 @@ from .scatter import (
     near_threshold_field,
     nearest_threshold_index,
     reflection_1d,
-    regularized_scale,
-    regularized_scale_tail_subtraction,
-    regularized_scales,
     resonance_parameter,
     resonance_parameters,
     scattered_field,

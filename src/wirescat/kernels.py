@@ -1,8 +1,8 @@
 """Numeric kernels: evanescent mode sums and field-grid evaluation, in numpy.
 
 ``tail_sum`` is the exact head of the production rho_bar route
-(``scatter.regularized_scales``); ``cut_sum`` feeds only the
-Neville-ladder cross-check ``scatter.regularized_scale``; ``field_grid``
+(``rhobar.regularized_scales``); ``cut_sum`` feeds only the
+Neville-ladder cross-check ``rhobar.regularized_scale``; ``field_grid``
 synthesizes the fields of ``scatter.scattered_field_grid``.  They live in one
 module so that the per-layer benchmark (``perfbench/spans.py``) can time
 them as one layer under these names.

@@ -41,7 +41,9 @@ Every sum over the transverse modes phi_j(y_i) = sqrt(2) sin(j pi i h_y)
 at the lattice rows is a DST-I or DCT-I and is taken by one FFT of length
 2/h_y (:func:`_fft_extension`); no sine matrix is formed.  A point-coupling
 solve therefore costs O(ny log ny) whatever the width; a local-coupling
-solve adds one dense LU on the column's support.
+solve adds one dense LU on the column's support.  :func:`solve_table`
+solves a whole (width x strength) table at one energy, sharing everything
+but the strength term between its cells; :func:`solve` is its 1 x 1 call.
 """
 
 from __future__ import annotations
@@ -546,8 +548,11 @@ def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list,
     universal window.  mu_m lies about (m pi)^4 h_y^2 / 12 below the
     continuum cut-off (m pi)^2 (8e-4 for m = 2 at h_y = 1/400), far more
     than the offset, so an energy referenced to (m pi)^2 would leave that
-    window.  Each strength is solved on the width ladder and extrapolated
-    to zero width; the report carries the spread across strengths and the
+    window.  The |Delta_m| come from one rho_bar evaluation
+    (:func:`~wirescat.scatter.resonance_parameters`), and the whole
+    (width x strength) table is one :func:`solve_table` call at that
+    energy; each strength's width ladder is then extrapolated to zero
+    width.  The report carries the spread across strengths and the
     deviation of the mean from the zero-range prediction
     sin(n pi eps)/sin(m pi eps).
     """

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, WirescatError
+from .rhobar import _head_terms, _scales
 from .scatter import (
     Impurity,
     _amplitudes,
-    _head_terms,
     _require_hard_wall,
-    _scales,
     _wavenumbers,
     nearest_threshold_index,
 )

@@ -14,7 +14,7 @@ from wirescat import (
     solve_scattering,
     universality_probe,
 )
-from wirescat import oracle, scatter
+from wirescat import oracle, rhobar, scatter
 from wirescat.oracle import (
     OracleSolution,
     _Cell,
@@ -197,6 +197,7 @@ class TestSolveTable:
         tables, modes, scales = [], [], []
         for module, name, seen in ((oracle, "solve_table", tables),
                                    (oracle, "_lattice_modes", modes),
+                                   (rhobar, "regularized_scales", scales),
                                    (scatter, "regularized_scales", scales)):
             real = getattr(module, name)
 
