@@ -286,7 +286,8 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
     defect rows, their weights and the Green's function on them.  Only the
     strength term 1/g is per cell, and a local-coupling cell keeps its own
     LU.  The cells' mode projections are one FFT over stacked columns, and
-    so are the residual's (:func:`_residual`).  Each cell gets the bits of
+    the residual (:func:`_residual`) stacks the cells of one width the same
+    way, which bounds its temporaries.  Each cell gets the bits of
     its own 1 x 1 table, and an invalid cell raises the error its 1 x 1
     table would, the first in row-major order.
     """
@@ -346,7 +347,6 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
                 scale = np.max(np.abs(mat), axis=1)
                 u = np.linalg.solve(mat / scale[:, None], rhs / scale)
                 row_cells.append(_Cell(cell, support, ws, u, None, None))
-        # row by row, which bounds the residual's temporaries
         residuals += _residual(n, omega, *modes[:3], row_cells)
         solved += row_cells
 
@@ -405,8 +405,9 @@ def _residual(n, omega, mu, sin_kh, exp_kh, cells) -> list[float]:
     ``mu``, ``sin_kh``, ``exp_kh`` and the solved ``cells`` (:class:`_Cell`),
     which share one grid, energy and incident mode n.  The mode sums are
     its own: one :func:`_dst` projects every cell's ``u`` onto the modes,
-    and one more rebuilds the five columns of every cell on all ny - 1
-    rows, so a wrong ``u`` is not hidden by sums that came from it.
+    and one more rebuilds the scattered wave of every cell on all ny - 1
+    rows (it is even in p, so columns |p| = 0, 1, 2 serve the five), so a
+    wrong ``u`` is not hidden by sums that came from it.
     """
     wire = cells[0].wire
     ny = len(mu) + 1
@@ -417,8 +418,7 @@ def _residual(n, omega, mu, sin_kh, exp_kh, cells) -> list[float]:
     # incident discrete wavenumber for mode n
     kh_n = math.acos(1.0 - (omega - mu[n - 1]) * wire.h_x**2 / 2.0)
     ps = np.arange(-2, 3)
-    # the scattered wave is even in p: columns |p| = 0, 1, 2 carry
-    # e^{i k~ h_x |p|} per mode
+    # e^{i k~ h_x |p|} per mode, |p| = 0, 1, 2
     hops = np.stack((np.ones_like(exp_kh), exp_kh, exp_kh * exp_kh), axis=1)
     coef = (wire.h_x * h * mode_src / (2j * sin_kh[:, None]))[:, None, :] * hops[:, :, None]
     psi_sc = _dst(coef)  # [row, |p|, cell]
