@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -653,15 +654,15 @@ def threshold_amplitude_limit(geometry: WireGeometry, impurity: Impurity,
                        k_start, levels).limits[0]
 
 
-@dataclass(frozen=True)
-class CutoffScan:
+class CutoffScan(NamedTuple):
     """The closed-form side of a cut-off universality test at one impurity
     position, strength by strength in the order given.
 
-    ``resonance_inv_sqrt[j]`` is Delta_m^(-1/2) and ``limits[j]`` the limit
-    of A_nl at the cut-off for strength j.  ``offset_energies[i]`` is
-    (m pi)^2 plus offset scale i times the smallest |Delta_m| of the
-    strengths, and ``offset_amplitudes[i][j]`` is A_nl there.
+    ``resonance_inv_sqrt[j]`` is Delta_m^(-1/2) (None on a node of mode m)
+    and ``limits[j]`` the limit of A_nl at the cut-off for strength j.
+    ``offset_energies[i]`` is (m pi)^2 plus offset scale i times the
+    smallest |Delta_m| of the strengths, and ``offset_amplitudes[i][j]`` is
+    A_nl there.
     """
 
     resonance_inv_sqrt: tuple

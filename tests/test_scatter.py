@@ -13,6 +13,7 @@ from wirescat import (
     ThresholdEnergyError,
     ValidityWarning,
     WireGeometry,
+    cutoff_scan,
     longitudinal_wavenumber,
     near_threshold_field,
     nearest_threshold_index,
@@ -771,3 +772,16 @@ class TestThresholdLimit:
                 assert spread < 1e-8 and deviation < 1e-6, (eps, size, spread, deviation)
                 checked += 1
         assert checked >= 20
+
+    def test_node_of_the_resonant_mode(self, hard_wall):
+        # eps = 1/2 decouples mode 2: no pole is near, the ladder keeps its
+        # start, and A_11 tends to its finite two-channel value; offsets
+        # above the cut-off need Delta_2 and are refused
+        lim = threshold_amplitude_limit(hard_wall, Impurity(0.5, 1e-3), 1, 2, l=1)
+        k1 = math.sqrt(OM_2 - PI**2)
+        rho_bar = regularized_scale_tail_subtraction(0.5, OM_2, 2)
+        expect = 1.0 / (1j * k1 * (math.log(1e-3 / rho_bar) / (2 * PI) + 1.0 / (1j * k1)))
+        assert lim == pytest.approx(expect, rel=1e-9)
+        with pytest.raises(DecoupledModeError):
+            cutoff_scan(hard_wall, 0.5, [1e-3], 1, 2, [1e-2])
+
