@@ -611,7 +611,7 @@ def reflection_1d(barrier: OneDBarrier, omega: float) -> float:
 # threshold limit through the full pipeline
 # ---------------------------------------------------------------------------
 
-def _limit_ladder(m: int, k_start: float, levels: int, d_inv_sqrt=None):
+def _limit_ladder(m: int, k_start: float, levels: int, d_inv_sqrt):
     """The rungs of the cut-off limit: energies (m pi)^2 + k_j^2 on the
     geometric ladder k_j = k0 2^-j, j < levels, as Python floats, and the
     wavenumbers k_m = sqrt(omega - (m pi)^2) they realize, the Neville
@@ -619,9 +619,10 @@ def _limit_ladder(m: int, k_start: float, levels: int, d_inv_sqrt=None):
 
     A_nm ~ (s_n/s_m) / (1 + i k_m Delta_m^(-1/2)) is analytic in k_m within
     1/|Delta_m^(-1/2)|, so the ladder starts at
-    k0 = min(k_start, 0.25/|Delta_m^(-1/2)|) when ``d_inv_sqrt`` is given,
-    but never so low that its last rung moves the energy by less than two
-    units in the last place of (m pi)^2: there the rungs would merge.
+    k0 = min(k_start, 0.25/|Delta_m^(-1/2)|), but never so low that its last
+    rung moves the energy by less than two units in the last place of
+    (m pi)^2: there the rungs would merge.  ``d_inv_sqrt`` is None on a node
+    of mode m, where no pole is near and k0 = k_start.
     """
     if levels < 2:
         raise DomainError("need at least two ladder points to extrapolate")
