@@ -159,13 +159,6 @@ class TestSolveTable:
                 assert sol.reflected.tolist() == one.reflected.tolist()
                 assert (sol.flux_defect, sol.residual) == (one.flux_defect, one.residual)
 
-    def test_ladder_is_the_one_strength_column(self):
-        wire = self._wire(0.3, 400)
-        ladder = oracle_solve_ladder(wire, 2, OM, self.RHOS)
-        column = [row[0] for row in oracle_solve_table(wire, 2, OM, self.RHOS, [0.01])]
-        for a, b in zip(ladder, column):
-            assert a.wire == b.wire and a.reflected.tolist() == b.reflected.tolist()
-
     @pytest.mark.parametrize("n, rhos, rho0s, extra", [
         (0, (0.04, 0.02), (0.01,), {}),                       # incident mode index
         (3, (0.04, 0.02), (0.01,), {}),                       # mode 3 closed at OM
