@@ -135,13 +135,32 @@ class DiscreteWire:
         return self.rho * math.log(self.rho / self.rho0) / (2.0 * math.sqrt(math.pi))
 
 
+def _transmitted(reflected: np.ndarray, n: int) -> np.ndarray:
+    """The far-side amplitudes reflected + delta_nl of incident mode n."""
+    transmitted = reflected.copy()
+    transmitted[n - 1] += 1.0
+    return transmitted
+
+
+class _ReflectedAmplitudes:
+    """What a lattice result derives from its stored ``reflected``."""
+
+    @property
+    def transmitted(self) -> np.ndarray:
+        return _transmitted(self.reflected, self.incident_mode)
+
+    @property
+    def amplitude(self) -> np.ndarray:
+        return -self.reflected
+
+
 @dataclass(frozen=True)
-class OracleSolution:
+class OracleSolution(_ReflectedAmplitudes):
     """Amplitude table of one discrete solve.
 
-    ``transmitted[l-1]`` and ``reflected[l-1]`` are the coefficients of
-    sin(l pi y) e^{i k~_l |x|} on the far side / near side for l up to
-    lead_modes; ``amplitude[l-1] = -reflected[l-1]`` matches the analytic
+    ``reflected[l-1]`` is the coefficient of sin(l pi y) e^{i k~_l |x|} on
+    the near side for l up to lead_modes; ``transmitted`` (far side) is
+    reflected + delta_nl and ``amplitude`` = -reflected matches the analytic
     A_nl convention.  ``flux_defect`` is the discrete-flux unitarity
     violation and ``residual`` the max norm of the discrete Helmholtz
     equation evaluated on the columns around the defect.
@@ -150,14 +169,9 @@ class OracleSolution:
     wire: DiscreteWire
     incident_mode: int
     energy: float
-    transmitted: np.ndarray = field(repr=False)
     reflected: np.ndarray = field(repr=False)
     flux_defect: float = 0.0
     residual: float = 0.0
-
-    @property
-    def amplitude(self) -> np.ndarray:
-        return -self.reflected
 
 
 def _transverse_eigenvalues(ny: int) -> np.ndarray:
@@ -250,14 +264,8 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
         return solve_table(wire, n, omega, [wire.rho], [wire.rho0])[0][0]
     _check_energy(wire, n, omega)
     # clean wire: psi = psi_inc exactly on the lattice
-    transmitted = np.zeros(wire.lead_modes, dtype=complex)
-    transmitted[n - 1] = 1.0
-    return OracleSolution(
-        wire=wire, incident_mode=n, energy=omega,
-        transmitted=transmitted,
-        reflected=np.zeros(wire.lead_modes, dtype=complex),
-        flux_defect=0.0, residual=0.0,
-    )
+    return OracleSolution(wire=wire, incident_mode=n, energy=omega,
+                          reflected=np.zeros(wire.lead_modes, dtype=complex))
 
 
 class _Cell(NamedTuple):
@@ -360,8 +368,7 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
     out = []
     for k, (cell, residual) in enumerate(zip(solved, residuals)):
         reflected = scattered[:, k].copy()
-        transmitted = reflected.copy()
-        transmitted[n - 1] += 1.0
+        transmitted = _transmitted(reflected, n)
         flux = float(
             np.sum(vel[live] * (np.abs(transmitted[live]) ** 2 + np.abs(reflected[live]) ** 2))
             / vel[n - 1]
@@ -370,7 +377,6 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
             wire=cell.wire,
             incident_mode=n,
             energy=omega,
-            transmitted=transmitted,
             reflected=reflected,
             flux_defect=abs(flux - 1.0),
             residual=residual,
@@ -458,30 +464,26 @@ def solve_ladder(wire: DiscreteWire, n: int, omega: float, rhos) -> list[OracleS
 
 
 @dataclass(frozen=True)
-class ExtrapolatedAmplitudes:
-    """Zero-width limit of an amplitude ladder with self-error estimates."""
+class ExtrapolatedAmplitudes(_ReflectedAmplitudes):
+    """Zero-width limit ``reflected`` of an amplitude ladder with its
+    self-error estimates ``reflected_err``."""
 
     incident_mode: int
     energy: float
     rhos: tuple
-    transmitted: np.ndarray = field(repr=False)
     reflected: np.ndarray = field(repr=False)
-    transmitted_err: np.ndarray = field(repr=False)
     reflected_err: np.ndarray = field(repr=False)
     warnings: tuple = ()
-
-    @property
-    def amplitude(self) -> np.ndarray:
-        return -self.reflected
 
 
 def extrapolate_to_zero_width(solutions) -> ExtrapolatedAmplitudes:
     """Richardson-extrapolate a width ladder to rho = 0, amplitude by
     amplitude, in the variable rho^2 (exact on tables of the form
     a + b rho^2).  The error estimate is the difference of the last two
-    extrapolation orders; non-monotone ladders are flagged, not rejected.
-    All amplitudes of the ladder go through one array Neville tableau
-    (rungs x transmitted and reflected amplitudes).
+    extrapolation orders; non-monotone ladders are flagged, not rejected,
+    with one note per outgoing mode.  The reflected amplitudes of the
+    ladder go through one array Neville tableau (rungs x lead_modes); the
+    transmitted ones differ from them by the constant delta_nl.
     """
     sols = sorted(solutions, key=lambda s: -s.wire.rho)
     if len(sols) < 3:
@@ -489,9 +491,7 @@ def extrapolate_to_zero_width(solutions) -> ExtrapolatedAmplitudes:
     rhos = np.array([s.wire.rho for s in sols])
     if np.any(np.diff(rhos) >= 0):
         raise DomainError("width ladder must be strictly decreasing")
-    nl = len(sols[0].transmitted)
-    series = np.array([np.concatenate((s.transmitted, s.reflected)) for s in sols],
-                      dtype=complex)
+    series = np.array([s.reflected for s in sols], dtype=complex)
     diag = neville_diagonal(rhos**2, series)
     gap = diag[-1] - diag[-2]
     err = np.hypot(gap.real, gap.imag)  # libm's hypot, as abs() of one complex
@@ -501,16 +501,13 @@ def extrapolate_to_zero_width(solutions) -> ExtrapolatedAmplitudes:
     flips = np.real(steps[1:] * np.conj(steps[:-1])) < 0.0
     growth = sizes[1:] > sizes[:-1]
     bad = np.any((flips | growth) & (sizes[1:] > 1e-12), axis=0).tolist()
-    notes = [f"non-monotone ladder for {label}[{i + 1}]"
-             for i in range(nl) for label, j in (("t", i), ("r", nl + i)) if bad[j]]
+    notes = [f"non-monotone ladder for r[{l}]" for l, flag in enumerate(bad, start=1) if flag]
     return ExtrapolatedAmplitudes(
         incident_mode=sols[0].incident_mode,
         energy=sols[0].energy,
         rhos=tuple(rhos),
-        transmitted=diag[-1][:nl],
-        reflected=diag[-1][nl:],
-        transmitted_err=err[:nl],
-        reflected_err=err[nl:],
+        reflected=diag[-1],
+        reflected_err=err,
         warnings=tuple(notes),
     )
 
@@ -588,32 +585,23 @@ def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list,
     )
 
 
-def amplitude_records(solution_or_table, err=None) -> list[dict]:
-    """Flatten amplitudes to JSON records {rho, n, l, re, im, err}.
+def amplitude_records(result) -> list[dict]:
+    """Flatten the amplitudes A_nl = -reflected of an :class:`OracleSolution`
+    or :class:`ExtrapolatedAmplitudes` to JSON records
+    {rho, n, l, re, im, err}.
 
-    ``rho`` is null for zero-width extrapolations, whose own error estimates
-    are embedded per record.
+    ``rho`` is the solve's width and ``err`` null for a solution; for a
+    zero-width extrapolation ``rho`` is null and ``err`` is its own error
+    estimate ``reflected_err``.
     """
-    records = []
-    if isinstance(solution_or_table, OracleSolution):
-        sol = solution_or_table
-        for l in range(1, len(sol.reflected) + 1):
-            a = -sol.reflected[l - 1]
-            records.append({
-                "rho": sol.wire.rho, "n": sol.incident_mode, "l": l,
-                "re": float(a.real), "im": float(a.imag),
-                "err": float(err) if err is not None else None,
-            })
-    elif isinstance(solution_or_table, ExtrapolatedAmplitudes):
-        ext = solution_or_table
-        for l in range(1, len(ext.reflected) + 1):
-            a = -ext.reflected[l - 1]
-            records.append({
-                "rho": None, "n": ext.incident_mode, "l": l,
-                "re": float(a.real), "im": float(a.imag),
-                "err": float(ext.reflected_err[l - 1]),
-            })
+    if isinstance(result, OracleSolution):
+        rho, errs = result.wire.rho, [None] * len(result.reflected)
+    elif isinstance(result, ExtrapolatedAmplitudes):
+        rho, errs = None, result.reflected_err.tolist()
     else:
         raise DomainError("expected an OracleSolution or ExtrapolatedAmplitudes")
+    records = []
+    for l, (a, err) in enumerate(zip(result.amplitude, errs), start=1):
+        records.append({"rho": rho, "n": result.incident_mode, "l": l,
+                        "re": float(a.real), "im": float(a.imag), "err": err})
     return records
-

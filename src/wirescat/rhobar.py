@@ -49,6 +49,7 @@ def _validate_window(omega: float, m: int) -> None:
 #: Most modes either rho_bar route may sum in one call: the ladder's deepest
 #: rung and the tail-subtraction head both stop here.
 _TERM_BUDGET = 3e7
+_LADDER_LEVELS = 14  # deepest rung k of the cross-check ladder rho_k = start 2^-k
 
 #: B_2i / (2i)! for i = 1..5, the Euler-Maclaurin coefficients.
 _EM_COEFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0)
@@ -83,8 +84,7 @@ _SBP_OFFSETS = np.array([[float(k)] for k in range(_SBP_TERMS)])  # column of k
 
 def regularized_scale(eps: float, omega: float, m: int, *,
                       ladder_start: float = 1e-2,
-                      stability: float = 1e-9,
-                      max_levels: int = 14) -> float:
+                      stability: float = 1e-9) -> float:
     """The regularized length scale rho_bar(eps, omega, m) from its defining
     limit; the library computes rho_bar with
     :func:`regularized_scale_tail_subtraction` and keeps this route as the
@@ -94,8 +94,8 @@ def regularized_scale(eps: float, omega: float, m: int, *,
         S(rho) = 2 pi sum_{n>m} sin^2(n pi eps)/sqrt((n pi)^2 - omega)
                  e^{-(n pi rho/2)^2}.
 
-    The limit is evaluated on the geometric ladder rho_k = ladder_start 2^-k
-    with Neville extrapolation in rho^2, stopping once two successive
+    The limit is evaluated on the geometric ladder rho_k = ladder_start 2^-k,
+    k <= 14, with Neville extrapolation in rho^2, stopping once two successive
     extrapolation orders agree to ``stability``.  For impurities very close
     to a wall the ladder is started lower (the sum decorrelates only once
     the Gaussian cut-off passes ~1/eps modes).  Raises ConvergenceError if
@@ -116,7 +116,7 @@ def regularized_scale(eps: float, omega: float, m: int, *,
     start = min(ladder_start, max(2.0 * edge, 1e-4))
     rhos, values = [], []
     gap = math.inf
-    for k in range(max_levels + 1):
+    for k in range(_LADDER_LEVELS + 1):
         rho = start * 0.5**k
         if 4.11 / rho > _TERM_BUDGET:  # term budget for the deepest ladder rung
             break

@@ -353,8 +353,9 @@ def scattered_field_grid(geometry: WireGeometry, impurity: Impurity,
                          l_max: int | None = None) -> np.ndarray:
     """Vectorized field on the tensor grid ys x xs; returns psi[iy, ix].
 
-    The x > 0 side carries (delta_nl - A_nl) e^{i k_l x}; the x <= 0 side is
-    the incident wave plus -A_nl e^{i k_l |x|}.  The evanescent truncation
+    Both sides are the incident wave plus -A_nl e^{i k_l |x|} (on x > 0 that
+    is (delta_nl - A_nl) e^{i k_l x}), one field synthesis over |x|.  The
+    evanescent truncation
     l_max defaults to m + 40 plus however many modes still reach the nearest
     sampled |x| above the 1e-12 level (hard cap 400: directly at the
     impurity cross-section the evanescent series converges only like the
@@ -373,16 +374,8 @@ def scattered_field_grid(geometry: WireGeometry, impurity: Impurity,
     if l_max < 1:
         raise DomainError(f"mode truncation l_max must be >= 1, got {l_max}")
     _, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, l_max + 1))
-    amps, ks, k_n = amp[0], k[:l_max], k[n - 1]
-
-    out = np.empty((len(ys), len(xs)), dtype=complex)
-    pos = xs >= 0.0
-    if np.any(pos):
-        out[:, pos] = kernels.field_grid(xs[pos], ys, -amps, ks)
-        out[:, pos] += np.outer(np.sin(n * np.pi * ys), np.exp(1j * k_n * xs[pos]))
-    if np.any(~pos):
-        out[:, ~pos] = kernels.field_grid(np.abs(xs[~pos]), ys, -amps, ks)
-        out[:, ~pos] += np.outer(np.sin(n * np.pi * ys), np.exp(1j * k_n * xs[~pos]))
+    out = kernels.field_grid(np.abs(xs), ys, -amp[0], k[:l_max])
+    out += np.outer(np.sin(n * np.pi * ys), np.exp(1j * k[n - 1] * xs))
     return out
 
 
@@ -611,48 +604,48 @@ def reflection_1d(barrier: OneDBarrier, omega: float) -> float:
 # threshold limit through the full pipeline
 # ---------------------------------------------------------------------------
 
-def _limit_ladder(m: int, k_start: float, levels: int, d_inv_sqrt):
+#: Largest first rung k_m of the cut-off limit ladder, and its length.
+_LIMIT_K_START, _LIMIT_LEVELS = 0.08, 8
+
+
+def _limit_ladder(m: int, d_inv_sqrt):
     """The rungs of the cut-off limit: energies (m pi)^2 + k_j^2 on the
-    geometric ladder k_j = k0 2^-j, j < levels, as Python floats, and the
-    wavenumbers k_m = sqrt(omega - (m pi)^2) they realize, the Neville
-    abscissae (the difference is exact).
+    geometric ladder k_j = k0 2^-j, j < _LIMIT_LEVELS, as Python floats,
+    and the wavenumbers k_m = sqrt(omega - (m pi)^2) they realize, the
+    Neville abscissae (the difference is exact).
 
     A_nm ~ (s_n/s_m) / (1 + i k_m Delta_m^(-1/2)) is analytic in k_m within
     1/|Delta_m^(-1/2)|, so the ladder starts at
-    k0 = min(k_start, 0.25/|Delta_m^(-1/2)|), but never so low that its last
-    rung moves the energy by less than two units in the last place of
-    (m pi)^2: there the rungs would merge.  ``d_inv_sqrt`` is None on a node
-    of mode m, where no pole is near and k0 = k_start.
+    k0 = min(_LIMIT_K_START, 0.25/|Delta_m^(-1/2)|), but never so low that
+    its last rung moves the energy by less than two units in the last place
+    of (m pi)^2: there the rungs would merge.  ``d_inv_sqrt`` is None on a
+    node of mode m, where no pole is near and k0 = _LIMIT_K_START.
     """
-    if levels < 2:
-        raise DomainError("need at least two ladder points to extrapolate")
     base = threshold_energy(m)
-    k0 = k_start
+    k0 = _LIMIT_K_START
     if d_inv_sqrt is not None:
-        resolved = 2.0 ** (levels - 1) * math.sqrt(2.0 * math.ulp(base))
-        k0 = max(min(k_start, 0.25 / abs(d_inv_sqrt)), min(k_start, resolved))
-    ks = k0 * 0.5 ** np.arange(levels)
+        resolved = 2.0 ** (_LIMIT_LEVELS - 1) * math.sqrt(2.0 * math.ulp(base))
+        k0 = max(min(k0, 0.25 / abs(d_inv_sqrt)), min(k0, resolved))
+    ks = k0 * 0.5 ** np.arange(_LIMIT_LEVELS)
     omegas = (base + ks * ks).tolist()
     return np.sqrt(np.array(omegas) - base), omegas
 
 
 def threshold_amplitude_limit(geometry: WireGeometry, impurity: Impurity,
-                              n: int, m: int, l: int | None = None,
-                              k_start: float = 0.08, levels: int = 8) -> complex:
+                              n: int, m: int, l: int | None = None) -> complex:
     """lim_{omega -> (m pi)^2+} A_nl computed through the full amplitude
     pipeline on a geometric ladder in k_m = sqrt(omega - (m pi)^2), with
     polynomial (Neville) extrapolation in k_m; the one-strength call of
     :func:`cutoff_scan`.
 
     A_nl is analytic in k_m within 1/|Delta_m^(-1/2)| of the cut-off, so
-    the ladder starts at k_m = min(k_start, 0.25/|Delta_m^(-1/2)|) and its
-    abscissae are the k_m its rung energies realize (:func:`_limit_ladder`);
-    it then converges at machine precision.  For l = m the limit is
-    sin(n pi eps)/sin(m pi eps) independent of rho0, for every other mode
-    it is 0.
+    the ladder of 8 rungs starts at k_m = min(0.08, 0.25/|Delta_m^(-1/2)|)
+    and its abscissae are the k_m its rung energies realize
+    (:func:`_limit_ladder`); it then converges at machine precision.  For
+    l = m the limit is sin(n pi eps)/sin(m pi eps) independent of rho0, for
+    every other mode it is 0.
     """
-    return cutoff_scan(geometry, impurity.epsilon, [impurity.rho0], n, m, (), l,
-                       k_start, levels).limits[0]
+    return cutoff_scan(geometry, impurity.epsilon, [impurity.rho0], n, m, (), l).limits[0]
 
 
 class CutoffScan(NamedTuple):
@@ -662,8 +655,8 @@ class CutoffScan(NamedTuple):
     ``resonance_inv_sqrt[j]`` is Delta_m^(-1/2) (None on a node of mode m)
     and ``limits[j]`` the limit of A_nl at the cut-off for strength j.
     ``offset_energies[i]`` is (m pi)^2 plus offset scale i times the
-    smallest |Delta_m| of the strengths, and ``offset_amplitudes[i][j]`` is
-    A_nl there.
+    smallest |Delta_m| of the strengths (see :func:`cutoff_scan`), and
+    ``offset_amplitudes[i][j]`` is A_nl there.
     """
 
     resonance_inv_sqrt: tuple
@@ -673,22 +666,23 @@ class CutoffScan(NamedTuple):
 
 
 def cutoff_scan(geometry: WireGeometry, epsilon: float, rho0s, n: int, m: int,
-                offset_scales=(), l: int | None = None,
-                k_start: float = 0.08, levels: int = 8) -> CutoffScan:
+                offset_scales=(), l: int | None = None) -> CutoffScan:
     """Delta_m^(-1/2), the cut-off limit of A_nl and A_nl at energies just
     above the cut-off, for every strength scale in ``rho0s`` at position
     ``epsilon``, with two rho_bar passes: one at the cut-off, for Delta_m,
     and one for the energies of every strength's limit ladder together with
     the offset energies.
 
-    The limit ladder of a strength starts at
-    min(k_start, 0.25/|Delta_m^(-1/2)|), inside the disc where A_nm is
+    The limit ladder of a strength has 8 rungs and starts at
+    min(0.08, 0.25/|Delta_m^(-1/2)|), inside the disc where A_nm is
     analytic in k_m (see :func:`_limit_ladder`).  On a node of mode m
     (DecoupledModeError from :func:`resonance_parameters`) no pole is near
-    and the ladder starts at k_start, unless offsets are asked for: they
-    need Delta_m, and the error is raised.  Each value gets the bits of its
-    one-energy route: :func:`resonance_parameter` and
-    :func:`scattering_amplitude`.
+    and the ladder starts at 0.08, unless offsets are asked for: they need
+    Delta_m, and the error is raised.  A positive offset below half an ulp
+    of (m pi)^2 (near a node of mode m) would round onto the cut-off; its
+    energy is the next float above, where mode m propagates.  Each
+    value gets the bits of its one-energy route: :func:`resonance_parameter`
+    and :func:`scattering_amplitude`.
     """
     if not len(rho0s):
         raise DomainError("need at least one impurity strength")
@@ -703,8 +697,13 @@ def cutoff_scan(geometry: WireGeometry, epsilon: float, rho0s, n: int, m: int,
     offsets = []
     if len(offset_scales):
         base_delta = min(1.0 / abs(d) ** 2 for d in d_inv_sqrt)
-        offsets = [threshold_energy(m) + scale * base_delta for scale in offset_scales]
-    ladders = [_limit_ladder(m, k_start, levels, d) for d in d_inv_sqrt]
+        base = threshold_energy(m)
+        for scale in offset_scales:
+            omega = base + scale * base_delta
+            # a positive offset below half an ulp of (m pi)^2 rounds onto the cut-off
+            offsets.append(math.nextafter(base, math.inf) if scale > 0 and omega == base
+                           else omega)
+    ladders = [_limit_ladder(m, d) for d in d_inv_sqrt]
     # one rho_bar per distinct energy: strengths far from a pole share rungs
     index = {}
     for omega in [o for _, rungs in ladders for o in rungs] + offsets:
@@ -718,8 +717,8 @@ def cutoff_scan(geometry: WireGeometry, epsilon: float, rho0s, n: int, m: int,
         rows = [index[omega] for omega in rungs] + near_rows
         amp = _amplitudes(Impurity(epsilon, rho0), m, [n], [l], [waves[i] for i in rows],
                           [rho_bars[i] for i in rows])[1][:, 0, 0].tolist()
-        limits.append(complex(neville_diagonal(ks, amp[:levels])[-1]))
-        near.append(amp[levels:])
+        limits.append(complex(neville_diagonal(ks, amp[:_LIMIT_LEVELS])[-1]))
+        near.append(amp[_LIMIT_LEVELS:])
     return CutoffScan(
         resonance_inv_sqrt=tuple(d_inv_sqrt),
         limits=tuple(limits),

@@ -58,7 +58,8 @@ class WireGeometry:
     cross-section potential.
 
     Immutable after construction; a general geometry solves its transverse
-    eigenproblem eagerly so that all later operations are read-only.
+    eigenproblem eagerly so that all later operations are read-only.  Every
+    constructor goes through ``__init__`` and its checks.
     """
 
     def __init__(self, kind=HARD_WALL, num_modes=64, potential=None, grid_points=1024):
@@ -74,6 +75,12 @@ class WireGeometry:
         if kind == GENERAL:
             if potential is None:
                 raise DomainError("general geometry requires a transverse potential")
+            y, v = (np.asarray(a, dtype=float) for a in potential)
+            if y.ndim != 1 or y.shape != v.shape or len(y) < 2:
+                raise DomainError("potential samples must be two equal-length 1-d arrays")
+            if np.any(np.diff(y) <= 0):
+                raise DomainError("potential sample positions must increase strictly")
+            self._potential = (y, v)
             self._modes = transverse_eigensolve(self, self.num_modes)
 
     # -- constructors -------------------------------------------------------
@@ -86,19 +93,7 @@ class WireGeometry:
     def from_potential(cls, y, v, num_modes=8, grid_points=1024):
         """General cross-section from sampled potential values (y, v),
         linearly interpolated between samples."""
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if y.ndim != 1 or y.shape != v.shape or len(y) < 2:
-            raise DomainError("potential samples must be two equal-length 1-d arrays")
-        if np.any(np.diff(y) <= 0):
-            raise DomainError("potential sample positions must increase strictly")
-        geo = cls.__new__(cls)
-        geo.kind = GENERAL
-        geo.num_modes = int(num_modes)
-        geo.grid_points = int(grid_points)
-        geo._potential = (y, v)
-        geo._modes = transverse_eigensolve(geo, geo.num_modes)
-        return geo
+        return cls(kind=GENERAL, num_modes=num_modes, potential=(y, v), grid_points=grid_points)
 
     @classmethod
     def from_potential_file(cls, path, num_modes=8, grid_points=1024):
@@ -214,8 +209,12 @@ def propagating_count(omega: float) -> int:
     return p
 
 
-def greens_function(geometry: WireGeometry, r, rp, omega: float,
-                    rtol: float = 1e-14, max_modes: int = 2_000_000) -> complex:
+#: Negligible term size, relative to the running total, and the most modes
+#: of a Green's-function sum.
+_GREEN_RTOL, _GREEN_MAX_MODES = 1e-14, 2_000_000
+
+
+def greens_function(geometry: WireGeometry, r, rp, omega: float) -> complex:
     """Outgoing mode-sum Green's function of the clean wire,
 
         G(r, r') = i sum_n chi_n(y) chi_n(y') / k_n * exp(i k_n |x - x'|),
@@ -225,8 +224,9 @@ def greens_function(geometry: WireGeometry, r, rp, omega: float,
     sin(n pi y) for hard walls (the convention the scattering amplitudes are
     written in), orthonormal eigensolver modes otherwise.  For |x - x'| > 0
     the evanescent tail converges exponentially and the sum is truncated
-    adaptively (last term below ``rtol`` of the running total and at least
-    ten modes past the last propagating one).  On the same cross-section
+    adaptively (three consecutive terms below 1e-14 of the running total,
+    at least ten modes past the last propagating one, and at most 2e6
+    modes).  On the same cross-section
     (x = x') the 1/n tail is summed in closed form; the coincident point has
     a logarithmic singularity and is refused.
     """
@@ -242,7 +242,7 @@ def greens_function(geometry: WireGeometry, r, rp, omega: float,
     dx = abs(x - xp)
 
     if geometry.kind == GENERAL:
-        return _greens_general(geometry, x, y, xp, yp, omega, rtol)
+        return _greens_general(geometry, x, y, xp, yp, omega)
 
     # pole guard: any propagating-range mode exactly at cut-off
     p = int(math.sqrt(max(omega, 0.0)) / math.pi) + 1
@@ -257,12 +257,12 @@ def greens_function(geometry: WireGeometry, r, rp, omega: float,
         n = 1
         n_floor = p + 10
         quiet = 0  # consecutive negligible terms, guards against sin() zeros
-        while n <= max_modes:
+        while n <= _GREEN_MAX_MODES:
             k = longitudinal_wavenumber(n, omega).value
             term = 1j * math.sin(n * math.pi * y) * math.sin(n * math.pi * yp) / k \
                 * np.exp(1j * k * dx)
             total += term
-            quiet = quiet + 1 if abs(term) < rtol * max(abs(total), 1e-300) else 0
+            quiet = quiet + 1 if abs(term) < _GREEN_RTOL * max(abs(total), 1e-300) else 0
             if n > n_floor and quiet >= 3:
                 return complex(total)
             n += 1
@@ -288,17 +288,17 @@ def greens_function(geometry: WireGeometry, r, rp, omega: float,
     osc = 1.0 / math.sin(math.pi * abs(y - yp) / 2.0) \
         + 1.0 / math.sin(math.pi * (y + yp) / 2.0)
     n = n_split + 1
-    while n <= max_modes:
+    while n <= _GREEN_MAX_MODES:
         npi = n * math.pi
         kappa = math.sqrt(npi * npi - omega)
         total += math.sin(npi * y) * math.sin(npi * yp) * (1.0 / kappa - 1.0 / npi)
-        if omega / (2.0 * math.pi**3 * n**3) * osc < rtol * max(abs(total), 1e-300):
+        if omega / (2.0 * math.pi**3 * n**3) * osc < _GREEN_RTOL * max(abs(total), 1e-300):
             return complex(total)
         n += 1
     raise ResolutionError("same-column Green's-function sum did not converge")
 
 
-def _greens_general(geometry, x, y, xp, yp, omega, rtol):
+def _greens_general(geometry, x, y, xp, yp, omega):
     dx = abs(x - xp)
     if dx == 0.0:
         raise ResolutionError(
@@ -315,7 +315,7 @@ def _greens_general(geometry, x, y, xp, yp, omega, rtol):
         k = complex(math.sqrt(gap), 0.0) if gap > 0 else complex(0.0, math.sqrt(-gap))
         term = 1j * tm.profile(y) * tm.profile(yp) / k * np.exp(1j * k * dx)
         total += term
-        quiet = quiet + 1 if (gap < 0 and abs(term) < rtol * max(abs(total), 1e-300)) else 0
+        quiet = quiet + 1 if (gap < 0 and abs(term) < _GREEN_RTOL * max(abs(total), 1e-300)) else 0
         if quiet >= 3:
             return complex(total)
     raise ResolutionError(

@@ -343,6 +343,15 @@ class TestFieldOutputBytes:
         psi = self._reference(mode, eps)
         assert out.read_text() == _point_table(psi, self.XS, self.YS, with_complex, fmt)
 
+    def test_defect_csv_pinned(self, tmp_path):
+        # test_matches_point_recipe takes its defect reference from
+        # scattered_field_grid itself; these bytes pin the synthesis on their own
+        out = tmp_path / "defect.csv"
+        assert run("field", "--field-mode", "defect", "--mode-n", "1", "--epsilon", "0.41",
+                   "--rho0", "0.003", "--omega", repr(self.OMEGA), "--nx", str(self.NX),
+                   "--ny", str(self.NY), "--with-complex", "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA / "field_defect_eps0.41_rho0.003.csv").read_bytes()
+
     def test_scalar_cutoff_field_is_the_reference(self, hard_wall):
         imp = Impurity(0.41, 0.003)
         for y in self.YS:
@@ -489,6 +498,21 @@ class TestUniversality:
         assert run("universality", "--mode-n", "1", "--threshold-m", "2",
                    "--epsilon", "0.3") == 2
 
+    def test_offset_energy_rounding_onto_the_cutoff(self, tmp_path):
+        # near a node of mode 3 every offset times min |Delta_3| lies below
+        # half an ulp of (3 pi)^2; each offset energy is then the next float
+        # above the cut-off, not the cut-off itself (which has k_3 = 0)
+        out = tmp_path / "node.json"
+        assert run("universality", "--mode-n", "1", "--threshold-m", "3",
+                   "--epsilon", "0.3332118167489375", "--rho0-list",
+                   "7.038239983454513e-05,0.03210481149589653,0.00016724252176652203",
+                   "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        energies = [blk["omega"] for blk in report["near_threshold"]]
+        assert len(energies) == 3
+        assert all(omega > (3 * PI) ** 2 for omega in energies)
+        assert math.nextafter((3 * PI) ** 2, math.inf) in energies
+
     def test_zero_grid_ny_is_config_error(self, capsys):
         assert run("universality", "--epsilon", "0.3", "--threshold-m", "2",
                    "--rho0-list", "0.01", "--oracle", "--grid-ny", "0") == 2
@@ -574,6 +598,14 @@ class TestOracleCompare:
         assert rels[1] < 0.02 and rels[2] < 0.02
         # 3 ladder blocks + 1 extrapolated block, 12 modes each
         assert len(lines) == 4 * 12 + 1
+
+    def test_readme_example_pinned(self, tmp_path):
+        # the README's oracle-compare run: every width's records, the
+        # zero-width records and the comparison, byte for byte
+        out = tmp_path / "compare.jsonl"
+        assert run("oracle-compare", "--epsilon", "0.3", "--rho0", "0.01", "--mode-n", "1",
+                   "--omega", "41.452", "--grid-ny", "400", "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA / "oracle_compare_eps0.3_rho0.01.jsonl").read_bytes()
 
     def test_fewer_lead_modes_than_open_channels(self, tmp_path):
         # two channels are open at omega = 45; one lead mode still compares

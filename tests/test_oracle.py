@@ -326,20 +326,19 @@ class TestExtrapolation:
     def _fake(self, rho, values):
         arr = np.asarray(values, dtype=complex)
         wire = DiscreteWire(eps=0.3, rho=rho, rho0=0.01, **FINE)
-        return OracleSolution(wire=wire, incident_mode=1, energy=OM,
-                              transmitted=arr, reflected=arr.copy())
+        return OracleSolution(wire=wire, incident_mode=1, energy=OM, reflected=arr)
 
     def test_constant_sequence_recovered(self):
         sols = [self._fake(r, [0.5 + 0.25j]) for r in (0.04, 0.02, 0.01)]
         ext = extrapolate_to_zero_width(sols)
-        assert ext.transmitted[0] == pytest.approx(0.5 + 0.25j, abs=1e-14)
-        assert ext.transmitted_err[0] == pytest.approx(0.0, abs=1e-14)
+        assert ext.reflected[0] == pytest.approx(0.5 + 0.25j, abs=1e-14)
+        assert ext.reflected_err[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_exact_on_quadratic_width_law(self):
         a, b = 0.3 - 0.1j, 2.4 + 0.9j
         sols = [self._fake(r, [a + b * r**2]) for r in (0.04, 0.02, 0.01)]
         ext = extrapolate_to_zero_width(sols)
-        assert ext.transmitted[0] == pytest.approx(a, abs=1e-12)
+        assert ext.reflected[0] == pytest.approx(a, abs=1e-12)
 
     def test_needs_three_points(self):
         sols = [self._fake(r, [1.0]) for r in (0.04, 0.02)]

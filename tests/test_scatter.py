@@ -785,3 +785,9 @@ class TestThresholdLimit:
         with pytest.raises(DecoupledModeError):
             cutoff_scan(hard_wall, 0.5, [1e-3], 1, 2, [1e-2])
 
+    def test_negative_offset_stays_below_the_cutoff(self, hard_wall):
+        # only a positive offset that rounds onto (m pi)^2 is moved above it
+        scan = cutoff_scan(hard_wall, 0.3, [1e-3, 1e-1], 1, 2, [-1e-2, 1e-2])
+        below, above = scan.offset_energies
+        assert below < OM_2 < above
+

@@ -65,6 +65,19 @@ class TestModes:
         th = geo.thresholds(6)
         assert np.all(np.diff(th) > 0)
 
+    @pytest.mark.parametrize("y, v, match", [
+        ([0.0, 0.6, 0.2, 1.0], [0.0, 5.0, 9.0, 0.0], "increase strictly"),
+        ([0.0, 1.0], [0.0, 1.0, 2.0], "equal-length"),
+        ([0.5], [1.0], "equal-length"),
+    ])
+    def test_general_wire_checks_samples_on_every_path(self, y, v, match):
+        # the constructor and from_potential are one path with one set of checks
+        with pytest.raises(DomainError, match=match) as direct:
+            WireGeometry(kind="general", num_modes=3, potential=(y, v))
+        with pytest.raises(DomainError, match=match) as sampled:
+            WireGeometry.from_potential(y, v, num_modes=3)
+        assert str(direct.value) == str(sampled.value)
+
 
 class TestEigensolver:
     def test_linear_potential_richardson_self_convergence(self):
