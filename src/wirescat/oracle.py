@@ -44,12 +44,16 @@ solve therefore costs O(ny log ny) whatever the width; a local-coupling
 solve adds one dense LU on the column's support.  :func:`solve_table`
 solves a whole (width x strength) table at one energy, sharing everything
 but the strength term between its cells; :func:`solve` is its 1 x 1 call.
+The Helmholtz residual of a solution, a diagnostic no amplitude reads, is
+computed on its first read (:attr:`OracleSolution.residual`), not by the
+solve: at ny = 1600 it costs more than the solve itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -162,8 +166,10 @@ class OracleSolution(_ReflectedAmplitudes):
     the near side for l up to lead_modes; ``transmitted`` (far side) is
     reflected + delta_nl and ``amplitude`` = -reflected matches the analytic
     A_nl convention.  ``flux_defect`` is the discrete-flux unitarity
-    violation and ``residual`` the max norm of the discrete Helmholtz
-    equation evaluated on the columns around the defect.
+    violation.  ``residual`` (:func:`_residual`) is computed on first read
+    from the solved cell ``_cell`` and the lattice spectrum ``_spectrum``
+    (mu, sin_kh, exp_kh) that :func:`solve_table` hands over; a solution
+    without them (the clean wire) reads 0.0.
     """
 
     wire: DiscreteWire
@@ -171,7 +177,17 @@ class OracleSolution(_ReflectedAmplitudes):
     energy: float
     reflected: np.ndarray = field(repr=False)
     flux_defect: float = 0.0
-    residual: float = 0.0
+    _cell: _Cell | None = field(default=None, repr=False, compare=False)
+    _spectrum: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        """Max normalized residual of the discrete Helmholtz and defect
+        equations around the defect (:func:`_residual`)."""
+        if self._cell is None:
+            return 0.0
+        [residual] = _residual(self.incident_mode, self.energy, *self._spectrum, [self._cell])
+        return residual
 
 
 def _transverse_eigenvalues(ny: int) -> np.ndarray:
@@ -293,9 +309,9 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
     coupling (it reads neither width nor strength), and per width the
     defect rows, their weights and the Green's function on them.  Only the
     strength term 1/g is per cell, and a local-coupling cell keeps its own
-    LU.  The cells' mode projections are one FFT over stacked columns, and
-    the residual (:func:`_residual`) stacks the cells of one width the same
-    way, which bounds its temporaries.  Each cell gets the bits of
+    LU.  The cells' mode projections are one FFT over stacked columns.
+    Each solution keeps its cell and the shared lattice spectrum for its
+    residual, which is computed on first read.  Each cell gets the bits of
     its own 1 x 1 table, and an invalid cell raises the error its 1 x 1
     table would, the first in row-major order.
     """
@@ -307,7 +323,7 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
     yi = rows * h
     rho0s = list(rho0s)
     modes = None
-    solved, residuals = [], []
+    solved = []
     for rho in rhos:
         # each check comes where the row-major sequence of 1 x 1 solves
         # meets it: the row's first wire, then the checks, then the others
@@ -355,7 +371,6 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
                 scale = np.max(np.abs(mat), axis=1)
                 u = np.linalg.solve(mat / scale[:, None], rhs / scale)
                 row_cells.append(_Cell(cell, support, ws, u, None, None))
-        residuals += _residual(n, omega, *modes[:3], row_cells)
         solved += row_cells
 
     u_cols = _source_columns(ny, solved)
@@ -365,8 +380,9 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
     # discrete flux: group velocity per mode ~ sin(k~ h)/h for propagating modes
     vel = np.real(sin_kh[:lead]) / wire.h_x
     live = vel > 0.0
+    spectrum = modes[:3]
     out = []
-    for k, (cell, residual) in enumerate(zip(solved, residuals)):
+    for k, cell in enumerate(solved):
         reflected = scattered[:, k].copy()
         transmitted = _transmitted(reflected, n)
         flux = float(
@@ -379,7 +395,8 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
             energy=omega,
             reflected=reflected,
             flux_defect=abs(flux - 1.0),
-            residual=residual,
+            _cell=cell,
+            _spectrum=spectrum,
         ))
     return [out[i:i + len(rho0s)] for i in range(0, len(out), len(rho0s))]
 
@@ -407,9 +424,10 @@ def _residual(n, omega, mu, sin_kh, exp_kh, cells) -> list[float]:
     (1/g) u_i = w_i psi(0, y_i) on the support rows.  Normalized by the
     largest term it balances.
 
-    It reuses what :func:`solve_table` already built: the lattice spectrum
-    ``mu``, ``sin_kh``, ``exp_kh`` and the solved ``cells`` (:class:`_Cell`),
-    which share one grid, energy and incident mode n.  The mode sums are
+    It reads what :func:`solve_table` built and each solution keeps: the
+    lattice spectrum ``mu``, ``sin_kh``, ``exp_kh`` and the solved ``cells``
+    (:class:`_Cell`), which share one grid, energy and incident mode n;
+    :attr:`OracleSolution.residual` passes its own cell.  The mode sums are
     its own: one :func:`_dst` projects every cell's ``u`` onto the modes,
     and one more rebuilds the scattered wave of every cell on all ny - 1
     rows (it is even in p, so columns |p| = 0, 1, 2 serve the five), so a

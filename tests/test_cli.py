@@ -622,6 +622,34 @@ class TestOracleCompare:
         assert "grid_ny" in capsys.readouterr().err
 
 
+class TestOutputsReadNoResidual:
+    """No CLI output reads the lattice residual, so no run computes it."""
+
+    @pytest.fixture(autouse=True)
+    def no_residual(self, monkeypatch):
+        from wirescat import oracle
+
+        def refuse(*args):
+            raise AssertionError("residual computed")
+
+        monkeypatch.setattr(oracle, "_residual", refuse)
+
+    def test_oracle_compare(self, tmp_path):
+        out = tmp_path / "compare.jsonl"
+        assert run("oracle-compare", "--epsilon", "0.3", "--rho0", "0.01", "--mode-n", "1",
+                   "--omega", "41.452", "--grid-ny", "400", "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA / "oracle_compare_eps0.3_rho0.01.jsonl").read_bytes()
+
+    def test_universality_probe(self, tmp_path):
+        out = tmp_path / "uni.json"
+        assert run("universality", "--mode-n", "1", "--threshold-m", "2",
+                   "--epsilon", "0.3", "--rho0-list", "1e-3,1e-1",
+                   "--oracle", "--grid-ny", "400", "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "PASS"
+        assert report["oracle"]["spread"] < 0.05
+
+
 def test_import_loads_neither_numba_nor_numpy_fft():
     # set-up time of every CLI run: numpy.fft is reached only by the oracle,
     import wirescat
