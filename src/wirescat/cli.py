@@ -224,9 +224,10 @@ def _write_table(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
 
 
 # a forked block prints at least this many numbers.  A field-map CSV line
-# costs 240-400 ns per number it prints, so 2**16 numbers take 16-26 ms to
-# format; one fork of the ~50 MiB CLI process, its exit and the copy of its
-# 1.4 MB of text through a pipe take 4-6 ms (2-CPU Xeon, Python 3.11)
+# costs 280-450 ns per number it prints (450-750 ns per number it formats:
+# x and y cells are shared), so 2**16 numbers take 18-30 ms; one fork of the
+# ~40 MiB CLI process, its exit and the copy of its 1.4 MB of text through a
+# pipe take 4-6 ms (2-CPU Xeon)
 _MIN_BLOCK_NUMBERS = 1 << 16
 _PIPE_CHUNK = 1 << 20
 
@@ -245,18 +246,17 @@ def _worker_count(n_rows: int, numbers_per_row: int) -> int:
     return max(1, min(cpus, n_rows, n_rows * numbers_per_row // _MIN_BLOCK_NUMBERS))
 
 
-def _write_rows(fh, n_rows: int, numbers_per_row: int, format_row) -> None:
-    """Write ``format_row(0) + ... + format_row(n_rows - 1)`` to ``fh``;
-    ``format_row(i)`` returns the ASCII text of row i.
+def _write_rows(fh, n_rows: int, numbers_per_row: int, format_rows) -> None:
+    """Write the rows of ``format_rows(0, n_rows)`` to ``fh``;
+    ``format_rows(lo, hi)`` yields the ASCII text of rows lo..hi-1.
 
     The rows are split into contiguous blocks, one per worker of
     :func:`_worker_count`.  Forked workers format every block but the first
-    and send it back through a pipe; the parent writes the first block row by
-    row, then copies the pipes into ``fh`` in order, so the bytes do not
-    depend on the number of workers.  A worker only formats rows and writes
-    its pipe (no numpy, no inherited buffer is flushed) and leaves by
-    ``os._exit``.  Raises RuntimeError when a worker fails; every pipe is
-    closed and every worker reaped on any exit.
+    and send it back through a pipe; the parent writes the first block, then
+    copies the pipes into ``fh`` in order, so the bytes do not depend on the
+    number of workers.  A worker writes only its pipe (no inherited buffer
+    is flushed) and leaves by ``os._exit``.  Raises RuntimeError when a
+    worker fails; every pipe is closed and every worker reaped on any exit.
     """
     import os
 
@@ -273,7 +273,7 @@ def _write_rows(fh, n_rows: int, numbers_per_row: int, format_row) -> None:
                     for fd in fds[:-1]:
                         os.close(fd)
                     # format the whole block before the parent starts reading
-                    for text in [format_row(row).encode("ascii") for row in range(lo, hi)]:
+                    for text in [row.encode("ascii") for row in format_rows(lo, hi)]:
                         view = memoryview(text)
                         while view:
                             view = view[os.write(fds[-1], view):]
@@ -282,8 +282,7 @@ def _write_rows(fh, n_rows: int, numbers_per_row: int, format_row) -> None:
                     os._exit(status)
             pids.append(pid)
             os.close(fds.pop())
-        for row in range(bounds[0], bounds[1]):
-            fh.write(format_row(row))
+        fh.writelines(format_rows(bounds[0], bounds[1]))
         for fd in fds:
             while chunk := os.read(fd, _PIPE_CHUNK):
                 fh.write(chunk.decode("ascii"))
@@ -340,12 +339,12 @@ def run_field(cfg: RunConfig) -> int:
     ``clean`` is the bare incident mode (a finite energy at which mode n
     propagates, else DomainError), ``defect`` comes from
     :func:`scattered_field_grid` and ``threshold`` from
-    :func:`threshold_field_grid`.  The CSV is formatted one y-row at a time:
-    the x and y cells are formatted once, and each row is a single ``%``
-    format of its values with ``FMT``; JSON is one ``json.dumps`` per point.
-    :func:`_write_rows` formats the y-rows of a large map in forked
-    workers, one per usable CPU (Linux only), and writes the same bytes as
-    a single process.
+    :func:`threshold_field_grid`, before ``--out`` is opened.  The CSV is
+    formatted one y-row at a time: the x cells are formatted once, and each
+    row is a single ``%`` format of its values with ``FMT``; JSON is one
+    ``json.dumps`` per point.  :func:`_write_rows` builds the numbers of
+    the y-row blocks of a large map and formats them in forked workers, one
+    per usable CPU (Linux only), and writes the same bytes as one process.
     """
     if cfg.field_mode not in ("clean", "defect", "threshold"):
         raise ConfigurationError("field requires --field-mode clean|defect|threshold")
@@ -383,38 +382,36 @@ def run_field(cfg: RunConfig) -> int:
         psi = threshold_field_grid(geometry, impurity, n, cfg.threshold_m, xs, ys)
 
     header = ["x", "y", "density"] + (["re", "im"] if cfg.with_complex else [])
-    # float(abs(v) ** 2) of a numpy complex scalar is pow(hypot(re, im), 2)
-    # in libm; np.abs and ``** 2`` on arrays take SIMD loops that round
-    # differently, float_power and hypot do not
-    columns = [np.float_power(np.hypot(psi.real, psi.imag), 2.0)]
-    if cfg.with_complex:
-        columns += [psi.real, psi.imag]
-    values = np.stack(columns, axis=-1)  # values[iy, ix] = one line's numbers
     x_list, y_list = xs.tolist(), ys.tolist()
-    n_col = len(columns)
-    per_row = len(x_list) * n_col
-    # a plain buffer view: forked workers read the numbers without numpy
-    flat = memoryview(values.reshape(-1))
-
+    n_col = len(header) - 2
     if cfg.format == "json":
-        def format_row(iy):
-            y, row = y_list[iy], flat[iy * per_row:(iy + 1) * per_row].tolist()
+        def format_row(y, row):
             return "".join(json.dumps(dict(zip(header, [x, y, *row[i:i + n_col]]))) + "\n"
-                           for x, i in zip(x_list, range(0, per_row, n_col)))
+                           for x, i in zip(x_list, range(0, len(row), n_col)))
     else:
         cells = ",".join([FMT] * n_col)
-        # one row template with the x cells baked in; its %s takes the y cell
-        template = "".join(f"{FMT % x},%s,{cells}\n" for x in x_list)
+        # the row template with the x cells baked in, split at each y cell
+        pieces = "".join(f"{FMT % x},%s,{cells}\n" for x in x_list).split("%s")
 
-        def format_row(iy):
-            row = flat[iy * per_row:(iy + 1) * per_row].tolist()
-            return template.replace("%s", FMT % y_list[iy]) % tuple(row)
+        def format_row(y, row):
+            return (FMT % y).join(pieces) % tuple(row)
+
+    def format_rows(lo, hi):
+        block = psi[lo:hi]
+        # float(abs(v) ** 2) of a numpy complex scalar is pow(hypot(re, im), 2)
+        # in libm; np.abs and ``** 2`` on arrays take SIMD loops that round
+        # differently, float_power and hypot do not
+        columns = [np.float_power(np.hypot(block.real, block.imag), 2.0)]
+        if cfg.with_complex:
+            columns += [block.real, block.imag]
+        values = np.stack(columns, axis=-1).reshape(hi - lo, -1)
+        return map(format_row, y_list[lo:hi], map(np.ndarray.tolist, values))
 
     fh = _open_out(cfg)
     try:
         if cfg.format != "json":
             fh.write(",".join(header) + "\n")
-        _write_rows(fh, len(y_list), len(x_list) * (2 + n_col), format_row)
+        _write_rows(fh, len(y_list), len(x_list) * len(header), format_rows)
     finally:
         if fh is not sys.stdout:
             fh.close()

@@ -354,8 +354,8 @@ def scattered_field_grid(geometry: WireGeometry, impurity: Impurity,
     """Vectorized field on the tensor grid ys x xs; returns psi[iy, ix].
 
     Both sides are the incident wave plus -A_nl e^{i k_l |x|} (on x > 0 that
-    is (delta_nl - A_nl) e^{i k_l x}), one field synthesis over |x|.  The
-    evanescent truncation
+    is (delta_nl - A_nl) e^{i k_l x}), one field synthesis over the distinct
+    values of |x|.  The evanescent truncation
     l_max defaults to m + 40 plus however many modes still reach the nearest
     sampled |x| above the 1e-12 level (hard cap 400: directly at the
     impurity cross-section the evanescent series converges only like the
@@ -374,7 +374,13 @@ def scattered_field_grid(geometry: WireGeometry, impurity: Impurity,
     if l_max < 1:
         raise DomainError(f"mode truncation l_max must be >= 1, got {l_max}")
     _, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, l_max + 1))
-    out = kernels.field_grid(np.abs(xs), ys, -amp[0], k[:l_max])
+    # each distinct |x| once, unless one row or one distinct |x| is left:
+    # numpy would then take a matrix-vector product, whose bits differ from
+    # those of the product over every column
+    columns, inverse = np.unique(np.abs(xs), return_inverse=True)
+    if len(columns) < 2 or len(ys) < 2:
+        columns, inverse = np.abs(xs), np.arange(len(xs))
+    out = kernels.field_grid(columns, ys, -amp[0], k[:l_max]).take(inverse, axis=1)
     out += np.outer(np.sin(n * np.pi * ys), np.exp(1j * k[n - 1] * xs))
     return out
 

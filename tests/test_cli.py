@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -376,11 +377,24 @@ class TestFieldOutputBytes:
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="forks on Linux only")
 class TestRowBlocks:
-    """Large maps are formatted in forked workers, one per usable CPU; the
-    bytes equal those of one process."""
+    """Large maps have the numbers of their row blocks built and formatted in
+    forked workers, one per usable CPU; the bytes equal those of one process."""
 
-    ARGS = ["field", "--field-mode", "threshold", "--mode-n", "1", "--threshold-m", "2",
-            "--epsilon", "0.41", "--rho0", "0.003", "--nx", "401", "--ny", "201"]
+    ARGS = ["field", "--mode-n", "1", "--threshold-m", "2", "--epsilon", "0.41",
+            "--rho0", "0.003", "--omega", repr(4.7 * PI**2)]
+    GRID = ["--nx", "401", "--ny", "201"]
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """A list of the forks made; ``forks.cpus(n)`` makes n CPUs usable."""
+        class Forks(list):
+            def cpus(self, n):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+        forks = Forks()
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        return forks
 
     def _write(self, capsys, tmp_path, options, to_stdout):
         out = tmp_path / "map"
@@ -392,19 +406,80 @@ class TestRowBlocks:
     @pytest.mark.parametrize("to_stdout", [False, True])
     @pytest.mark.parametrize("options", [["--with-complex"], [],
                                          ["--format", "json", "--with-complex"]])
-    def test_forked_bytes_equal_one_process(self, monkeypatch, capsys, tmp_path,
-                                            options, to_stdout):
-        forks = []
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        single = self._write(capsys, tmp_path, options, to_stdout)
-        assert forks == []
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        forked = self._write(capsys, tmp_path, options, to_stdout)
+    def test_forked_bytes_equal_one_process(self, forks, capsys, tmp_path, options,
+                                            to_stdout):
+        lines = 401 * 201 + (0 if "json" in options else 1)
+        for mode in ("threshold", "defect", "clean"):
+            mode_options = ["--field-mode", mode, *self.GRID, *options]
+            forks.cpus(1)
+            single = self._write(capsys, tmp_path, mode_options, to_stdout)
+            assert forks == [], mode
+            forks.cpus(3)
+            forked = self._write(capsys, tmp_path, mode_options, to_stdout)
+            assert len(forks) == 2, mode
+            assert len(single.splitlines()) == lines, mode
+            assert forked == single, mode
+            forks.clear()
+
+    @pytest.mark.parametrize("ny", [2, 3])
+    def test_small_defect_map_forced_to_fork(self, forks, monkeypatch, capsys, tmp_path,
+                                             ny):
+        # blocks of one row: synthesized on its own, a row of a defect map would
+        # take numpy's matrix-vector product and other bits
+        monkeypatch.setattr("wirescat.cli._MIN_BLOCK_NUMBERS", 1)
+        options = ["--field-mode", "defect", "--nx", "41", "--ny", str(ny), "--with-complex"]
+        forks.cpus(1)
+        single = self._write(capsys, tmp_path, options, False)
+        forks.cpus(3)
+        assert self._write(capsys, tmp_path, options, False) == single
+        assert len(forks) == ny - 1
+
+    @pytest.mark.parametrize("encoding", [None, "utf-16", "cp037"])
+    def test_stdout_text_stream(self, forks, monkeypatch, capsys, tmp_path, encoding):
+        # the workers' text goes through the stream's own encoding, like the
+        # header and the first block: io.StringIO has no byte buffer, and
+        # utf-16 and cp037 do not encode ASCII as itself
+        monkeypatch.setattr("wirescat.cli._MIN_BLOCK_NUMBERS", 1)
+        options = ["--field-mode", "threshold", "--nx", "5", "--ny", "4"]
+        forks.cpus(1)
+        single = self._write(capsys, tmp_path, options, True)
+        forks.cpus(2)
+        stream = io.StringIO() if encoding is None else io.TextIOWrapper(io.BytesIO(),
+                                                                       encoding=encoding)
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert run(*self.ARGS, *options) == 0
+        if encoding is None:
+            text = stream.getvalue()
+        else:
+            stream.flush()
+            text = stream.buffer.getvalue().decode(encoding)
+        assert text == single and len(forks) == 1
+
+    def test_error_is_raised_before_the_output_opens(self, forks, capsys, tmp_path):
+        forks.cpus(3)
+        out = tmp_path / "F"
+        assert run("field", "--field-mode", "defect", "--epsilon", "0.41", "--rho0", "0.003",
+                   "--omega", "nan", *self.GRID, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", "error: energy must be finite, got nan\n")
+        assert not out.exists() and forks == []
+
+    def test_node_warns_once_in_all_processes(self, forks, monkeypatch, tmp_path):
+        # a spy that appends to a file records warnings shown in forked workers too
+        shown = tmp_path / "shown"
+
+        def spy(message, category, *args, **kwargs):
+            with open(shown, "a", encoding="utf-8") as fh:
+                fh.write(category.__name__ + "\n")
+
+        forks.cpus(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            monkeypatch.setattr(warnings, "showwarning", spy)
+            assert run("field", "--field-mode", "threshold", "--threshold-m", "2",
+                       "--epsilon", "0.5", "--rho0", "0.01", *self.GRID,
+                       "--out", str(tmp_path / "node.csv")) == 0
         assert len(forks) == 2
-        assert len(single.splitlines()) == 401 * 201 + (0 if "json" in options else 1)
-        assert forked == single
+        assert shown.read_text() == "DecoupledModeWarning\n"
 
     def test_small_map_never_forks(self, monkeypatch, tmp_path):
         def no_fork():
@@ -430,7 +505,8 @@ class TestRowBlocks:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(os, "fork", dying_fork)
         with pytest.raises(RuntimeError, match="worker exited with status 1"):
-            run(*self.ARGS, "--out", str(tmp_path / "broken.csv"))
+            run(*self.ARGS, "--field-mode", "threshold", *self.GRID,
+                "--out", str(tmp_path / "broken.csv"))
         with pytest.raises(ChildProcessError):  # no zombie is left to reap
             os.waitpid(-1, os.WNOHANG)
 

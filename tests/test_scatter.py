@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +40,7 @@ from wirescat import (
     threshold_field_grid,
 )
 from conftest import brute_force_log_scale
+from wirescat import kernels
 from wirescat.numerics import neville_diagonal
 
 PI = math.pi
@@ -649,6 +655,65 @@ class TestThresholdField:
         assert len(record) == 1
         k = longitudinal_wavenumber(1, threshold_energy(2)).value.real
         assert np.array_equal(grid, np.outer(np.sin(PI * ys), np.exp(1j * k * xs)))
+
+
+class TestDistinctColumns:
+    """scattered_field_grid synthesizes each distinct |x| once and gathers its
+    columns; the grid has the bits of one synthesis over every column.  The
+    check runs with one BLAS thread, as the benchmark does, and with two: the
+    bits of a matrix product depend on how BLAS splits it among its threads,
+    so the identity is only known for the thread counts checked here.
+    """
+
+    CHECK = """
+import json, math
+import numpy as np
+from wirescat import Impurity, WireGeometry, kernels, scattered_field_grid
+from wirescat.scatter import _amplitude_table
+
+impurity, omega, l_max = Impurity(0.41, 0.003), 4.7 * math.pi**2, 402
+_, k, amp = _amplitude_table(impurity, omega, 2, [1], range(1, l_max + 1))
+grids = {
+    "cli-default": (np.linspace(-2.0, 2.0, 81), 41),
+    "benchmark": (np.linspace(-2.0, 2.0, 401), 201),
+    "asymmetric": (np.linspace(-0.7, 2.3, 157), 37),
+    "without-x=0": (np.linspace(-2.0, 2.0, 80), 40),
+    "one-distinct-|x|": (np.array([-1.0, 1.0]), 5),
+    "one-row": (np.linspace(-2.0, 2.0, 5), 1),
+}
+differ = []
+for name, (xs, ny) in grids.items():
+    ys = np.linspace(0.0, 1.0, ny + 2)[1:-1]
+    grid = scattered_field_grid(WireGeometry.hard_wall(), impurity, 1, omega, xs, ys,
+                                l_max=l_max)
+    every = kernels.field_grid(np.abs(xs), ys, -amp[0], k[:l_max])
+    every += np.outer(np.sin(math.pi * ys), np.exp(1j * k[0] * xs))
+    if not np.array_equal(grid.view(np.uint64), every.view(np.uint64)):
+        differ.append(name)
+print(json.dumps(differ))
+"""
+
+    def test_each_distinct_offset_is_synthesized_once(self, hard_wall, monkeypatch):
+        widths = []
+        synthesize = kernels.field_grid
+        monkeypatch.setattr(kernels, "field_grid",
+                            lambda xs, *args: widths.append(len(xs)) or synthesize(xs, *args))
+        xs = np.linspace(-2.0, 2.0, 401)
+        scattered_field_grid(hard_wall, Impurity(0.41, 0.003), 1, 4.7 * PI**2, xs,
+                             np.array([0.3, 0.6]))
+        # linspace's mirrored points differ in the last bit: 287 distinct |x|, not 201
+        assert widths == [287]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bits_equal_every_column_synthesis(self, threads):
+        src = str(Path(kernels.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                                             if p)}
+        done = subprocess.run([sys.executable, "-c", self.CHECK], capture_output=True,
+                              text=True, env=env, check=True)
+        assert json.loads(done.stdout) == []
 
 
 class TestSurfaceImpurity:
