@@ -63,7 +63,6 @@ from .specfun import (
     EULER_GAMMA,
     LongitudinalWavenumber,
     cosine_integral,
-    euler_gamma,
     evanescent_gaussian_sum,
     longitudinal_wavenumber,
     threshold_energy,
@@ -78,7 +77,6 @@ from .transport import (
 from .wire import (
     TransverseMode,
     WireGeometry,
-    greens_function,
     mode,
     propagating_count,
     transverse_eigensolve,

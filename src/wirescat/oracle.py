@@ -16,32 +16,24 @@ evanescent modes through the lattice Green's function
     cos(k~_j h_x) = 1 - (omega - mu_j) h_x^2 / 2,
 
 where phi_j are the exact discrete transverse eigenvectors and mu_j their
-eigenvalues.  Because the defect occupies a single column, the scattering
-problem reduces to a dense linear solve on the column's Gaussian support;
-the leads are effectively infinite, so amplitude extraction by transverse
-mode overlap is exact for the discrete operator (no absorbing-layer error).
+eigenvalues.  The leads are effectively infinite, so amplitude extraction
+by transverse mode overlap is exact for the discrete operator (no
+absorbing-layer error).
 
-The defect couples in one of two ways:
-
-* ``coupling="point"`` (default): the zero-range prescription V psi ->
-  V(r) psi(r0), the regime in which the defect is characterized by rho0
-  alone.  The solved system is linear in the single unknown psi(r0).  Flux
-  conservation then holds only up to O(rho^2), vanishing in the
-  zero-width extrapolation.
-* ``coupling="local"``: the plain local potential V(r) psi(r).  Exactly
-  flux conserving, but the bare coupling g runs through a pole at
-  rho = rho0 (the well becomes infinitely deep), so width ladders that
-  straddle rho0 do not extrapolate to the zero-range limit.
-
-Both modes are parametrized internally by the inverse coupling
-1/g = rho ln(rho/rho0) / (2 sqrt(pi)), which is regular through rho = rho0;
-the infinitely-strong well is a regular point of the solve.
+The defect couples point-like, by the zero-range prescription
+V psi -> V(r) psi(r0), the regime in which the defect is characterized by
+rho0 alone.  Because the defect occupies a single column, the scattering
+problem reduces to one linear equation in the single unknown psi(r0).
+Flux conservation then holds only up to O(rho^2), vanishing in the
+zero-width extrapolation.  The solve is parametrized by the inverse
+coupling 1/g = rho ln(rho/rho0) / (2 sqrt(pi)), which is regular through
+rho = rho0 (where the bare coupling g has its pole); the infinitely-strong
+well is a regular point of the solve.
 
 Every sum over the transverse modes phi_j(y_i) = sqrt(2) sin(j pi i h_y)
 at the lattice rows is a DST-I or DCT-I and is taken by one FFT of length
-2/h_y (:func:`_fft_extension`); no sine matrix is formed.  A point-coupling
-solve therefore costs O(ny log ny) whatever the width; a local-coupling
-solve adds one dense LU on the column's support.  :func:`solve_table`
+2/h_y (:func:`_fft_extension`); no sine matrix is formed.  A solve
+therefore costs O(ny log ny) whatever the width.  :func:`solve_table`
 solves a whole (width x strength) table at one energy, sharing everything
 but the strength term between its cells; :func:`solve` is its 1 x 1 call.
 The Helmholtz residual of a solution, a diagnostic no amplitude reads, is
@@ -95,7 +87,6 @@ class DiscreteWire:
     h_y: float = 1.0 / 200.0
     x_extent: float = 4.0
     lead_modes: int = 12
-    coupling: str = "point"
 
     def __post_init__(self):
         for name in ("eps", "rho", "rho0", "h_x", "h_y", "x_extent"):
@@ -123,8 +114,6 @@ class DiscreteWire:
                 f"lead_modes={self.lead_modes} exceeds the {round(1.0 / self.h_y) - 1} "
                 "transverse modes of the grid"
             )
-        if self.coupling not in ("point", "local"):
-            raise ConfigurationError(f"coupling must be 'point' or 'local', got {self.coupling!r}")
 
     @property
     def has_defect(self) -> bool:
@@ -242,17 +231,6 @@ def _dst(c) -> np.ndarray:
     return _fft_extension(c, -1.0)[1:len(c) + 1] * (0.5j * math.sqrt(2.0))
 
 
-def _column_green(g_col, rows) -> np.ndarray:
-    """G(y_i, y_k) = sum_j g_j phi_j(y_i) phi_j(y_k) for i, k in ``rows``.
-
-    With 2 sin(a) sin(b) = cos(a - b) - cos(a + b) this is
-    C(|i - k|) - C(i + k), C(d) = sum_j g_j cos(j pi d/ny): one FFT and a
-    Toeplitz-minus-Hankel gather, with no sine matrix.
-    """
-    cos_sum = 0.5 * _fft_extension(g_col, 1.0)
-    return cos_sum[np.abs(rows[:, None] - rows)] - cos_sum[rows[:, None] + rows]
-
-
 def _check_energy(wire: DiscreteWire, n: int, omega: float) -> None:
     """The checks of a solve that read neither width nor strength: the
     incident mode index, the domain length against the slowest retained
@@ -285,17 +263,15 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
 
 
 class _Cell(NamedTuple):
-    """One solved cell of a table: its wire, the defect rows ``support``
-    with their weights ``ws``, the source u_i = g w_i psi(0, y_i) h_x on
-    those rows, and for point coupling tau = g psi(r0) and
-    ``g_eps`` = G(r0, y_i) (None for local coupling)."""
+    """One solved cell of a table: its wire, the defect rows ``support``,
+    the source u_i = g w_i psi(r0) h_x on those rows, tau = g psi(r0) and
+    ``g_eps`` = G(r0, y_i) on the support."""
 
     wire: DiscreteWire
     support: np.ndarray
-    ws: np.ndarray
     u: np.ndarray
-    tau: complex | None
-    g_eps: np.ndarray | None
+    tau: complex
+    g_eps: np.ndarray
 
 
 def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
@@ -305,11 +281,11 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
     rho0 = rho0s[j].
 
     What the cells share is built once: the lattice modes and the
-    same-column Green's function per mode, G(r0, .) on every row for point
-    coupling (it reads neither width nor strength), and per width the
-    defect rows, their weights and the Green's function on them.  Only the
-    strength term 1/g is per cell, and a local-coupling cell keeps its own
-    LU.  The cells' mode projections are one FFT over stacked columns.
+    same-column Green's function per mode, G(r0, .) on every row (it reads
+    neither width nor strength), and per width the defect rows, their
+    weights and the Green's function on them.  Only the strength term 1/g
+    is per cell.  The cells' mode projections are one FFT over stacked
+    columns.
     Each solution keeps its cell and the shared lattice spectrum for its
     residual, which is computed on first read.  Each cell gets the bits of
     its own 1 x 1 table, and an invalid cell raises the error its 1 x 1
@@ -339,39 +315,21 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
             sin_kh = modes[1]
             s_n = math.sin(n * math.pi * wire.eps)
             g_col = wire.h_x / (2j * sin_kh)  # same-column 1D lattice Green per mode
-            if wire.coupling == "point":
-                phi_eps = math.sqrt(2.0) * np.sin(rows * np.pi * wire.eps)
-                green_eps = _dst(phi_eps * g_col)  # G(r0, y_i) on every row
+            phi_eps = math.sqrt(2.0) * np.sin(rows * np.pi * wire.eps)
+            green_eps = _dst(phi_eps * g_col)  # G(r0, y_i) on every row
         w = np.exp(-(((yi - wire.eps) / rho) ** 2))
         support = w >= 1e-14
         ws = w[support]
         if len(ws) < 4:
             raise ConfigurationError("defect column support too small on this grid")
         row += [replace(wire, rho=rho, rho0=rho0) for rho0 in rho0s[1:]]
-        if wire.coupling == "point":
-            # unknown tau = g psi(r0): tau (1/g - h sum_i G(r0, y_i) w_i) = psi_inc(r0)
-            g_eps = green_eps[support]
-            coupled = h * np.dot(g_eps, ws)
-            row_cells = []
-            for cell in row:
-                tau = s_n / (cell.inverse_strength - coupled)
-                # u_i = V psi(r0) column values (times h_x)
-                row_cells.append(_Cell(cell, support, ws, ws * tau, tau, g_eps))
-        else:
-            # unknowns u_i = g w_i psi(0, y_i): (g^{-1} I - h W G) u = W psi_inc
-            eye = np.eye(len(ws))
-            coupled = h * (ws[:, None] * _column_green(g_col, rows[support]))
-            rhs = ws * np.sin(n * math.pi * yi[support])
-            row_cells = []
-            for cell in row:
-                mat = cell.inverse_strength * eye - coupled
-                # rows carry the weights w_i, down to 1e-14 (and 1/g = 0 at
-                # rho = rho0): dividing each row by its largest entry keeps
-                # matrix roundoff relative to the row, not to the heaviest row
-                scale = np.max(np.abs(mat), axis=1)
-                u = np.linalg.solve(mat / scale[:, None], rhs / scale)
-                row_cells.append(_Cell(cell, support, ws, u, None, None))
-        solved += row_cells
+        # unknown tau = g psi(r0): tau (1/g - h sum_i G(r0, y_i) w_i) = psi_inc(r0)
+        g_eps = green_eps[support]
+        coupled = h * np.dot(g_eps, ws)
+        for cell in row:
+            tau = s_n / (cell.inverse_strength - coupled)
+            # u_i = V psi(r0) column values (times h_x)
+            solved.append(_Cell(cell, support, ws * tau, tau, g_eps))
 
     u_cols = _source_columns(ny, solved)
     lead = wire.lead_modes
@@ -419,9 +377,8 @@ def _residual(n, omega, mu, sin_kh, exp_kh, cells) -> list[float]:
     omega |psi|.  This holds for any source, so it alone cannot tell a
     wrong defect strength.
 
-    Defect equation: point coupling tau/g = psi(r0), with
-    psi(r0) = sin(n pi eps) + h sum_i G(r0, y_i) u_i; local coupling
-    (1/g) u_i = w_i psi(0, y_i) on the support rows.  Normalized by the
+    Defect equation: tau/g = psi(r0), with
+    psi(r0) = sin(n pi eps) + h sum_i G(r0, y_i) u_i.  Normalized by the
     largest term it balances.
 
     It reads what :func:`solve_table` built and each solution keeps: the
@@ -461,13 +418,9 @@ def _residual(n, omega, mu, sin_kh, exp_kh, cells) -> list[float]:
 
     out = []
     for k, cell in enumerate(cells):
-        ginv = cell.wire.inverse_strength
-        if cell.tau is not None:  # tau/g = sin(n pi eps) + h sum_i G(r0, y_i) u_i
-            terms = (cell.tau * ginv, math.sin(n * math.pi * cell.wire.eps),
-                     h * np.dot(cell.g_eps, cell.u))
-        else:  # u_i/g = w_i psi_inc(0, y_i) + w_i psi_sc(0, y_i) on the support rows
-            terms = (ginv * cell.u, cell.ws * inc[cell.support],
-                     cell.ws * psi_sc[cell.support, 0, k])
+        # tau/g = sin(n pi eps) + h sum_i G(r0, y_i) u_i
+        terms = (cell.tau * cell.wire.inverse_strength, math.sin(n * math.pi * cell.wire.eps),
+                 h * np.dot(cell.g_eps, cell.u))
         gap = np.max(np.abs(terms[0] - terms[1] - terms[2]))
         size = max(np.max(np.abs(t)) for t in terms)
         out.append(max(helmholtz[k], float(gap / max(size, 1e-30))))

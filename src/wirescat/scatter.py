@@ -167,9 +167,6 @@ class ScatteringSolution:
     resonance_inv_sqrt: complex | None = None
     unitarity_defect: float = 0.0
 
-    def amplitude(self, l: int) -> complex:
-        return self.amplitudes[l]
-
     def transmitted(self, l: int) -> complex:
         return (1.0 if l == self.incident_mode else 0.0) - self.amplitudes[l]
 
@@ -569,7 +566,8 @@ def surface_threshold_field(n: int, m: int, side: str, r) -> complex:
 
         psi = sin(n pi y) e^{i pi sqrt(m^2-n^2) x} -/+ (n/m) sin(m pi y),
 
-    minus for the lower wall, plus for the upper."""
+    minus for the lower wall, plus for the upper.  Raises DomainError on a
+    non-finite position."""
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     if not 1 <= n < m:
@@ -577,6 +575,7 @@ def surface_threshold_field(n: int, m: int, side: str, r) -> complex:
             f"incidence must propagate below the cut-off: need 1 <= n < m, got n={n}, m={m}"
         )
     x, y = r
+    _finite_positions(x, y)
     inc = math.sin(n * math.pi * y) * np.exp(1j * math.pi * math.sqrt(m * m - n * n) * x)
     sign = -1.0 if side == "lower" else 1.0
     return complex(inc + sign * (n / m) * math.sin(m * math.pi * y))

@@ -22,11 +22,6 @@ _SERIES_CUTOFF = 4.0
 _CF_MAXIT = 300
 
 
-def euler_gamma() -> float:
-    """The Euler-Mascheroni constant to double precision."""
-    return EULER_GAMMA
-
-
 def cosine_integral(x: float) -> float:
     """Cosine integral Ci(x) = gamma + ln x + int_0^x (cos t - 1)/t dt.
 
@@ -40,8 +35,8 @@ def cosine_integral(x: float) -> float:
     is ~1e-13 over (0, 100] away from the zeros of Ci.
     """
     x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"cosine_integral requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"cosine_integral requires finite x > 0, got x={x}")
     if x <= _SERIES_CUTOFF:
         total = 0.0
         term = 1.0
@@ -94,14 +89,6 @@ class LongitudinalWavenumber:
     energy: float
     value: complex
 
-    @property
-    def is_propagating(self) -> bool:
-        return self.value.real > 0.0
-
-    @property
-    def is_evanescent(self) -> bool:
-        return self.value.imag > 0.0
-
 
 def longitudinal_wavenumber(l: int, omega: float) -> LongitudinalWavenumber:
     """Branch-resolved k_l for mode l at energy omega (hard-wall wire)."""
@@ -133,6 +120,9 @@ def evanescent_gaussian_sum(eps: float, omega: float, m: int, rho: float) -> flo
     as rho -> 0; the finite combination ln rho + S(rho) is what the
     regularized-scale limit consumes.
     """
+    for name, value in (("eps", eps), ("omega", omega), ("rho", rho)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if rho <= 0.0:
         raise DomainError(f"gaussian width must be positive, got {rho}")
     if m < 1:

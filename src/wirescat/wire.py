@@ -1,5 +1,4 @@
-"""Clean-wire model: geometry, transverse modes, and the mode-sum Green's
-function.
+"""Clean-wire model: geometry and transverse modes.
 
 The wire occupies 0 < y < 1 (lengths normalized to the width) and extends to
 x = +-infinity.  A hard-wall wire has analytic modes chi_n(y) = sin(n pi y)
@@ -14,13 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ResolutionError,
-    SingularityError,
-    ThresholdEnergyError,
-)
-from .specfun import longitudinal_wavenumber, threshold_energy
+from .errors import DomainError, ResolutionError
+from .specfun import threshold_energy
 
 HARD_WALL = "hard-wall"
 GENERAL = "general"
@@ -49,9 +43,6 @@ class TransverseMode:
             out = np.interp(y, self._grid, self._samples, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
-    def __call__(self, y):
-        return self.profile(y)
-
 
 class WireGeometry:
     """Normalized wire (width 1) with hard walls or a general uniform
@@ -65,8 +56,8 @@ class WireGeometry:
     def __init__(self, kind=HARD_WALL, num_modes=64, potential=None, grid_points=1024):
         if kind not in (HARD_WALL, GENERAL):
             raise DomainError(f"unknown geometry kind {kind!r}")
-        if num_modes < 1:
-            raise DomainError("num_modes must be >= 1")
+        if not (math.isfinite(num_modes) and num_modes >= 1):
+            raise DomainError(f"num_modes must be a finite number >= 1, got {num_modes}")
         self.kind = kind
         self.num_modes = int(num_modes)
         self.grid_points = int(grid_points)
@@ -78,6 +69,9 @@ class WireGeometry:
             y, v = (np.asarray(a, dtype=float) for a in potential)
             if y.ndim != 1 or y.shape != v.shape or len(y) < 2:
                 raise DomainError("potential samples must be two equal-length 1-d arrays")
+            for name, values in (("y", y), ("V", v)):
+                if not np.all(np.isfinite(values)):
+                    raise DomainError(f"potential samples {name} must be finite")
             if np.any(np.diff(y) <= 0):
                 raise DomainError("potential sample positions must increase strictly")
             self._potential = (y, v)
@@ -207,117 +201,3 @@ def propagating_count(omega: float) -> int:
     while threshold_energy(p + 1) < omega:
         p += 1
     return p
-
-
-#: Negligible term size, relative to the running total, and the most modes
-#: of a Green's-function sum.
-_GREEN_RTOL, _GREEN_MAX_MODES = 1e-14, 2_000_000
-
-
-def greens_function(geometry: WireGeometry, r, rp, omega: float) -> complex:
-    """Outgoing mode-sum Green's function of the clean wire,
-
-        G(r, r') = i sum_n chi_n(y) chi_n(y') / k_n * exp(i k_n |x - x'|),
-
-    with k_n the branch-resolved longitudinal wavenumber.  The kernel
-    inherits the profile normalization of the geometry: unit-amplitude
-    sin(n pi y) for hard walls (the convention the scattering amplitudes are
-    written in), orthonormal eigensolver modes otherwise.  For |x - x'| > 0
-    the evanescent tail converges exponentially and the sum is truncated
-    adaptively (three consecutive terms below 1e-14 of the running total,
-    at least ten modes past the last propagating one, and at most 2e6
-    modes).  On the same cross-section
-    (x = x') the 1/n tail is summed in closed form; the coincident point has
-    a logarithmic singularity and is refused.
-    """
-    (x, y), (xp, yp) = r, rp
-    if not (0.0 < y < 1.0) or not (0.0 < yp < 1.0):
-        if y in (0.0, 1.0) or yp in (0.0, 1.0):
-            return 0.0 + 0.0j  # Dirichlet wall
-        raise DomainError("points must lie inside the wire, 0 <= y <= 1")
-    if x == xp and y == yp:
-        raise SingularityError(
-            "Green's function diverges logarithmically at coincident points"
-        )
-    dx = abs(x - xp)
-
-    if geometry.kind == GENERAL:
-        return _greens_general(geometry, x, y, xp, yp, omega)
-
-    # pole guard: any propagating-range mode exactly at cut-off
-    p = int(math.sqrt(max(omega, 0.0)) / math.pi) + 1
-    for n in range(1, p + 1):
-        if omega == threshold_energy(n):
-            raise ThresholdEnergyError(
-                f"omega sits exactly on the cut-off of mode {n}; the n-th term has k_n = 0"
-            )
-
-    if dx > 0.0:
-        total = 0.0 + 0.0j
-        n = 1
-        n_floor = p + 10
-        quiet = 0  # consecutive negligible terms, guards against sin() zeros
-        while n <= _GREEN_MAX_MODES:
-            k = longitudinal_wavenumber(n, omega).value
-            term = 1j * math.sin(n * math.pi * y) * math.sin(n * math.pi * yp) / k \
-                * np.exp(1j * k * dx)
-            total += term
-            quiet = quiet + 1 if abs(term) < _GREEN_RTOL * max(abs(total), 1e-300) else 0
-            if n > n_floor and quiet >= 3:
-                return complex(total)
-            n += 1
-        raise ResolutionError("Green's-function mode sum did not converge")
-
-    # x == x': split off the 1/(n pi) tail and close it analytically:
-    # sum_{n>N} sin sin/(n pi) = (1/2pi) ln[sin(pi(y+y')/2)/sin(pi|y-y'|/2)] - partial
-    n_split = max(p + 10, 64)
-    total = 0.0 + 0.0j
-    partial_tail = 0.0
-    for n in range(1, n_split + 1):
-        k = longitudinal_wavenumber(n, omega).value
-        sinsin = math.sin(n * math.pi * y) * math.sin(n * math.pi * yp)
-        total += 1j * sinsin / k
-        partial_tail += sinsin / (n * math.pi)
-    closed = (math.log(2.0 * math.sin(math.pi * (y + yp) / 2.0))
-              - math.log(2.0 * math.sin(math.pi * abs(y - yp) / 2.0))) / (2.0 * math.pi)
-    total += closed - partial_tail
-    # remaining correction sum_{n>N} sin sin (1/kappa_n - 1/(n pi)); terms are
-    # O(omega/(2 pi^3 n^3)) and oscillate in n through both sine factors, so
-    # the Abel-summed tail is bounded by the term envelope over the slower
-    # oscillation scale
-    osc = 1.0 / math.sin(math.pi * abs(y - yp) / 2.0) \
-        + 1.0 / math.sin(math.pi * (y + yp) / 2.0)
-    n = n_split + 1
-    while n <= _GREEN_MAX_MODES:
-        npi = n * math.pi
-        kappa = math.sqrt(npi * npi - omega)
-        total += math.sin(npi * y) * math.sin(npi * yp) * (1.0 / kappa - 1.0 / npi)
-        if omega / (2.0 * math.pi**3 * n**3) * osc < _GREEN_RTOL * max(abs(total), 1e-300):
-            return complex(total)
-        n += 1
-    raise ResolutionError("same-column Green's-function sum did not converge")
-
-
-def _greens_general(geometry, x, y, xp, yp, omega):
-    dx = abs(x - xp)
-    if dx == 0.0:
-        raise ResolutionError(
-            "same-cross-section evaluation is supported for hard walls only"
-        )
-    total = 0.0 + 0.0j
-    quiet = 0
-    for tm in geometry._modes:
-        gap = omega - tm.threshold
-        if gap == 0.0:
-            raise ThresholdEnergyError(
-                f"omega sits exactly on the cut-off of mode {tm.index}"
-            )
-        k = complex(math.sqrt(gap), 0.0) if gap > 0 else complex(0.0, math.sqrt(-gap))
-        term = 1j * tm.profile(y) * tm.profile(yp) / k * np.exp(1j * k * dx)
-        total += term
-        quiet = quiet + 1 if (gap < 0 and abs(term) < _GREEN_RTOL * max(abs(total), 1e-300)) else 0
-        if quiet >= 3:
-            return complex(total)
-    raise ResolutionError(
-        "geometry holds too few modes for a converged general-geometry Green's function"
-    )

@@ -4,14 +4,20 @@
 arguments by parameter name to count work; ``perfbench/workloads.py``
 imports library names to build its references.  A rename or a signature
 change would break ``perfbench/run.py --trace 1`` only when the benchmark
-runs; these tests break first.  They read both files and change neither
-(no bytecode is written next to them).
+runs; these tests break first.  A last test runs ``perfbench/child.py``
+itself on four tiny jobs, untraced and traced: a child that cannot run its
+calls is what the benchmark counts as failed operations.  They read the
+files under ``perfbench/`` and change none of them (no bytecode is written
+next to them).
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +26,17 @@ import pytest
 import wirescat
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: One tiny job per benchmark subcommand: (subcommand, config keys).
+CHILD_JOBS = (
+    ("sweep", {"epsilon": 0.3, "rho0": 0.01, "omega_grid": "1.1:8.9:5"}),
+    ("universality", {"mode_n": 1, "threshold_m": 2, "epsilon": 0.3,
+                      "rho0_list": "0.001,0.01,0.1", "oracle": "true"}),
+    ("field", {"field_mode": "defect", "mode_n": 1, "epsilon": 0.3, "rho0": 0.01,
+               "omega": 45.0, "nx": 7, "ny": 5}),
+    ("oracle-compare", {"mode_n": 1, "epsilon": 0.3, "rho0": 0.01, "omega": 45.0,
+                        "grid_ny": 400}),
+)
 
 
 def _load(monkeypatch, name):
@@ -92,3 +109,29 @@ def test_workloads_import(monkeypatch):
     workloads = _load(monkeypatch, "workloads")
     assert set(workloads.WORKLOADS) == {"sweep", "cutoff-universality", "field-map",
                                         "oracle-compare"}
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_child_runs_every_subcommand(tmp_path, trace):
+    calls = []
+    for j, (subcommand, config) in enumerate(CHILD_JOBS):
+        path = tmp_path / f"c{j}.cfg"
+        lines = [f"{key} = {value}" for key, value in config.items()]
+        path.write_text("\n".join(lines + [f"out = {tmp_path / f'c{j}.out'}"]) + "\n",
+                        encoding="utf-8")
+        calls.append([subcommand, str(path)])
+    spec = tmp_path / "spec.json"
+    result = tmp_path / "result.json"
+    spec.write_text(json.dumps({"src": str(Path(wirescat.__file__).resolve().parents[1]),
+                                "calls": calls, "trace": trace, "result": str(result)}),
+                    encoding="utf-8")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(spec)], cwd=tmp_path,
+                   env=env, capture_output=True, text=True, check=True, timeout=120)
+    record = json.loads(result.read_text(encoding="utf-8"))
+    assert [(call["rc"], call["error"]) for call in record["calls"]] == [(0, None)] * 4
+    assert record["kernel_backend"] == "numpy"
+    if trace:
+        assert record["layers"]["cli.main.calls"] == 4
+    else:
+        assert record["layers"] is None

@@ -19,7 +19,6 @@ from wirescat import oracle, rhobar, scatter
 from wirescat.oracle import (
     OracleSolution,
     _Cell,
-    _column_green,
     _dst,
     _lattice_modes,
     _residual,
@@ -46,10 +45,6 @@ class TestConfiguration:
     def test_partial_defect_spec_rejected(self):
         with pytest.raises(ConfigurationError):
             DiscreteWire(eps=0.3, rho=None, rho0=0.01)
-
-    def test_bad_coupling_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, coupling="banana")
 
     @pytest.mark.parametrize("name", ["eps", "rho", "rho0", "h_x", "h_y", "x_extent"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -100,15 +95,8 @@ class TestSolve:
         assert abs(sol.amplitude[1]) < 1e-12
 
     def test_residual_documented_small(self):
-        for coupling in ("point", "local"):
-            wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, coupling=coupling, **FINE)
-            sol = oracle_solve(wire, 1, OM)
-            assert sol.residual < 1e-10
-
-    def test_local_coupling_conserves_flux_exactly(self):
-        wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, coupling="local", **FINE)
-        sol = oracle_solve(wire, 1, OM)
-        assert sol.flux_defect < 1e-10
+        wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, **FINE)
+        assert oracle_solve(wire, 1, OM).residual < 1e-10
 
     def test_point_coupling_flux_defect_shrinks_as_width_squared(self):
         defects = []
@@ -140,22 +128,16 @@ class TestSolveTable:
     RHOS = (0.04, 0.02, 0.01)
     RHO0S = (1e-3, 0.02, 0.1)  # 0.02 puts rho = rho0 (1/g = 0) in one cell
 
-    @staticmethod
-    def _wire(eps, ny, coupling="point", **extra):
-        return DiscreteWire(eps=eps, rho=0.04, rho0=0.01, h_x=1.0 / ny, h_y=1.0 / ny,
-                            coupling=coupling, **extra)
-
-    @pytest.mark.parametrize("coupling", ["point", "local"])
     @pytest.mark.parametrize("ny", [400, 1600])
     @pytest.mark.parametrize("eps", [0.3, 0.05])  # 0.05: support clipped by the wall
-    def test_cells_equal_one_cell_solves(self, coupling, ny, eps):
-        wire = self._wire(eps, ny, coupling)
+    def test_cells_equal_one_cell_solves(self, ny, eps):
+        wire = DiscreteWire(eps=eps, rho=0.04, rho0=0.01, h_x=1.0 / ny, h_y=1.0 / ny)
         table = oracle_solve_table(wire, 1, OM, self.RHOS, self.RHO0S)
         assert [len(row) for row in table] == [3, 3, 3]
         for row, rho in zip(table, self.RHOS):
             for sol, rho0 in zip(row, self.RHO0S):
                 one = oracle_solve(DiscreteWire(eps=eps, rho=rho, rho0=rho0, h_x=1.0 / ny,
-                                                h_y=1.0 / ny, coupling=coupling), 1, OM)
+                                                h_y=1.0 / ny), 1, OM)
                 assert sol.wire == one.wire
                 assert sol.transmitted.tolist() == one.transmitted.tolist()
                 assert sol.reflected.tolist() == one.reflected.tolist()
@@ -224,20 +206,6 @@ class TestModeSums:
             dense = phi.T @ c
             assert np.max(np.abs(_dst(c) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
-    @pytest.mark.parametrize("eps", [0.3, 0.05])  # 0.05: support clipped by the wall
-    @pytest.mark.parametrize("ny", [400, 1600])
-    def test_column_green_matches_dense(self, ny, eps):
-        _, sin_kh, _, _ = _lattice_modes(ny, 1.0 / ny, OM)
-        g_col = (1.0 / ny) / (2j * sin_kh)
-        rows = np.arange(1, ny)
-        rows = rows[np.exp(-(((rows / ny - eps) / 0.04) ** 2)) >= 1e-14]
-        if eps == 0.05:
-            assert rows[0] == 1
-        phi_sup = _dense_modes(ny, rows)
-        dense = (phi_sup * g_col[:, None]).T @ phi_sup
-        got = _column_green(g_col, rows)
-        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
-
 
 class TestResidual:
     @pytest.mark.parametrize("eps", [0.12, 0.5, 0.81])
@@ -249,7 +217,7 @@ class TestResidual:
     @staticmethod
     def _point_inputs(wire, n, omega):
         """The lattice spectrum and the solved cell solve() hands to
-        _residual, rebuilt for point coupling."""
+        _residual, rebuilt."""
         ny = round(1.0 / wire.h_y)
         yi = np.arange(1, ny) * wire.h_y
         mu, sin_kh, exp_kh, _ = _lattice_modes(ny, wire.h_x, omega)
@@ -259,7 +227,7 @@ class TestResidual:
         phi_eps = math.sqrt(2.0) * np.sin(np.arange(1, ny) * PI * wire.eps)
         g_eps = _dst(phi_eps * (wire.h_x / (2j * sin_kh)))[support]
         tau = math.sin(n * PI * wire.eps) / (wire.inverse_strength - wire.h_y * np.dot(g_eps, ws))
-        return (mu, sin_kh, exp_kh), _Cell(wire, support, ws, ws * tau, tau, g_eps)
+        return (mu, sin_kh, exp_kh), _Cell(wire, support, ws * tau, tau, g_eps)
 
     def test_detects_inconsistent_inputs(self):
         wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, **FINE)
@@ -275,37 +243,9 @@ class TestResidual:
         [off] = _residual(1, OM, *shifted, [other._replace(u=cell.u, tau=cell.tau)])
         assert off >= 1e-8
 
-    def test_fine_grid_local_coupling_residual_at_roundoff(self):
-        for eps in (0.12, 0.5, 0.81):
-            wire = DiscreteWire(eps=eps, rho=0.02, rho0=0.01, coupling="local",
-                                h_x=1.0 / 1600, h_y=1.0 / 1600)
-            assert oracle_solve(wire, 1, OM).residual < 1e-9
-
-    def test_local_coupling_solve_is_row_equilibrated(self, monkeypatch):
-        # at rho = rho0 (1/g = 0) the rows scale with weights w_i down to
-        # 1e-14; relative noise of 1e-16 in the matrix must stay at roundoff
-        wire = DiscreteWire(eps=0.55, rho=0.02, rho0=0.02, coupling="local",
-                            h_x=1.0 / 1600, h_y=1.0 / 1600)
-        base = oracle_solve(wire, 1, OM)
-        rng = np.random.default_rng(7)
-        real = np.linalg.solve
-        seen = []
-
-        def noisy(a, b):
-            seen.append(a.shape)
-            return real(a * (1.0 + 1e-16 * rng.standard_normal(a.shape)), b)
-
-        monkeypatch.setattr(np.linalg, "solve", noisy)
-        moved = oracle_solve(wire, 1, OM)
-        assert len(seen) == 1
-        for name in ("transmitted", "reflected"):
-            a, b = getattr(base, name), getattr(moved, name)
-            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
-
-    @pytest.mark.parametrize("coupling", ["point", "local"])
-    def test_detects_wrong_defect_strength(self, monkeypatch, coupling):
+    def test_detects_wrong_defect_strength(self, monkeypatch):
         # tau and u scaled together still solve the Helmholtz rows; only the
-        # defect equation tau/g = psi(r0), (1/g) u = W psi can tell
+        # defect equation tau/g = psi(r0) can tell
         seen = []
         real = oracle._residual
 
@@ -314,13 +254,12 @@ class TestResidual:
             return real(*args)
 
         monkeypatch.setattr(oracle, "_residual", capture)
-        wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, coupling=coupling, **FINE)
+        wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, **FINE)
         assert oracle_solve(wire, 1, OM).residual < 1e-10
         [args] = seen  # one solve, one residual
         n, omega, mu, sin_kh, exp_kh, [cell] = args
-        scaled_tau = None if cell.tau is None else 1.5 * cell.tau
         [scaled] = real(n, omega, mu, sin_kh, exp_kh,
-                        [cell._replace(u=1.5 * cell.u, tau=scaled_tau)])
+                        [cell._replace(u=1.5 * cell.u, tau=1.5 * cell.tau)])
         assert scaled >= 1e-3
 
     def test_computed_once_on_first_read(self, monkeypatch):

@@ -46,6 +46,19 @@ from wirescat.numerics import neville_diagonal
 PI = math.pi
 OM_2 = (2 * PI) ** 2
 
+
+def brute_force_green(y, yp, dx, omega, n_terms):
+    """Outgoing mode-sum Green's function of the clean wire,
+    G = i sum_n sin(n pi y) sin(n pi y') e^{i k_n |dx|} / k_n, as a direct
+    fixed-truncation sum, no adaptive logic."""
+    total = 0.0 + 0.0j
+    for n in range(1, n_terms + 1):
+        k = longitudinal_wavenumber(n, omega).value
+        total += 1j * math.sin(n * math.pi * y) * math.sin(n * math.pi * yp) / k \
+            * np.exp(1j * k * dx)
+    return total
+
+
 NON_FINITE_POSITIONS = pytest.mark.parametrize("r, name", [
     ((bad, 0.5), "x") for bad in (math.nan, math.inf, -math.inf)
 ] + [
@@ -453,6 +466,27 @@ class TestScatteredField:
         with pytest.raises(DomainError, match=f"positions {name} "):
             scattered_field_grid(hard_wall, canonical_impurity, 1, self.OM, xs, ys)
 
+    @pytest.mark.parametrize("omega", [1.3 * PI**2, 4.6 * PI**2, 9.4 * PI**2],
+                             ids=["m1", "m2", "m3"])
+    def test_scattered_wave_is_the_mode_sum_green_function(self, hard_wall,
+                                                           canonical_impurity, omega):
+        # psi_sc = (s_n/B) G(r, r0) with the bracket B = s_n^2/(i k_n A_nn):
+        # the field's amplitude table and its |x|-dependent truncation l_max
+        # (it grows at |x| = 0.07) against a plain 400-mode sum
+        n, eps = 1, canonical_impurity.epsilon
+        xs = np.array([-1.2, -0.07, 0.07, 0.45, 1.6])
+        ys = np.array([0.13, 0.37, 0.58, 0.86])
+        psi = scattered_field_grid(hard_wall, canonical_impurity, n, omega, xs, ys)
+        k_n = longitudinal_wavenumber(n, omega).value
+        scattered = psi - np.outer(np.sin(n * PI * ys), np.exp(1j * k_n * xs))
+        s_n = math.sin(n * PI * eps)
+        a_nn = solve_scattering(hard_wall, canonical_impurity, n, omega).amplitudes[n]
+        bracket = s_n**2 / (1j * k_n * a_nn)
+        green = np.array([[brute_force_green(y, eps, abs(x), omega, 400) for x in xs]
+                          for y in ys])
+        gap = np.max(np.abs(scattered - s_n / bracket * green))
+        assert gap <= 1e-12 * np.max(np.abs(scattered))
+
     def test_empty_axis_gives_empty_grid(self, hard_wall, canonical_impurity):
         xs, ys, empty = np.linspace(-1.0, 1.0, 5), np.linspace(0.1, 0.9, 3), np.array([])
         for grid_xs, grid_ys in ((empty, ys), (xs, empty), (empty, empty)):
@@ -739,6 +773,11 @@ class TestSurfaceImpurity:
     def test_requires_propagating_incidence(self):
         with pytest.raises(DomainError):
             surface_threshold_field(2, 2, "lower", (0.1, 0.5))
+
+    @NON_FINITE_POSITIONS
+    def test_non_finite_position_rejected(self, r, name):
+        with pytest.raises(DomainError, match=f"positions {name} "):
+            surface_threshold_field(1, 2, "lower", r)
 
     def test_position_must_be_near_a_wall(self):
         with pytest.raises(DomainError):

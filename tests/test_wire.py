@@ -6,25 +6,11 @@ import pytest
 from wirescat import (
     DomainError,
     ResolutionError,
-    SingularityError,
-    ThresholdEnergyError,
     WireGeometry,
-    greens_function,
-    longitudinal_wavenumber,
     mode,
     propagating_count,
     transverse_eigensolve,
 )
-
-
-def brute_force_green(y, yp, dx, omega, n_terms):
-    """Direct high-truncation mode sum, no adaptive logic."""
-    total = 0.0 + 0.0j
-    for n in range(1, n_terms + 1):
-        k = longitudinal_wavenumber(n, omega).value
-        total += 1j * math.sin(n * math.pi * y) * math.sin(n * math.pi * yp) / k \
-            * np.exp(1j * k * dx)
-    return total
 
 
 class TestModes:
@@ -36,6 +22,11 @@ class TestModes:
 
     def test_hard_wall_midpoint(self, hard_wall):
         assert mode(hard_wall, 1).profile(0.5) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("num_modes", [0, math.nan, math.inf])
+    def test_mode_count_must_be_finite_and_positive(self, num_modes):
+        with pytest.raises(DomainError, match="num_modes"):
+            WireGeometry.hard_wall(num_modes=num_modes)
 
     def test_out_of_range(self, hard_wall):
         with pytest.raises(DomainError):
@@ -69,6 +60,9 @@ class TestModes:
         ([0.0, 0.6, 0.2, 1.0], [0.0, 5.0, 9.0, 0.0], "increase strictly"),
         ([0.0, 1.0], [0.0, 1.0, 2.0], "equal-length"),
         ([0.5], [1.0], "equal-length"),
+        ([0.0, math.nan, 1.0], [0.0, 1.0, 2.0], "samples y must be finite"),
+        ([0.0, 1.0], [0.0, math.nan], "samples V must be finite"),
+        ([0.0, 1.0], [math.inf, 0.0], "samples V must be finite"),
     ])
     def test_general_wire_checks_samples_on_every_path(self, y, v, match):
         # the constructor and from_potential are one path with one set of checks
@@ -136,72 +130,6 @@ class TestEigensolver:
             assert geo_file.mode(n).threshold == pytest.approx(
                 geo_mem.mode(n).threshold, rel=1e-12
             )
-
-
-class TestGreensFunction:
-    OMEGA = 4 * math.pi**2 * 1.1
-
-    def test_symmetry_under_point_exchange(self, hard_wall):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            r = (rng.uniform(-1, 1), rng.uniform(0.05, 0.95))
-            rp = (rng.uniform(-1, 1), rng.uniform(0.05, 0.95))
-            if abs(r[0] - rp[0]) < 1e-3:
-                continue
-            g1 = greens_function(hard_wall, r, rp, self.OMEGA)
-            g2 = greens_function(hard_wall, rp, r, self.OMEGA)
-            assert g1 == pytest.approx(g2, abs=1e-12)
-
-    def test_wall_value_vanishes(self, hard_wall):
-        assert greens_function(hard_wall, (0.5, 0.3), (0.2, 0.0), self.OMEGA) == 0.0
-
-    def test_against_brute_force_sum(self, hard_wall):
-        ref = brute_force_green(0.3, 0.3, 0.5, self.OMEGA, 100_000)
-        val = greens_function(hard_wall, (0.5, 0.3), (0.0, 0.3), self.OMEGA)
-        assert val == pytest.approx(ref, abs=1e-10)
-
-    def test_same_column_against_brute_force(self, hard_wall):
-        # 1/n conditional convergence handled by the closed-form tail
-        ref = brute_force_green(0.3, 0.7, 0.0, self.OMEGA, 2_000_000)
-        val = greens_function(hard_wall, (0.0, 0.3), (0.0, 0.7), self.OMEGA)
-        assert val == pytest.approx(ref, abs=1e-6)
-
-    def test_truncation_error_decays_exponentially(self, hard_wall):
-        # compare successive manual truncations at |dx| = 0.05: the tail
-        # beyond mode n must shrink at least like exp(-pi n dx)
-        dx, y, yp = 0.05, 0.3, 0.45
-        full = greens_function(hard_wall, (dx, y), (0.0, yp), self.OMEGA)
-        errs = []
-        for n_cut in (40, 80, 160):
-            partial = brute_force_green(y, yp, dx, self.OMEGA, n_cut)
-            errs.append(abs(full - partial))
-        assert errs[1] < errs[0] * math.exp(-math.pi * 40 * dx) * 10
-        assert errs[2] < errs[1] * math.exp(-math.pi * 80 * dx) * 10
-
-    def test_below_first_threshold_monotone_decay(self, hard_wall):
-        omega = 0.5 * math.pi**2
-        dxs = np.linspace(0.1, 2.0, 12)
-        vals = [abs(greens_function(hard_wall, (dx, 0.4), (0.0, 0.45), omega))
-                for dx in dxs]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_coincident_point_refused(self, hard_wall):
-        with pytest.raises(SingularityError):
-            greens_function(hard_wall, (0.1, 0.3), (0.1, 0.3), self.OMEGA)
-
-    def test_threshold_pole_refused(self, hard_wall):
-        with pytest.raises(ThresholdEnergyError):
-            greens_function(hard_wall, (0.5, 0.3), (0.0, 0.4), 4 * math.pi**2)
-
-    def test_general_matches_hard_wall(self):
-        geo = WireGeometry.from_potential([0.0, 1.0], [0.0, 0.0], num_modes=48)
-        hw = WireGeometry.hard_wall()
-        # eigensolver modes are orthonormal (sqrt(2) sin) while hard-wall
-        # profiles follow the unit-amplitude sin convention, so the mode-sum
-        # kernel picks up exactly the normalization factor 2
-        g1 = greens_function(geo, (0.4, 0.3), (0.0, 0.6), self.OMEGA)
-        g2 = greens_function(hw, (0.4, 0.3), (0.0, 0.6), self.OMEGA)
-        assert g1 == pytest.approx(2.0 * g2, rel=2e-4)
 
 
 class TestPropagatingCount:
