@@ -15,7 +15,6 @@ from .errors import (
     DecoupledModeWarning,
     DomainError,
     ResolutionError,
-    SingularityError,
     ThresholdEnergyError,
     ValidityWarning,
     WirescatError,

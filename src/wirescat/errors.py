@@ -14,10 +14,6 @@ class ThresholdEnergyError(WirescatError, ValueError):
     singular; use the dedicated threshold-limit operations instead."""
 
 
-class SingularityError(WirescatError, ValueError):
-    """Evaluation requested at a point where the quantity diverges."""
-
-
 class DecoupledModeError(WirescatError, ValueError):
     """The impurity sits on a node of the resonant mode, so the reduced
     near-threshold formulas are 0/0; the full amplitude path stays regular."""

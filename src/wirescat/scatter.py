@@ -29,7 +29,9 @@ transport matrices, field maps, cut-off limits) comes from one private core,
 ``_amplitudes``, the only place the bracket and the quotient are written.
 It takes any number of energies of one window with their rho_bar, which
 :func:`~wirescat.rhobar.regularized_scales` evaluates for all of them in
-one pass.
+one pass.  On the cut-off (m pi)^2 itself, k_m = 0, it returns the exact
+limit there: A_nm = sin(n pi eps)/sin(m pi eps), every other A_nl = 0.  Only
+the cut-off operations ask for that energy; single-energy calls refuse it.
 
 Near a cut-off all impurity dependence funnels through the complex scale
 Delta_m; exactly at the cut-off the resonant pattern loses every trace of
@@ -53,7 +55,6 @@ from .errors import (
     ThresholdEnergyError,
     ValidityWarning,
 )
-from .numerics import neville_diagonal
 from .rhobar import (
     _validate_window,
     regularized_scale,
@@ -66,7 +67,7 @@ from .specfun import (
     longitudinal_wavenumber,
     threshold_energy,
 )
-from .wire import HARD_WALL, WireGeometry, propagating_count
+from .wire import HARD_WALL, WireGeometry, _check_countable, propagating_count
 
 __all__ = [
     "Impurity",
@@ -174,6 +175,10 @@ class ScatteringSolution:
         return -self.amplitudes[l]
 
 
+#: |sin(m pi eps)| at or below which the impurity, on a node, decouples from mode m.
+_NODE = 1e-8
+
+
 # ---------------------------------------------------------------------------
 # energy-window bookkeeping
 # ---------------------------------------------------------------------------
@@ -187,8 +192,7 @@ def nearest_threshold_index(omega: float) -> int:
     this labelling as long as every propagating mode is <= m and
     omega < ((m+1) pi)^2, which the rule guarantees.
     """
-    if not math.isfinite(omega):
-        raise DomainError(f"energy must be finite, got {omega}")
+    _check_countable(omega)
     if omega <= 0.0:
         raise DomainError(f"energy must be positive, got {omega}")
     ratio = omega / math.pi**2
@@ -212,18 +216,23 @@ def _require_hard_wall(geometry: WireGeometry) -> None:
         )
 
 
-def _wavenumbers(omega: float, m: int, ns, ls) -> list:
+def _cutoff_wavenumbers(omega: float, m: int, ns, ls) -> list:
     """k_q for q = 1..max(m, max(ls)) as Python complexes, after the checks
     of an amplitude table at one energy: DomainError for a mode index below
     1, an energy outside the window of cut-off m or an incident mode that
-    does not propagate, and ThresholdEnergyError when omega sits on the
-    cut-off of a mode q <= m."""
+    does not propagate.  k_m = 0 on the cut-off of mode m."""
     if min(ns) < 1 or min(ls) < 1:
         raise DomainError("mode indices must be >= 1")
     _validate_window(omega, m)
     if omega <= threshold_energy(max(ns)):
         raise DomainError(f"incident mode {max(ns)} does not propagate at omega={omega}")
-    k = [longitudinal_wavenumber(q, omega).value for q in range(1, max(m, max(ls)) + 1)]
+    return [longitudinal_wavenumber(q, omega).value for q in range(1, max(m, max(ls)) + 1)]
+
+
+def _wavenumbers(omega: float, m: int, ns, ls) -> list:
+    """:func:`_cutoff_wavenumbers`, and ThresholdEnergyError when omega sits
+    on the cut-off of a mode q <= m."""
+    k = _cutoff_wavenumbers(omega, m, ns, ls)
     if 0 in k[:m]:
         raise ThresholdEnergyError(
             f"omega sits exactly on the cut-off of mode {k.index(0) + 1}; "
@@ -239,6 +248,11 @@ def _amplitudes(impurity: Impurity, m: int, ns, ls, ks, rho_bars):
     and rho_bar: the one place the bracket and the quotient A_nl are
     written.  Returns (k, amp) with k[e] the array of ks[e] and
     amp[e, i, j] = A_{ns[i], ls[j]}.
+
+    An energy with k_m = 0 (from :func:`_cutoff_wavenumbers`) gets the
+    exact limit omega -> (m pi)^2.  Off a node of mode m that is
+    A_nm = s_n/s_m and A_nl = 0 for l != m, s_q = sin(q pi eps).  On a node
+    the resonant term leaves the bracket and A_nm = 0.
     """
     eps = impurity.epsilon
     s = np.sin(np.arange(1, len(ks[0]) + 1) * math.pi * eps)
@@ -250,12 +264,20 @@ def _amplitudes(impurity: Impurity, m: int, ns, ls, ks, rho_bars):
     for k_e, rho_bar in zip(ks, rho_bars):
         bracket = math.log(impurity.rho0 / rho_bar) / (2.0 * math.pi)
         for s_q, k_q in zip(s_open, k_e):
-            bracket += s_q ** 2 / (1j * k_q)
+            if k_q:  # k_m = 0 on the cut-off: the resonant term leaves the bracket
+                bracket += s_q ** 2 / (1j * k_q)
         brackets.append(bracket)
     k = np.array(ks)
     cols = np.asarray(ls) - 1
     quotient = 1j * k[:, cols] * np.array(brackets)[:, None]
-    amp = np.outer(s[np.asarray(ns) - 1], s[cols]) / quotient[:, None, :]
+    at_cutoff = [e for e, k_e in enumerate(ks) if not k_e[m - 1]]
+    if at_cutoff:
+        resonant = cols == m - 1
+        quotient[np.ix_(at_cutoff, resonant)] = np.inf  # A_nm = 0; off a node the row is set below
+    s_n = s[np.asarray(ns) - 1]
+    amp = np.outer(s_n, s[cols]) / quotient[:, None, :]
+    if at_cutoff and abs(s_open[-1]) > _NODE:
+        amp[at_cutoff] = np.where(resonant, (s_n / s_open[-1])[:, None], 0.0)
     return k, amp
 
 
@@ -418,7 +440,7 @@ def _resonance_inv_sqrt(impurity: Impurity, m: int, rho_bar: float) -> complex:
     evaluated; DecoupledModeError on a node of mode m."""
     eps = impurity.epsilon
     s_m = math.sin(m * math.pi * eps)
-    if abs(s_m) <= 1e-8:
+    if abs(s_m) <= _NODE:
         raise DecoupledModeError(
             f"impurity sits on a node of mode {m} (sin(m pi eps) = {s_m:.1e}); "
             "the reduced near-threshold forms are 0/0 - use the full amplitudes"
@@ -520,7 +542,7 @@ def threshold_field_grid(geometry: WireGeometry, impurity: Impurity,
         chi_n_eps = mode_n.profile(eps)
         chi_m_eps = mode_m.profile(eps)
     psi = np.outer(chi_n_y, np.exp(1j * k_inc * xs))
-    if abs(chi_m_eps) <= 1e-8:
+    if abs(chi_m_eps) <= _NODE:
         warnings.warn(
             "impurity decoupled from the resonant mode; no scattering at cut-off",
             DecoupledModeWarning,
@@ -606,49 +628,19 @@ def reflection_1d(barrier: OneDBarrier, omega: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# threshold limit through the full pipeline
+# cut-off limits from the amplitude core
 # ---------------------------------------------------------------------------
-
-#: Largest first rung k_m of the cut-off limit ladder, and its length.
-_LIMIT_K_START, _LIMIT_LEVELS = 0.08, 8
-
-
-def _limit_ladder(m: int, d_inv_sqrt):
-    """The rungs of the cut-off limit: energies (m pi)^2 + k_j^2 on the
-    geometric ladder k_j = k0 2^-j, j < _LIMIT_LEVELS, as Python floats,
-    and the wavenumbers k_m = sqrt(omega - (m pi)^2) they realize, the
-    Neville abscissae (the difference is exact).
-
-    A_nm ~ (s_n/s_m) / (1 + i k_m Delta_m^(-1/2)) is analytic in k_m within
-    1/|Delta_m^(-1/2)|, so the ladder starts at
-    k0 = min(_LIMIT_K_START, 0.25/|Delta_m^(-1/2)|), but never so low that
-    its last rung moves the energy by less than two units in the last place
-    of (m pi)^2: there the rungs would merge.  ``d_inv_sqrt`` is None on a
-    node of mode m, where no pole is near and k0 = _LIMIT_K_START.
-    """
-    base = threshold_energy(m)
-    k0 = _LIMIT_K_START
-    if d_inv_sqrt is not None:
-        resolved = 2.0 ** (_LIMIT_LEVELS - 1) * math.sqrt(2.0 * math.ulp(base))
-        k0 = max(min(k0, 0.25 / abs(d_inv_sqrt)), min(k0, resolved))
-    ks = k0 * 0.5 ** np.arange(_LIMIT_LEVELS)
-    omegas = (base + ks * ks).tolist()
-    return np.sqrt(np.array(omegas) - base), omegas
-
 
 def threshold_amplitude_limit(geometry: WireGeometry, impurity: Impurity,
                               n: int, m: int, l: int | None = None) -> complex:
-    """lim_{omega -> (m pi)^2+} A_nl computed through the full amplitude
-    pipeline on a geometric ladder in k_m = sqrt(omega - (m pi)^2), with
-    polynomial (Neville) extrapolation in k_m; the one-strength call of
+    """lim_{omega -> (m pi)^2+} A_nl: the amplitude core evaluated at the
+    cut-off itself, with rho_bar there; the one-strength call of
     :func:`cutoff_scan`.
 
-    A_nl is analytic in k_m within 1/|Delta_m^(-1/2)| of the cut-off, so
-    the ladder of 8 rungs starts at k_m = min(0.08, 0.25/|Delta_m^(-1/2)|)
-    and its abscissae are the k_m its rung energies realize
-    (:func:`_limit_ladder`); it then converges at machine precision.  For
-    l = m the limit is sin(n pi eps)/sin(m pi eps) independent of rho0, for
-    every other mode it is 0.
+    Off a node of mode m the limit is sin(n pi eps)/sin(m pi eps) for
+    l = m and 0 for every other mode, independent of rho0.  On a node of
+    mode m, A_nm = 0 and the other channels keep the scattering of the
+    m - 1 open modes, with the resonant term left out of the bracket.
     """
     return cutoff_scan(geometry, impurity.epsilon, [impurity.rho0], n, m, (), l).limits[0]
 
@@ -658,10 +650,11 @@ class CutoffScan(NamedTuple):
     position, strength by strength in the order given.
 
     ``resonance_inv_sqrt[j]`` is Delta_m^(-1/2) (None on a node of mode m)
-    and ``limits[j]`` the limit of A_nl at the cut-off for strength j.
-    ``offset_energies[i]`` is (m pi)^2 plus offset scale i times the
-    smallest |Delta_m| of the strengths (see :func:`cutoff_scan`), and
-    ``offset_amplitudes[i][j]`` is A_nl there.
+    and ``limits[j]`` the limit of A_nl at the cut-off for strength j, the
+    amplitude core evaluated at k_m = 0.  ``offset_energies[i]`` is
+    (m pi)^2 plus offset scale i times the smallest |Delta_m| of the
+    strengths (see :func:`cutoff_scan`), and ``offset_amplitudes[i][j]`` is
+    A_nl there.
     """
 
     resonance_inv_sqrt: tuple
@@ -674,27 +667,30 @@ def cutoff_scan(geometry: WireGeometry, epsilon: float, rho0s, n: int, m: int,
                 offset_scales=(), l: int | None = None) -> CutoffScan:
     """Delta_m^(-1/2), the cut-off limit of A_nl and A_nl at energies just
     above the cut-off, for every strength scale in ``rho0s`` at position
-    ``epsilon``, with two rho_bar passes: one at the cut-off, for Delta_m,
-    and one for the energies of every strength's limit ladder together with
-    the offset energies.
+    ``epsilon``, with two rho_bar passes: one at the cut-off, for Delta_m
+    and the limits, and one for the offset energies.
 
-    The limit ladder of a strength has 8 rungs and starts at
-    min(0.08, 0.25/|Delta_m^(-1/2)|), inside the disc where A_nm is
-    analytic in k_m (see :func:`_limit_ladder`).  On a node of mode m
-    (DecoupledModeError from :func:`resonance_parameters`) no pole is near
-    and the ladder starts at 0.08, unless offsets are asked for: they need
-    Delta_m, and the error is raised.  A positive offset below half an ulp
-    of (m pi)^2 (near a node of mode m) would round onto the cut-off; its
-    energy is the next float above, where mode m propagates.  Each
-    value gets the bits of its one-energy route: :func:`resonance_parameter`
-    and :func:`scattering_amplitude`.
+    Each strength takes one call of the amplitude core over the cut-off and
+    the offset energies; at the cut-off (k_m = 0) the core returns the exact
+    limit.  On a node of mode m (DecoupledModeError from
+    :func:`resonance_parameter`) Delta_m^(-1/2) is None, unless offsets
+    are asked for: they need Delta_m, and the error is raised.  Incidence
+    must be in a mode n < m, open at the cut-off.  A positive offset below
+    half an ulp of (m pi)^2 (near a node of mode m) would round onto the
+    cut-off; its energy is the next float above, where mode m propagates.
+    Each value gets the bits of its one-energy route:
+    :func:`resonance_parameter` and :func:`scattering_amplitude`.
     """
     if not len(rho0s):
         raise DomainError("need at least one impurity strength")
     if l is None:
         l = m
+    _require_hard_wall(geometry)
+    impurities = [Impurity(epsilon, rho0) for rho0 in rho0s]
+    base = threshold_energy(m)
+    rho_bar = regularized_scale_tail_subtraction(epsilon, base, m)
     try:
-        d_inv_sqrt = resonance_parameters(geometry, epsilon, rho0s, m)
+        d_inv_sqrt = [_resonance_inv_sqrt(impurity, m, rho_bar) for impurity in impurities]
     except DecoupledModeError:
         if len(offset_scales):
             raise
@@ -702,28 +698,19 @@ def cutoff_scan(geometry: WireGeometry, epsilon: float, rho0s, n: int, m: int,
     offsets = []
     if len(offset_scales):
         base_delta = min(1.0 / abs(d) ** 2 for d in d_inv_sqrt)
-        base = threshold_energy(m)
         for scale in offset_scales:
             omega = base + scale * base_delta
             # a positive offset below half an ulp of (m pi)^2 rounds onto the cut-off
             offsets.append(math.nextafter(base, math.inf) if scale > 0 and omega == base
                            else omega)
-    ladders = [_limit_ladder(m, d) for d in d_inv_sqrt]
-    # one rho_bar per distinct energy: strengths far from a pole share rungs
-    index = {}
-    for omega in [o for _, rungs in ladders for o in rungs] + offsets:
-        index.setdefault(omega, len(index))
-    energies = list(index)
-    waves = [_wavenumbers(omega, m, [n], [l]) for omega in energies]
-    rho_bars = regularized_scales(epsilon, energies, [m] * len(energies)).tolist()
-    near_rows = [index[omega] for omega in offsets]
+    waves = [_cutoff_wavenumbers(base, m, [n], [l])]
+    waves += [_wavenumbers(omega, m, [n], [l]) for omega in offsets]
+    rho_bars = [rho_bar] + regularized_scales(epsilon, offsets, [m] * len(offsets)).tolist()
     limits, near = [], []
-    for rho0, (ks, rungs) in zip(rho0s, ladders):
-        rows = [index[omega] for omega in rungs] + near_rows
-        amp = _amplitudes(Impurity(epsilon, rho0), m, [n], [l], [waves[i] for i in rows],
-                          [rho_bars[i] for i in rows])[1][:, 0, 0].tolist()
-        limits.append(complex(neville_diagonal(ks, amp[:_LIMIT_LEVELS])[-1]))
-        near.append(amp[_LIMIT_LEVELS:])
+    for impurity in impurities:
+        amp = _amplitudes(impurity, m, [n], [l], waves, rho_bars)[1][:, 0, 0].tolist()
+        limits.append(amp[0])
+        near.append(amp[1:])
     return CutoffScan(
         resonance_inv_sqrt=tuple(d_inv_sqrt),
         limits=tuple(limits),

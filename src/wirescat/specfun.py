@@ -94,6 +94,8 @@ def longitudinal_wavenumber(l: int, omega: float) -> LongitudinalWavenumber:
     """Branch-resolved k_l for mode l at energy omega (hard-wall wire)."""
     if l < 1:
         raise DomainError(f"mode index must be >= 1, got {l}")
+    if not math.isfinite(omega):
+        raise DomainError(f"energy must be finite, got {omega}")
     gap = omega - (l * math.pi) ** 2
     if gap >= 0.0:
         value = complex(math.sqrt(gap), 0.0)
@@ -104,8 +106,8 @@ def longitudinal_wavenumber(l: int, omega: float) -> LongitudinalWavenumber:
 
 def threshold_energy(m: int) -> float:
     """Cut-off energy of transverse mode m in a hard-wall wire: (m pi)^2."""
-    if m < 1:
-        raise DomainError(f"mode index must be >= 1, got {m}")
+    if not 1 <= m < math.inf:
+        raise DomainError(f"mode index must be a finite number >= 1, got {m}")
     return (m * math.pi) ** 2
 
 

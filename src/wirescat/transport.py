@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, WirescatError
-from .rhobar import _head_terms, _scales
+from .rhobar import _head_terms, _scales, regularized_scale_tail_subtraction
 from .scatter import (
     Impurity,
     _amplitudes,
+    _cutoff_wavenumbers,
     _require_hard_wall,
     _wavenumbers,
     nearest_threshold_index,
@@ -64,7 +65,7 @@ def transport_at(geometry: WireGeometry, impurity: Impurity, omega: float) -> Tr
     """Full flux-normalized T/R matrices at energy omega.
 
     Requires at least one propagating mode and an energy strictly between
-    cut-offs (exact cut-offs are handled analytically by
+    cut-offs (exact cut-offs are the limits of
     :func:`threshold_transport`).  Hard-wall wires only: other geometries
     raise :class:`DomainError`.  The one-energy case of :func:`sweep`.
     """
@@ -80,8 +81,8 @@ def _transport(geometry: WireGeometry, impurity: Impurity, omegas) -> list:
 
     Every energy is checked first, in the order of the one-energy
     computation; one rho_bar pass then serves all energies that pass, and
-    the matrices are built from arrays stacked over the energies that share
-    a cut-off window m and a channel count p.
+    :func:`_matrices` builds the matrices of the energies that share a
+    cut-off window m and a channel count p.
     """
     results: list = [None] * len(omegas)
     eps = impurity.epsilon
@@ -106,57 +107,52 @@ def _transport(geometry: WireGeometry, impurity: Impurity, omegas) -> list:
     for j, key in enumerate(zip(ms, ps)):
         groups.setdefault(key, []).append(j)
     for (m, p), rows in groups.items():
-        modes = range(1, p + 1)
-        k, amp = _amplitudes(impurity, m, modes, modes, [ks[j] for j in rows],
-                             [rho_bars[j] for j in rows])
-        k = k[:, :p].real
-        flux = k[:, None, :] / k[:, :, None]
-        transmission = flux * np.abs(np.eye(p) - amp) ** 2
-        reflection = flux * np.abs(amp) ** 2
-        row_sums = transmission.sum(axis=2) + reflection.sum(axis=2)
-        conductance = transmission.reshape(len(rows), -1).sum(axis=1).tolist()
-        defect = np.max(np.abs(1.0 - row_sums), axis=1).tolist()
-        for r, j in enumerate(rows):
-            i = index[j]
-            results[i] = TransportResult(
-                energy=omegas[i],
-                threshold_index=m,
-                num_propagating=p,
-                transmission=transmission[r],
-                reflection=reflection[r],
-                conductance=conductance[r],
-                unitarity_defect=defect[r],
-            )
+        matrices = _matrices(impurity, m, p, [omegas[index[j]] for j in rows],
+                             [ks[j] for j in rows], [rho_bars[j] for j in rows])
+        for j, result in zip(rows, matrices):
+            results[index[j]] = result
     return results
 
 
-def threshold_transport(geometry: WireGeometry, impurity: Impurity, m: int) -> TransportResult:
-    """Transport exactly at the m-th cut-off, as the analytic limit
-    omega -> (m pi)^2 from above.
+def _matrices(impurity: Impurity, m: int, p: int, omegas, ks, rho_bars) -> list:
+    """The TransportResult of each energy of window m with p open channels,
+    from its wavenumbers and rho_bar, through arrays stacked over the
+    energies."""
+    modes = range(1, p + 1)
+    k, amp = _amplitudes(impurity, m, modes, modes, ks, rho_bars)
+    k = k[:, :p].real
+    flux = k[:, None, :] / k[:, :, None]
+    transmission = flux * np.abs(np.eye(p) - amp) ** 2
+    reflection = flux * np.abs(amp) ** 2
+    row_sums = transmission.sum(axis=2) + reflection.sum(axis=2)
+    conductance = transmission.reshape(len(omegas), -1).sum(axis=1).tolist()
+    defect = np.max(np.abs(1.0 - row_sums), axis=1).tolist()
+    return [TransportResult(energy=omega, threshold_index=m, num_propagating=p,
+                            transmission=transmission[r], reflection=reflection[r],
+                            conductance=conductance[r], unitarity_defect=defect[r])
+            for r, omega in enumerate(omegas)]
 
-    In that limit every off-resonant amplitude vanishes like
-    sqrt(omega - (m pi)^2) and the just-opened mode m carries zero flux, so
-    the propagating block (m-1 channels) transmits perfectly: T = identity,
-    R = 0, conductance = m - 1 exactly, independent of the impurity.  The
-    limit is built analytically rather than by evaluating the amplitudes at
-    k_m = 0, which would divide by zero.  Hard-wall wires only, as for
-    :func:`transport_at`.
+
+def threshold_transport(geometry: WireGeometry, impurity: Impurity, m: int) -> TransportResult:
+    """Transport exactly at the m-th cut-off, the limit omega -> (m pi)^2:
+    the matrices of :func:`transport_at` from the amplitude core at k_m = 0.
+
+    Off a node of mode m every amplitude of the m - 1 open channels
+    vanishes there, so they transmit perfectly: T = identity, R = 0,
+    conductance = m - 1 exactly, independent of the impurity.  On a node
+    of mode m the impurity still scatters among the open channels, as
+    :func:`transport_at` does on approach.  Hard-wall wires only.
     """
     _require_hard_wall(geometry)
     if m < 2:
         raise DomainError(
             f"need at least one propagating channel below the cut-off, got m={m}"
         )
-    p = m - 1
-    return TransportResult(
-        energy=threshold_energy(m),
-        threshold_index=m,
-        num_propagating=p,
-        transmission=np.eye(p),
-        reflection=np.zeros((p, p)),
-        conductance=float(p),
-        unitarity_defect=0.0,
-    )
+    omega = threshold_energy(m)
+    modes = range(1, m)
+    k = _cutoff_wavenumbers(omega, m, modes, modes)
+    rho_bar = regularized_scale_tail_subtraction(impurity.epsilon, omega, m)
+    return _matrices(impurity, m, m - 1, [omega], [k], [rho_bar])[0]
 
 
 def sweep(geometry: WireGeometry, impurity: Impurity, omega_grid) -> list[SweepPoint]:

@@ -19,6 +19,9 @@ from .specfun import threshold_energy
 HARD_WALL = "hard-wall"
 GENERAL = "general"
 
+#: From (2^52 pi)^2 up, floats no longer tell neighbouring cut-offs apart.
+_MAX_ENERGY = (2.0**52 * math.pi) ** 2
+
 
 @dataclass(frozen=True)
 class TransverseMode:
@@ -58,6 +61,8 @@ class WireGeometry:
             raise DomainError(f"unknown geometry kind {kind!r}")
         if not (math.isfinite(num_modes) and num_modes >= 1):
             raise DomainError(f"num_modes must be a finite number >= 1, got {num_modes}")
+        if not (math.isfinite(grid_points) and grid_points >= 1):
+            raise DomainError(f"grid_points must be a finite number >= 1, got {grid_points}")
         self.kind = kind
         self.num_modes = int(num_modes)
         self.grid_points = int(grid_points)
@@ -124,7 +129,7 @@ class WireGeometry:
 
 def mode(geometry: WireGeometry, n: int) -> TransverseMode:
     """The n-th transverse mode (1-based) of the wire."""
-    if n < 1 or n > geometry.num_modes:
+    if not 1 <= n <= geometry.num_modes:
         raise DomainError(
             f"mode index {n} outside 1..{geometry.num_modes} for this geometry"
         )
@@ -189,10 +194,19 @@ def _fd_eigensolve(geometry, m, count):
     return vals[:count], vecs_full, grid
 
 
-def propagating_count(omega: float) -> int:
-    """Number of hard-wall modes with cut-off strictly below omega."""
+def _check_countable(omega: float) -> None:
+    """DomainError for an energy that is not finite, or from ``_MAX_ENERGY``
+    up, where no mode count can be resolved."""
     if not math.isfinite(omega):
         raise DomainError(f"energy must be finite, got {omega}")
+    if omega >= _MAX_ENERGY:
+        raise DomainError(f"energy {omega} is at or above {_MAX_ENERGY:.3g}, where "
+                          "neighbouring cut-offs round together")
+
+
+def propagating_count(omega: float) -> int:
+    """Number of hard-wall modes with cut-off strictly below omega."""
+    _check_countable(omega)
     if omega <= math.pi**2:
         return 0
     p = int(math.floor(math.sqrt(omega) / math.pi))

@@ -588,6 +588,11 @@ class TestUniversality:
         assert len(energies) == 3
         assert all(omega > (3 * PI) ** 2 for omega in energies)
         assert math.nextafter((3 * PI) ** 2, math.inf) in energies
+        # |Delta_3^(-1/2)| reaches 9.9e5 here: the limits are exact at the
+        # cut-off, however close the pole of A_13 lies
+        assert report["verdict"] == "PASS"
+        assert report["threshold_spread"] < 1e-8
+        assert report["threshold_deviation"] < 1e-6
 
     def test_zero_grid_ny_is_config_error(self, capsys):
         assert run("universality", "--epsilon", "0.3", "--threshold-m", "2",
@@ -596,8 +601,9 @@ class TestUniversality:
 
 
 class TestUniversalityPasses:
-    """A report evaluates rho_bar in two passes (the cut-off; the limit rungs
-    with the offset energies) and the probe in one, on one lattice table."""
+    """A report evaluates rho_bar in two passes (the cut-off, for Delta_m
+    and the limits; the offset energies) and the probe in one, on one
+    lattice table."""
 
     ARGS = ("universality", "--mode-n", "1", "--threshold-m", "3", "--epsilon", "0.2",
             "--rho0-list", "1e-5,1e-3,1e-1")
@@ -632,9 +638,10 @@ class TestUniversalityPasses:
 @pytest.mark.parametrize("name", ["universality_eps0.3_m2.json", "universality_eps0.3552_m3.json"])
 def test_universality_report_pinned(tmp_path, name):
     # criterion 8's configuration, and a m = 3 report whose impurity sits
-    # near a node of mode 3 (|Delta_3^(-1/2)| = 37).  The reports were
-    # written before the cut-off limit's ladder moved inside the disc where
-    # A_nm is analytic; the fields that move with it are pinned on their own
+    # near a node of mode 3 (|Delta_3^(-1/2)| = 37).  The fields that hold
+    # the cut-off limits moved when the limits came from a Neville ladder,
+    # and again when they came from the amplitude core at k_m = 0; they are
+    # pinned on their own
     text = (DATA / name).read_text()
     ref = json.loads(text)
     out = tmp_path / name

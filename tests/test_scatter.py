@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +103,36 @@ class TestThresholdWindow:
                 propagating_count(bad)
             with pytest.raises(DomainError):
                 regularized_scale_tail_subtraction(0.3, bad, 2)
+
+    def test_unresolvable_energy_rejected_promptly(self, hard_wall, canonical_impurity):
+        # from (2^52 pi)^2 up neighbouring cut-offs round together: the mode
+        # counts must raise there, not search forever for a count
+        from wirescat import propagating_count, sweep
+        from wirescat.wire import _MAX_ENERGY
+
+        def hang(signum, frame):
+            raise TimeoutError("mode count did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            for bad in (_MAX_ENERGY, 1e34, 1e100):
+                named = re.escape(f"energy {bad}")
+                with pytest.raises(DomainError, match=named):
+                    propagating_count(bad)
+                with pytest.raises(DomainError, match=named):
+                    nearest_threshold_index(bad)
+                with pytest.raises(DomainError, match=named):
+                    scattered_field_grid(hard_wall, canonical_impurity, 1, bad, [0.0], [0.5])
+                (point,) = sweep(hard_wall, canonical_impurity, [bad])
+                assert f"energy {bad}" in point.error
+            below = math.nextafter(_MAX_ENERGY, 0.0)
+            p = propagating_count(below)
+            assert threshold_energy(p) < below <= threshold_energy(p + 1)
+            assert nearest_threshold_index(below) >= p
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_window_always_brackets_propagating_modes(self):
         from wirescat import propagating_count
@@ -316,22 +348,6 @@ class TestBatchedScale:
 
     def test_empty_batch(self):
         assert regularized_scales(0.3, [], []).shape == (0,)
-
-    @pytest.mark.parametrize("n, m, l", [(1, 2, None), (1, 2, 1), (2, 5, 7), (1, 3, 2)])
-    def test_threshold_limit_equals_scalar_rungs(self, hard_wall, n, m, l):
-        # one rho_bar pass over the 8 rungs gives the amplitudes of 8
-        # scattering_amplitude calls bit for bit; the ladder starts inside
-        # the disc |k_m| < 1/|Delta_m^(-1/2)| and its abscissae are the k_m
-        # the rung energies realize
-        imp = Impurity(0.61, 3e-4)
-        base = threshold_energy(m)
-        k0 = min(0.08, 0.25 / abs(resonance_parameter(hard_wall, imp, m)))
-        omegas = [base + (k0 * 0.5**j) * (k0 * 0.5**j) for j in range(8)]
-        ks = [math.sqrt(omega - base) for omega in omegas]
-        rungs = [scattering_amplitude(hard_wall, imp, n, m if l is None else l, omega, m=m)
-                 for omega in omegas]
-        assert threshold_amplitude_limit(hard_wall, imp, n, m, l) == \
-            neville_diagonal(ks, rungs)[-1]
 
 
 class TestAmplitudes:
@@ -850,9 +866,10 @@ class TestThresholdLimit:
         return spread, max(abs(c - target) for c in limits) / abs(target)
 
     def test_ladder_starts_inside_the_disc_of_analyticity(self, hard_wall):
-        # |Delta_3^(-1/2)| = 37 for the strongest of these strengths: a
-        # ladder from k_m = 0.08 started outside the radius 1/37 and spread
-        # 2.4e-6 across strengths
+        # |Delta_3^(-1/2)| = 37 for the strongest of these strengths: a limit
+        # extrapolated on a ladder from k_m = 0.08 started outside the radius
+        # 1/37 and spread 2.4e-6 across strengths; the core at k_m = 0 has
+        # no radius to respect
         rho0s = (0.03893918219645293, 1.3316703468977595e-05, 0.01734200501769414)
         eps = 0.3552165050993091
         assert max(abs(resonance_parameter(hard_wall, Impurity(eps, r0), 3))
@@ -878,9 +895,9 @@ class TestThresholdLimit:
         assert checked >= 20
 
     def test_node_of_the_resonant_mode(self, hard_wall):
-        # eps = 1/2 decouples mode 2: no pole is near, the ladder keeps its
-        # start, and A_11 tends to its finite two-channel value; offsets
-        # above the cut-off need Delta_2 and are refused
+        # eps = 1/2 decouples mode 2: the resonant term leaves the bracket,
+        # and A_11 takes its finite two-channel value; offsets above the
+        # cut-off need Delta_2 and are refused
         lim = threshold_amplitude_limit(hard_wall, Impurity(0.5, 1e-3), 1, 2, l=1)
         k1 = math.sqrt(OM_2 - PI**2)
         rho_bar = regularized_scale_tail_subtraction(0.5, OM_2, 2)
@@ -889,9 +906,43 @@ class TestThresholdLimit:
         with pytest.raises(DecoupledModeError):
             cutoff_scan(hard_wall, 0.5, [1e-3], 1, 2, [1e-2])
 
+    def test_incidence_must_be_open_at_the_cutoff(self, hard_wall):
+        with pytest.raises(DomainError, match="incident mode 2 does not propagate"):
+            threshold_amplitude_limit(hard_wall, Impurity(0.3, 1e-3), 2, 2)
+
     def test_negative_offset_stays_below_the_cutoff(self, hard_wall):
         # only a positive offset that rounds onto (m pi)^2 is moved above it
         scan = cutoff_scan(hard_wall, 0.3, [1e-3, 1e-1], 1, 2, [-1e-2, 1e-2])
         below, above = scan.offset_energies
         assert below < OM_2 < above
 
+
+class TestCutoffContinuity:
+    """The cut-off limits are the amplitude core at k_m = 0, where
+    A_nm = s_n/s_m holds whatever rho_bar is.  What that value cannot show
+    is checked here: rho_bar and the bracket run continuously into the
+    cut-off.  Q = s_n s_m / A_nm = s_m^2 + i k_m R, with R the bracket
+    without its resonant term, is analytic in k_m through the cut-off, so
+    Neville extrapolation of Q over energies above it must land on s_m^2,
+    however close the pole of A_nm is (|Delta_3^(-1/2)| up to 9.9e5 in the
+    first case)."""
+
+    @pytest.mark.parametrize("eps, m, rho0s", [
+        # the seed-134 report of the cutoff-universality benchmark
+        (0.3332118167489375, 3,
+         (7.038239983454513e-05, 0.03210481149589653, 0.00016724252176652203)),
+        (0.497, 2, (1e-5, 1e-3, 1e-1)),
+        (0.665, 3, (1e-5, 1e-3, 1e-1)),
+        (0.3, 4, (1e-5, 1e-3, 1e-1)),
+        (0.61, 5, (1e-5, 1e-3, 1e-1)),
+    ])
+    def test_bracket_runs_into_the_cutoff(self, hard_wall, eps, m, rho0s):
+        base = threshold_energy(m)
+        omegas = [base + (0.08 * 0.5**j) ** 2 for j in range(8)]
+        ks = [math.sqrt(omega - base) for omega in omegas]  # the k_m realized
+        s_n, s_m = math.sin(PI * eps), math.sin(m * PI * eps)
+        for rho0 in rho0s:
+            q = [s_n * s_m / scattering_amplitude(hard_wall, Impurity(eps, rho0), 1, m, omega)
+                 for omega in omegas]
+            limit = neville_diagonal(ks, q)[-1]
+            assert abs(limit - s_m**2) <= 1e-11 * s_m**2, (rho0, limit)

@@ -105,6 +105,18 @@ class TestLongitudinalWavenumber:
         with pytest.raises(DomainError):
             longitudinal_wavenumber(0, 10.0)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_energy(self, omega):
+        with pytest.raises(DomainError, match=f"energy must be finite, got {omega}"):
+            longitudinal_wavenumber(2, omega)
+
+
+class TestThresholdEnergy:
+    @pytest.mark.parametrize("m", [0, math.nan, math.inf])
+    def test_rejects_bad_index(self, m):
+        with pytest.raises(DomainError, match=f"mode index must be a finite number >= 1, got {m}"):
+            threshold_energy(m)
+
 
 class TestEvanescentGaussianSum:
     def test_half_width_position_keeps_odd_terms_only(self):

@@ -98,8 +98,18 @@ class TestThresholdTransport:
         assert all(r.conductance == 2.0 for r in results)
 
     def test_decoupled_node_same_result(self, hard_wall):
-        res = threshold_transport(hard_wall, Impurity(0.5, 0.01), 2)
-        assert res.conductance == 1.0
+        # on a node of mode m the impurity still scatters among the m - 1
+        # open channels (G = 0.898083 at eps = 1/2, 1.867583 at eps = 1/3):
+        # the cut-off value is the limit of transport_at from below
+        for eps, m in ((0.5, 2), (1.0 / 3.0, 3)):
+            imp = Impurity(eps, 0.01)
+            res = threshold_transport(hard_wall, imp, m)
+            near = transport_at(hard_wall, imp, threshold_energy(m) * (1.0 - 1e-12))
+            assert res.num_propagating == near.num_propagating == m - 1
+            assert res.conductance < m - 1.05
+            assert res.conductance == pytest.approx(near.conductance, abs=1e-9)
+            assert np.allclose(res.transmission, near.transmission, rtol=0.0, atol=1e-9)
+            assert np.allclose(res.reflection, near.reflection, rtol=0.0, atol=1e-9)
 
     def test_requires_an_open_channel(self, hard_wall, canonical_impurity):
         with pytest.raises(DomainError):
