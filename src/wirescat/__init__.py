@@ -60,7 +60,6 @@ from .scatter import (
 )
 from .specfun import (
     EULER_GAMMA,
-    LongitudinalWavenumber,
     cosine_integral,
     evanescent_gaussian_sum,
     longitudinal_wavenumber,

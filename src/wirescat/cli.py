@@ -368,7 +368,7 @@ def run_field(cfg: RunConfig) -> int:
             raise DomainError(f"energy must be finite, got {cfg.omega}")
         if cfg.omega <= threshold_energy(n):
             raise DomainError(f"incident mode {n} does not propagate at omega={cfg.omega}")
-        k_n = longitudinal_wavenumber(n, cfg.omega).value
+        k_n = longitudinal_wavenumber(n, cfg.omega)
         psi = np.outer(np.sin(n * np.pi * ys), np.exp(1j * k_n * xs))
     elif cfg.field_mode == "defect":
         if cfg.omega is None:

@@ -53,7 +53,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .numerics import neville_diagonal
 from .scatter import nearest_threshold_index, resonance_parameters
-from .specfun import threshold_energy
+from .specfun import _index, threshold_energy
 from .wire import WireGeometry
 
 __all__ = [
@@ -93,8 +93,6 @@ class DiscreteWire:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
-        if self.lead_modes < 1:
-            raise ConfigurationError(f"lead_modes must be at least 1, got {self.lead_modes}")
         defect_fields = (self.eps, self.rho, self.rho0)
         if any(v is None for v in defect_fields) and any(v is not None for v in defect_fields):
             raise ConfigurationError("set eps, rho and rho0 together, or none of them")
@@ -109,11 +107,10 @@ class DiscreteWire:
             raise ConfigurationError("grid spacings must be positive")
         if abs(round(1.0 / self.h_y) - 1.0 / self.h_y) > 1e-9:
             raise ConfigurationError("1/h_y must be an integer so the walls sit on the grid")
-        if self.lead_modes >= round(1.0 / self.h_y):
-            raise ConfigurationError(
-                f"lead_modes={self.lead_modes} exceeds the {round(1.0 / self.h_y) - 1} "
-                "transverse modes of the grid"
-            )
+        try:  # at most the transverse modes of the grid
+            _index(self.lead_modes, "lead_modes", hi=round(1.0 / self.h_y) - 1)
+        except DomainError as exc:
+            raise ConfigurationError(str(exc)) from None
 
     @property
     def has_defect(self) -> bool:
@@ -188,23 +185,23 @@ def _transverse_eigenvalues(ny: int) -> np.ndarray:
 
 
 def _lattice_modes(ny: int, h_x: float, omega: float):
-    """Discrete transverse spectrum and per-mode longitudinal factors."""
+    """Discrete transverse spectrum mu and per-mode longitudinal factors
+    sin(k~ h_x) and e^{i k~ h_x}.
+
+    They are taken in half-angle form, with t = (omega - mu) h_x^2 / 2 =
+    1 - cos(k~ h_x): sin(k~ h_x) = sqrt(t (2 - t)) as a complex root, so
+    i sinh(kappa h_x) for an evanescent mode (t < 0), and
+    e^{i k~ h_x} = (1 - t) + i sin(k~ h_x).  sin(k~ h_x) keeps the relative
+    precision of t however close omega is to mu, where 1 - t rounds to 1.
+    """
     mu = _transverse_eigenvalues(ny)
-    c = 1.0 - (omega - mu) * h_x * h_x / 2.0
-    if np.any(c < -1.0):
+    t = (omega - mu) * h_x * h_x / 2.0
+    if np.any(t > 2.0):
         raise ConfigurationError(
             "omega exceeds the discrete band edge of a retained mode; refine h_x"
         )
-    sin_kh = np.empty(ny - 1, dtype=complex)
-    exp_kh = np.empty(ny - 1, dtype=complex)
-    prop = np.abs(c) <= 1.0
-    kh = np.arccos(c[prop])
-    sin_kh[prop] = np.sin(kh)
-    exp_kh[prop] = np.exp(1j * kh)
-    ch = np.arccosh(c[~prop])
-    sin_kh[~prop] = 1j * np.sinh(ch)
-    exp_kh[~prop] = np.exp(-ch)
-    return mu, sin_kh, exp_kh, prop
+    sin_kh = np.sqrt((t * (2.0 - t)).astype(complex))
+    return mu, sin_kh, (1.0 - t) + 1j * sin_kh
 
 
 def _fft_extension(c, parity: float) -> np.ndarray:
@@ -231,12 +228,11 @@ def _dst(c) -> np.ndarray:
     return _fft_extension(c, -1.0)[1:len(c) + 1] * (0.5j * math.sqrt(2.0))
 
 
-def _check_energy(wire: DiscreteWire, n: int, omega: float) -> None:
+def _check_energy(wire: DiscreteWire, n: int, omega: float) -> int:
     """The checks of a solve that read neither width nor strength: the
     incident mode index, the domain length against the slowest retained
-    evanescent mode, and a propagating incident mode."""
-    if n < 1 or n > wire.lead_modes:
-        raise DomainError(f"incident mode must lie in 1..{wire.lead_modes}")
+    evanescent mode, and a propagating incident mode.  Returns the index."""
+    n = _index(n, "incident mode", hi=wire.lead_modes)
     m = nearest_threshold_index(omega)
     decay = math.sqrt(max(threshold_energy(m + 1) - omega, 0.0))
     if decay > 0.0 and wire.x_extent < 10.0 / decay:
@@ -246,6 +242,7 @@ def _check_energy(wire: DiscreteWire, n: int, omega: float) -> None:
         )
     if omega <= threshold_energy(n):
         raise DomainError(f"incident mode {n} does not propagate at omega={omega}")
+    return n
 
 
 def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
@@ -256,7 +253,7 @@ def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
     """
     if wire.has_defect:
         return solve_table(wire, n, omega, [wire.rho], [wire.rho0])[0][0]
-    _check_energy(wire, n, omega)
+    n = _check_energy(wire, n, omega)
     # clean wire: psi = psi_inc exactly on the lattice
     return OracleSolution(wire=wire, incident_mode=n, energy=omega,
                           reflected=np.zeros(wire.lead_modes, dtype=complex))
@@ -305,7 +302,7 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
         # meets it: the row's first wire, then the checks, then the others
         row = [replace(wire, rho=rho, rho0=rho0s[0])]
         if modes is None:
-            _check_energy(wire, n, omega)
+            n = _check_energy(wire, n, omega)
         if rho / h < 4.0:
             raise ConfigurationError(
                 f"impurity width under-resolved: rho/h_y = {rho / h:.2f} < 4"
@@ -338,7 +335,6 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
     # discrete flux: group velocity per mode ~ sin(k~ h)/h for propagating modes
     vel = np.real(sin_kh[:lead]) / wire.h_x
     live = vel > 0.0
-    spectrum = modes[:3]
     out = []
     for k, cell in enumerate(solved):
         reflected = scattered[:, k].copy()
@@ -354,7 +350,7 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
             reflected=reflected,
             flux_defect=abs(flux - 1.0),
             _cell=cell,
-            _spectrum=spectrum,
+            _spectrum=modes,
         ))
     return [out[i:i + len(rho0s)] for i in range(0, len(out), len(rho0s))]
 
@@ -396,15 +392,13 @@ def _residual(n, omega, mu, sin_kh, exp_kh, cells) -> list[float]:
     yi = np.arange(1, ny) * h
     u_cols = _source_columns(ny, cells)
     mode_src = _dst(u_cols)  # sum_i phi_j(y_i) u_i per mode j, per cell
-    # incident discrete wavenumber for mode n
-    kh_n = math.acos(1.0 - (omega - mu[n - 1]) * wire.h_x**2 / 2.0)
     ps = np.arange(-2, 3)
     # e^{i k~ h_x |p|} per mode, |p| = 0, 1, 2
     hops = np.stack((np.ones_like(exp_kh), exp_kh, exp_kh * exp_kh), axis=1)
     coef = (wire.h_x * h * mode_src / (2j * sin_kh[:, None]))[:, None, :] * hops[:, :, None]
     psi_sc = _dst(coef)  # [row, |p|, cell]
     inc = np.sin(n * math.pi * yi)
-    cols = (inc[:, None] * np.exp(1j * kh_n * ps))[:, :, None] + psi_sc[:, np.abs(ps)]
+    cols = (inc[:, None] * exp_kh[n - 1] ** ps)[:, :, None] + psi_sc[:, np.abs(ps)]
 
     psi = cols[:, 1:-1]  # p = -1, 0, 1
     res = cols[:, :-2] + cols[:, 2:]  # h_x^2 Laplacian_x psi + 2 psi
@@ -526,8 +520,9 @@ def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list,
     """
     if len(rho0_list) < 1:
         raise DomainError("need at least one impurity strength")
-    if not 1 <= m <= wire.lead_modes:
-        raise DomainError(f"threshold index m must lie in 1..{wire.lead_modes}, got {m}")
+    m = _index(m, "threshold index m", hi=wire.lead_modes)
+    if not 0.0 < offset_scale < math.inf:
+        raise DomainError(f"offset_scale must be positive and finite, got {offset_scale}")
     d_inv_sqrt = resonance_parameters(WireGeometry.hard_wall(), wire.eps, rho0_list, m)
     offset = offset_scale * min(1.0 / abs(d) ** 2 for d in d_inv_sqrt)
     lattice_cutoff = float(_transverse_eigenvalues(int(round(1.0 / wire.h_y)))[m - 1])

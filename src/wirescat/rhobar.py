@@ -19,7 +19,13 @@ import numpy as np
 from . import kernels
 from .errors import ConvergenceError, DomainError
 from .numerics import neville_zero
-from .specfun import EULER_GAMMA, evanescent_gaussian_sum, threshold_energy
+from .specfun import (
+    _TERM_BUDGET,
+    EULER_GAMMA,
+    _index,
+    evanescent_gaussian_sum,
+    threshold_energy,
+)
 from .wire import propagating_count
 
 __all__ = [
@@ -32,8 +38,7 @@ __all__ = [
 def _validate_window(omega: float, m: int) -> None:
     if not math.isfinite(omega):
         raise DomainError(f"energy must be finite, got {omega}")
-    if m < 1:
-        raise DomainError(f"cut-off index must be >= 1, got {m}")
+    m = _index(m, "cut-off index")
     if omega >= threshold_energy(m + 1):
         raise DomainError(
             f"omega={omega} lies above the cut-off of mode {m + 1}; "
@@ -46,9 +51,6 @@ def _validate_window(omega: float, m: int) -> None:
         )
 
 
-#: Most modes either rho_bar route may sum in one call: the ladder's deepest
-#: rung and the tail-subtraction head both stop here.
-_TERM_BUDGET = 3e7
 _LADDER_LEVELS = 14  # deepest rung k of the cross-check ladder rho_k = start 2^-k
 
 #: B_2i / (2i)! for i = 1..5, the Euler-Maclaurin coefficients.

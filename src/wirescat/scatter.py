@@ -63,6 +63,7 @@ from .rhobar import (
 )
 from .specfun import (
     EULER_GAMMA,
+    _index,
     cosine_integral,
     longitudinal_wavenumber,
     threshold_energy,
@@ -218,15 +219,14 @@ def _require_hard_wall(geometry: WireGeometry) -> None:
 
 def _cutoff_wavenumbers(omega: float, m: int, ns, ls) -> list:
     """k_q for q = 1..max(m, max(ls)) as Python complexes, after the checks
-    of an amplitude table at one energy: DomainError for a mode index below
-    1, an energy outside the window of cut-off m or an incident mode that
-    does not propagate.  k_m = 0 on the cut-off of mode m."""
-    if min(ns) < 1 or min(ls) < 1:
-        raise DomainError("mode indices must be >= 1")
+    of an amplitude table at one energy whose mode indices ``ns`` and ``ls``
+    are checked: DomainError for an energy outside the window of cut-off m
+    or an incident mode that does not propagate.  k_m = 0 on the cut-off of
+    mode m."""
     _validate_window(omega, m)
     if omega <= threshold_energy(max(ns)):
         raise DomainError(f"incident mode {max(ns)} does not propagate at omega={omega}")
-    return [longitudinal_wavenumber(q, omega).value for q in range(1, max(m, max(ls)) + 1)]
+    return [longitudinal_wavenumber(q, omega) for q in range(1, max(m, max(ls)) + 1)]
 
 
 def _wavenumbers(omega: float, m: int, ns, ls) -> list:
@@ -303,8 +303,8 @@ def scattering_amplitude(geometry: WireGeometry, impurity: Impurity,
     numerator vanishes together with the divergent bracket term.
     """
     _require_hard_wall(geometry)
-    if m is None:
-        m = nearest_threshold_index(omega)
+    n, l = _index(n, "incident mode"), _index(l, "outgoing mode")
+    m = nearest_threshold_index(omega) if m is None else _index(m, "cut-off index")
     return complex(_amplitude_table(impurity, omega, m, [n], [l])[2][0, 0])
 
 
@@ -313,17 +313,14 @@ def solve_scattering(geometry: WireGeometry, impurity: Impurity,
                      l_max: int | None = None) -> ScatteringSolution:
     """Assemble the amplitude table A_nl for l = 1..l_max plus diagnostics.
 
-    l_max defaults to m + 20 and must be >= 1.  The flux unitarity defect
+    l_max defaults to m + 20.  The flux unitarity defect
     |1 - sum_l (k_l/k_n)(|delta - A|^2 + |A|^2)| runs over every propagating
     l, whatever l_max is, and is reported, never silently normalized away.
     """
     _require_hard_wall(geometry)
-    if m is None:
-        m = nearest_threshold_index(omega)
-    if l_max is None:
-        l_max = m + 20
-    if l_max < 1:
-        raise DomainError(f"mode truncation l_max must be >= 1, got {l_max}")
+    n = _index(n, "incident mode")
+    m = nearest_threshold_index(omega) if m is None else _index(m, "cut-off index")
+    l_max = m + 20 if l_max is None else _index(l_max, "mode truncation l_max")
     p = propagating_count(omega)
     rho_bar, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, max(l_max, p) + 1))
     row, k_p = amp[0], k[:p].real
@@ -383,15 +380,15 @@ def scattered_field_grid(geometry: WireGeometry, impurity: Impurity,
     """
     xs, ys = _finite_positions(xs, ys)
     _require_hard_wall(geometry)
-    if m is None:
-        m = nearest_threshold_index(omega)
+    n = _index(n, "incident mode")
+    m = nearest_threshold_index(omega) if m is None else _index(m, "cut-off index")
     if l_max is None:
         dx_min = float(np.min(np.abs(xs), initial=math.inf))
         l_max = m + 40
         while l_max < 400 and math.pi * l_max * dx_min < 27.6:
             l_max += 20
-    if l_max < 1:
-        raise DomainError(f"mode truncation l_max must be >= 1, got {l_max}")
+    else:
+        l_max = _index(l_max, "mode truncation l_max")
     _, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, l_max + 1))
     # each distinct |x| once, unless one row or one distinct |x| is left:
     # numpy would then take a matrix-vector product, whose bits differ from
@@ -426,8 +423,7 @@ def resonance_parameters(geometry: WireGeometry, epsilon: float, rho0s,
     in ``rho0s`` at one position: rho_bar depends on neither strength, so it
     is evaluated once for all of them."""
     _require_hard_wall(geometry)
-    if m < 1:
-        raise DomainError(f"cut-off index must be >= 1, got {m}")
+    m = _index(m, "cut-off index")
     impurities = [Impurity(epsilon, rho0) for rho0 in rho0s]
     if omega is None:
         omega = threshold_energy(m)
@@ -466,11 +462,12 @@ def near_threshold_field(geometry: WireGeometry, impurity: Impurity,
     non-finite position.
     """
     _require_hard_wall(geometry)
+    n = _index(n, "incident mode")
     x, y = r
     _finite_positions(x, y)
     eps = impurity.epsilon
     d_inv_sqrt = resonance_parameter(geometry, impurity, m, omega)
-    k_m = longitudinal_wavenumber(m, omega).value
+    k_m = longitudinal_wavenumber(m, omega)
     ratio_sq = abs(k_m * d_inv_sqrt) ** 2
     if ratio_sq > 0.25:
         warnings.warn(
@@ -479,7 +476,7 @@ def near_threshold_field(geometry: WireGeometry, impurity: Impurity,
             ValidityWarning,
             stacklevel=2,
         )
-    k_n = longitudinal_wavenumber(n, omega).value
+    k_n = longitudinal_wavenumber(n, omega)
     inc = math.sin(n * math.pi * y) * np.exp(1j * k_n * x)
     ratio = math.sin(n * math.pi * eps) / math.sin(m * math.pi * eps)
     res = ratio * math.sin(m * math.pi * y) * np.exp(1j * k_m * abs(x)) \
@@ -517,15 +514,13 @@ def threshold_field_grid(geometry: WireGeometry, impurity: Impurity,
     """
     xs, ys = _finite_positions(xs, ys)
     eps = impurity.epsilon
+    m = _index(m, "cut-off index")
+    n = _index(n, "incident mode", hi=m - 1)
     if geometry.kind == HARD_WALL:
-        if n >= m:
-            raise DomainError(
-                f"incidence must be in a propagating mode below the cut-off: n={n} >= m={m}"
-            )
         # same evaluation path as the generic wavenumber so that the
         # near-threshold form at k_m = 0 matches this one bit for bit; for
         # the same reason the rows take the scalar math.sin that form uses
-        k_inc = longitudinal_wavenumber(n, threshold_energy(m)).value.real
+        k_inc = longitudinal_wavenumber(n, threshold_energy(m)).real
         rows = ys.tolist()
         chi_n_y = np.array([math.sin(n * math.pi * y) for y in rows])
         chi_m_y = np.array([math.sin(m * math.pi * y) for y in rows])
@@ -534,8 +529,6 @@ def threshold_field_grid(geometry: WireGeometry, impurity: Impurity,
     else:
         mode_n = geometry.mode(n)
         mode_m = geometry.mode(m)
-        if mode_m.threshold <= mode_n.threshold:
-            raise DomainError("resonant mode must lie above the incident mode")
         k_inc = math.sqrt(mode_m.threshold - mode_n.threshold)
         chi_n_y = mode_n.profile(ys)
         chi_m_y = mode_m.profile(ys)
@@ -569,8 +562,7 @@ def surface_resonance_parameter(impurity: Impurity, m: int) -> complex:
 
     for eps << 1/m (lower wall) with eps -> 1 - eps on the upper wall.
     """
-    if m < 1:
-        raise DomainError(f"cut-off index must be >= 1, got {m}")
+    m = _index(m, "cut-off index")
     eps = impurity.epsilon
     eff = min(eps, 1.0 - eps)
     if m * eff >= 0.05:
@@ -592,10 +584,8 @@ def surface_threshold_field(n: int, m: int, side: str, r) -> complex:
     non-finite position."""
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
-    if not 1 <= n < m:
-        raise DomainError(
-            f"incidence must propagate below the cut-off: need 1 <= n < m, got n={n}, m={m}"
-        )
+    m = _index(m, "cut-off index")
+    n = _index(n, "incident mode", hi=m - 1)
     x, y = r
     _finite_positions(x, y)
     inc = math.sin(n * math.pi * y) * np.exp(1j * math.pi * math.sqrt(m * m - n * n) * x)
@@ -683,8 +673,8 @@ def cutoff_scan(geometry: WireGeometry, epsilon: float, rho0s, n: int, m: int,
     """
     if not len(rho0s):
         raise DomainError("need at least one impurity strength")
-    if l is None:
-        l = m
+    n, m = _index(n, "incident mode"), _index(m, "cut-off index")
+    l = m if l is None else _index(l, "outgoing mode")
     _require_hard_wall(geometry)
     impurities = [Impurity(epsilon, rho0) for rho0 in rho0s]
     base = threshold_energy(m)

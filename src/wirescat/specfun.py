@@ -8,7 +8,6 @@ transverse cut-offs of a hard-wall wire of unit width sit at (l pi)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +19,28 @@ EULER_GAMMA = 0.5772156649015329
 
 _SERIES_CUTOFF = 4.0
 _CF_MAXIT = 300
+
+#: Most modes either rho_bar route may sum in one call: the ladder's deepest
+#: rung and the tail-subtraction head both stop here.
+_TERM_BUDGET = 3e7
+
+#: Largest cut-off index m whose whole window fits the exact rho_bar head,
+#: N0 >= 8 sqrt(omega)/pi, which nears 8 (m + 1) at the top of the window.
+_MAX_INDEX = int(_TERM_BUDGET) // 8 - 1
+
+#: From the cut-off of mode 2^52 up, floats no longer tell neighbouring
+#: cut-offs apart.
+_MAX_CUTOFF = 2**52
+
+
+def _index(value, name: str = "mode index", lo: int = 1, hi: int = _MAX_INDEX) -> int:
+    """int(value) for an integer value in lo..hi, else DomainError naming
+    ``name`` and the value.  NaN and +-inf fail the range test.  Every mode
+    index, cut-off index, truncation and mode count of the library passes
+    here before it indexes, builds a range or allocates."""
+    if not (lo <= value <= hi and value == int(value)):
+        raise DomainError(f"{name} must be an integer in {lo}..{hi}, got {value}")
+    return int(value)
 
 
 def cosine_integral(x: float) -> float:
@@ -75,40 +96,24 @@ def _exp1(z: complex) -> complex:
     return h * np.exp(-z)
 
 
-@dataclass(frozen=True)
-class LongitudinalWavenumber:
-    """Longitudinal wavenumber k_l = sqrt(omega - (l pi)^2) with the
-    outgoing/decaying branch below cut-off.
-
-    Above cut-off the value is real positive; below it is i sqrt((l pi)^2 -
-    omega) so that exp(i k |x|) decays.  Exactly one component is nonzero
-    unless the energy sits exactly on the cut-off.
-    """
-
-    mode_index: int
-    energy: float
-    value: complex
-
-
-def longitudinal_wavenumber(l: int, omega: float) -> LongitudinalWavenumber:
-    """Branch-resolved k_l for mode l at energy omega (hard-wall wire)."""
-    if l < 1:
-        raise DomainError(f"mode index must be >= 1, got {l}")
+def longitudinal_wavenumber(l: int, omega: float) -> complex:
+    """Longitudinal wavenumber k_l = sqrt(omega - (l pi)^2) of hard-wall mode
+    l at energy omega, on the outgoing/decaying branch: real positive above
+    the cut-off, i sqrt((l pi)^2 - omega) below it, so that exp(i k |x|)
+    decays; exactly one component is nonzero unless omega sits on the
+    cut-off."""
+    l = _index(l)
     if not math.isfinite(omega):
         raise DomainError(f"energy must be finite, got {omega}")
     gap = omega - (l * math.pi) ** 2
     if gap >= 0.0:
-        value = complex(math.sqrt(gap), 0.0)
-    else:
-        value = complex(0.0, math.sqrt(-gap))
-    return LongitudinalWavenumber(mode_index=l, energy=omega, value=value)
+        return complex(math.sqrt(gap), 0.0)
+    return complex(0.0, math.sqrt(-gap))
 
 
 def threshold_energy(m: int) -> float:
     """Cut-off energy of transverse mode m in a hard-wall wire: (m pi)^2."""
-    if not 1 <= m < math.inf:
-        raise DomainError(f"mode index must be a finite number >= 1, got {m}")
-    return (m * math.pi) ** 2
+    return (_index(m, hi=_MAX_CUTOFF) * math.pi) ** 2
 
 
 def evanescent_gaussian_sum(eps: float, omega: float, m: int, rho: float) -> float:
@@ -127,8 +132,7 @@ def evanescent_gaussian_sum(eps: float, omega: float, m: int, rho: float) -> flo
             raise DomainError(f"{name} must be finite, got {value}")
     if rho <= 0.0:
         raise DomainError(f"gaussian width must be positive, got {rho}")
-    if m < 1:
-        raise DomainError(f"cut-off index must be >= 1, got {m}")
+    m = _index(m, "cut-off index")
     if omega >= threshold_energy(m + 1):
         raise DomainError(
             f"omega={omega} is above the (m+1)-th cut-off; summed modes must all "
@@ -136,4 +140,4 @@ def evanescent_gaussian_sum(eps: float, omega: float, m: int, rho: float) -> flo
         )
     # exp(-(n pi rho/2)^2) < 1e-18 once n > 2*sqrt(41.5)/(pi rho)
     n_max = max(m + 8, int(4.11 / rho) + m + 8)
-    return 2.0 * math.pi * kernels.cut_sum(float(eps), float(omega), int(m), float(rho), n_max)
+    return 2.0 * math.pi * kernels.cut_sum(float(eps), float(omega), m, float(rho), n_max)

@@ -22,7 +22,7 @@ from .scatter import (
     _wavenumbers,
     nearest_threshold_index,
 )
-from .specfun import threshold_energy
+from .specfun import _index, threshold_energy
 from .wire import WireGeometry, propagating_count
 
 __all__ = ["TransportResult", "SweepPoint", "transport_at", "threshold_transport", "sweep"]
@@ -141,13 +141,11 @@ def threshold_transport(geometry: WireGeometry, impurity: Impurity, m: int) -> T
     vanishes there, so they transmit perfectly: T = identity, R = 0,
     conductance = m - 1 exactly, independent of the impurity.  On a node
     of mode m the impurity still scatters among the open channels, as
-    :func:`transport_at` does on approach.  Hard-wall wires only.
+    :func:`transport_at` does on approach.  Hard-wall wires only, and
+    m >= 2, so that a channel is open.
     """
     _require_hard_wall(geometry)
-    if m < 2:
-        raise DomainError(
-            f"need at least one propagating channel below the cut-off, got m={m}"
-        )
+    m = _index(m, "cut-off index", lo=2)
     omega = threshold_energy(m)
     modes = range(1, m)
     k = _cutoff_wavenumbers(omega, m, modes, modes)

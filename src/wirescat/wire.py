@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .specfun import threshold_energy
+from .specfun import _MAX_CUTOFF, _index, threshold_energy
 
 HARD_WALL = "hard-wall"
 GENERAL = "general"
 
 #: From (2^52 pi)^2 up, floats no longer tell neighbouring cut-offs apart.
-_MAX_ENERGY = (2.0**52 * math.pi) ** 2
+_MAX_ENERGY = threshold_energy(_MAX_CUTOFF)
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,9 @@ class WireGeometry:
     def __init__(self, kind=HARD_WALL, num_modes=64, potential=None, grid_points=1024):
         if kind not in (HARD_WALL, GENERAL):
             raise DomainError(f"unknown geometry kind {kind!r}")
-        if not (math.isfinite(num_modes) and num_modes >= 1):
-            raise DomainError(f"num_modes must be a finite number >= 1, got {num_modes}")
-        if not (math.isfinite(grid_points) and grid_points >= 1):
-            raise DomainError(f"grid_points must be a finite number >= 1, got {grid_points}")
         self.kind = kind
-        self.num_modes = int(num_modes)
-        self.grid_points = int(grid_points)
+        self.num_modes = _index(num_modes, "num_modes")
+        self.grid_points = _index(grid_points, "grid_points")
         self._potential = potential
         self._modes: list[TransverseMode] | None = None
         if kind == GENERAL:
@@ -118,6 +114,7 @@ class WireGeometry:
 
     def thresholds(self, count: int) -> np.ndarray:
         """Cut-off energies of the lowest ``count`` modes."""
+        count = _index(count, "mode count")
         if self.kind == HARD_WALL:
             return np.array([threshold_energy(n) for n in range(1, count + 1)])
         if count > len(self._modes):
@@ -129,10 +126,7 @@ class WireGeometry:
 
 def mode(geometry: WireGeometry, n: int) -> TransverseMode:
     """The n-th transverse mode (1-based) of the wire."""
-    if not 1 <= n <= geometry.num_modes:
-        raise DomainError(
-            f"mode index {n} outside 1..{geometry.num_modes} for this geometry"
-        )
+    n = _index(n, hi=geometry.num_modes)
     if geometry.kind == HARD_WALL:
         return TransverseMode(index=n, threshold=threshold_energy(n))
     return geometry._modes[n - 1]
@@ -149,8 +143,7 @@ def transverse_eigensolve(geometry: WireGeometry, count: int) -> list[Transverse
     """
     if geometry.kind != GENERAL:
         raise DomainError("eigensolver applies to general geometries only")
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    count = _index(count, "mode count")
     m_fine = max(geometry.grid_points, 512)
     if count > m_fine // 8:
         raise ResolutionError(

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -17,6 +19,27 @@ def hard_wall():
 def canonical_impurity():
     """The (eps, rho0) pair most of the worked comparisons use."""
     return Impurity(epsilon=0.3, rho0=0.01)
+
+
+@pytest.fixture(scope="session")
+def alarm():
+    """``with alarm(seconds):`` raises TimeoutError inside the block once
+    ``seconds`` have passed, for checks that a call returns promptly."""
+
+    @contextlib.contextmanager
+    def run(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"did not return within {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return run
 
 
 def brute_force_cut_sum(eps, omega, m, rho, n_terms):

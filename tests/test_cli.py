@@ -288,7 +288,7 @@ class TestField:
 def _cutoff_point(eps, n, m, x, y):
     """The cut-off field at one point, evaluated with scalar math as a
     reference for the vectorized grid."""
-    k = longitudinal_wavenumber(n, threshold_energy(m)).value.real
+    k = longitudinal_wavenumber(n, threshold_energy(m)).real
     inc = math.sin(n * PI * y) * np.exp(1j * k * x)
     return complex(inc - math.sin(n * PI * eps) / math.sin(m * PI * eps) * math.sin(m * PI * y))
 
@@ -323,7 +323,7 @@ class TestFieldOutputBytes:
     def _reference(self, mode, eps):
         hard_wall = WireGeometry.hard_wall()
         if mode == "clean":
-            k = longitudinal_wavenumber(1, self.OMEGA).value
+            k = longitudinal_wavenumber(1, self.OMEGA)
             return np.outer(np.sin(PI * self.YS), np.exp(1j * k * self.XS))
         if mode == "defect":
             return scattered_field_grid(hard_wall, Impurity(eps, 0.003), 1, self.OMEGA,
@@ -369,7 +369,7 @@ class TestFieldOutputBytes:
                        "--nx", str(self.NX), "--ny", str(self.NY), "--with-complex",
                        "--out", str(out)) == 0
         assert [w.category for w in record] == [DecoupledModeWarning]
-        k = longitudinal_wavenumber(1, threshold_energy(2)).value.real
+        k = longitudinal_wavenumber(1, threshold_energy(2)).real
         rows = np.array([math.sin(PI * y) for y in self.YS])
         incident = np.outer(rows, np.exp(1j * k * self.XS))
         assert out.read_text() == _point_table(incident, self.XS, self.YS, True, "csv")

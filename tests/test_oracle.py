@@ -77,7 +77,7 @@ class TestCleanWire:
         from wirescat.oracle import _lattice_modes
 
         def k_err(ny, l):
-            mu, sin_kh, _, _ = _lattice_modes(ny, 1.0 / ny, OM)
+            mu, sin_kh, _ = _lattice_modes(ny, 1.0 / ny, OM)
             k_disc = math.asin(sin_kh[l - 1].real) * ny
             return abs(k_disc - math.sqrt(OM - (l * PI) ** 2))
 
@@ -220,7 +220,7 @@ class TestResidual:
         _residual, rebuilt."""
         ny = round(1.0 / wire.h_y)
         yi = np.arange(1, ny) * wire.h_y
-        mu, sin_kh, exp_kh, _ = _lattice_modes(ny, wire.h_x, omega)
+        mu, sin_kh, exp_kh = _lattice_modes(ny, wire.h_x, omega)
         w = np.exp(-(((yi - wire.eps) / wire.rho) ** 2))
         support = w >= 1e-14
         ws = w[support]
@@ -357,16 +357,33 @@ class TestUniversalityProbe:
         with pytest.raises(DomainError, match="threshold index"):
             universality_probe(wire, 1, 3, [1e-2])
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "CHANGES.md FOUND: an offset below the resolution of the lattice cut-off "
-        "mu_m leaves omega = mu_m, sin(k~_m h_x) = 0 and NaN coefficients"))
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_offset_below_lattice_cutoff_resolution(self):
         # cutoff-universality seed 144, m = 2: the offset 2.9e-12 leaves
-        # c = 1 - offset h^2/2 at exactly 1.0, so g_col divides by zero
+        # cos(k~ h_x) = 1 - offset h^2/2 at exactly 1.0, yet sin(k~ h_x)
+        # must keep the digits of the offset
         rho0s = [3.797799710559903e-4, 1.123680524875869e-5, 4.607220694680535e-2]
         wire = DiscreteWire(eps=0.49734375245882595, rho=0.04, rho0=rho0s[0], **FINE)
         report = universality_probe(wire, 1, 2, rho0s)
+        assert all(cmath.isfinite(c) for c in report.coefficients)
+
+    @pytest.mark.parametrize("scale", [0.0, -1e-4, math.nan, math.inf])
+    def test_offset_scale_must_be_positive_and_finite(self, scale):
+        # 0 solved on the lattice cut-off itself, and -1e-4 below it
+        wire = DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, **FINE)
+        with pytest.raises(DomainError, match=f"offset_scale must be positive and finite, "
+                                              f"got {scale}"):
+            universality_probe(wire, 1, 2, [1e-2], offset_scale=scale)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "CHANGES.md FOUND: an offset below half an ulp of the lattice cut-off "
+        "mu_m leaves omega = mu_m, sin(k~_m h_x) = 0 and non-finite coefficients"))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_offset_below_half_an_ulp_of_the_lattice_cutoff(self):
+        # cutoff-universality seed 134, m = 3: the offset 1.0e-16 is below
+        # half an ulp of mu_3 ~ 88.8, so mu_3 + offset is mu_3 itself
+        rho0s = [7.038239983454513e-05, 0.03210481149589653, 0.00016724252176652203]
+        wire = DiscreteWire(eps=0.3332118167489375, rho=0.04, rho0=rho0s[0], **FINE)
+        report = universality_probe(wire, 1, 3, rho0s)
         assert all(cmath.isfinite(c) for c in report.coefficients)
 
     def test_quarter_position_coefficient(self):

@@ -2,7 +2,6 @@ import json
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -55,7 +54,7 @@ def brute_force_green(y, yp, dx, omega, n_terms):
     fixed-truncation sum, no adaptive logic."""
     total = 0.0 + 0.0j
     for n in range(1, n_terms + 1):
-        k = longitudinal_wavenumber(n, omega).value
+        k = longitudinal_wavenumber(n, omega)
         total += 1j * math.sin(n * math.pi * y) * math.sin(n * math.pi * yp) / k \
             * np.exp(1j * k * dx)
     return total
@@ -104,18 +103,13 @@ class TestThresholdWindow:
             with pytest.raises(DomainError):
                 regularized_scale_tail_subtraction(0.3, bad, 2)
 
-    def test_unresolvable_energy_rejected_promptly(self, hard_wall, canonical_impurity):
+    def test_unresolvable_energy_rejected_promptly(self, hard_wall, canonical_impurity, alarm):
         # from (2^52 pi)^2 up neighbouring cut-offs round together: the mode
         # counts must raise there, not search forever for a count
         from wirescat import propagating_count, sweep
         from wirescat.wire import _MAX_ENERGY
 
-        def hang(signum, frame):
-            raise TimeoutError("mode count did not return")
-
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(5)
-        try:
+        with alarm(5):
             for bad in (_MAX_ENERGY, 1e34, 1e100):
                 named = re.escape(f"energy {bad}")
                 with pytest.raises(DomainError, match=named):
@@ -130,9 +124,6 @@ class TestThresholdWindow:
             p = propagating_count(below)
             assert threshold_energy(p) < below <= threshold_energy(p + 1)
             assert nearest_threshold_index(below) >= p
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
     def test_window_always_brackets_propagating_modes(self):
         from wirescat import propagating_count
@@ -372,8 +363,8 @@ class TestAmplitudes:
         for n, l in [(1, 2), (2, 1), (1, 3), (1, 5)]:
             if omega <= threshold_energy(n):
                 continue
-            k_l = longitudinal_wavenumber(l, omega).value
-            k_n = longitudinal_wavenumber(n, omega).value
+            k_l = longitudinal_wavenumber(l, omega)
+            k_n = longitudinal_wavenumber(n, omega)
             a_nl = scattering_amplitude(hard_wall, canonical_impurity, n, l, omega)
             if omega > threshold_energy(l):
                 a_ln = scattering_amplitude(hard_wall, canonical_impurity, l, n, omega)
@@ -493,7 +484,7 @@ class TestScatteredField:
         xs = np.array([-1.2, -0.07, 0.07, 0.45, 1.6])
         ys = np.array([0.13, 0.37, 0.58, 0.86])
         psi = scattered_field_grid(hard_wall, canonical_impurity, n, omega, xs, ys)
-        k_n = longitudinal_wavenumber(n, omega).value
+        k_n = longitudinal_wavenumber(n, omega)
         scattered = psi - np.outer(np.sin(n * PI * ys), np.exp(1j * k_n * xs))
         s_n = math.sin(n * PI * eps)
         a_nn = solve_scattering(hard_wall, canonical_impurity, n, omega).amplitudes[n]
@@ -518,7 +509,7 @@ class TestScatteredField:
     def test_vanishing_coupling_returns_incident_wave(self, hard_wall):
         # |ln rho0| -> inf kills the coupling; the float floor rho0=1e-300
         # leaves |A| ~ 1e-3, shrinking as the logarithm grows
-        k1 = longitudinal_wavenumber(1, self.OM).value
+        k1 = longitudinal_wavenumber(1, self.OM)
         devs = []
         for rho0 in (1e-100, 1e-300):
             imp = Impurity(epsilon=0.3, rho0=rho0)
@@ -630,7 +621,7 @@ class TestNearThresholdField:
         d = resonance_parameter(hard_wall, canonical_impurity, 2)
         delta2 = 1.0 / abs(d) ** 2
         omega = threshold_energy(2) + 1e-4 * delta2
-        k2 = longitudinal_wavenumber(2, omega).value
+        k2 = longitudinal_wavenumber(2, omega)
         reduced = (math.sin(0.3 * PI) / math.sin(0.6 * PI)) / (1 + 1j * k2 * d)
         full = scattering_amplitude(hard_wall, canonical_impurity, 1, 2, omega, m=2)
         assert full == pytest.approx(reduced, abs=5e-8)
@@ -646,7 +637,7 @@ class TestThresholdField:
         imp = Impurity(epsilon=0.25, rho0=0.01)
         x, y = 0.5, 0.25
         psi = threshold_field(hard_wall, imp, 1, 2, (x, y))
-        k = longitudinal_wavenumber(1, threshold_energy(2)).value.real
+        k = longitudinal_wavenumber(1, threshold_energy(2)).real
         expect = math.sin(PI * y) * np.exp(1j * k * x) \
             - (math.sqrt(2) / 2) * math.sin(2 * PI * y)
         assert psi == pytest.approx(complex(expect), abs=1e-12)
@@ -672,7 +663,7 @@ class TestThresholdField:
         imp = Impurity(epsilon=0.5, rho0=0.01)
         with pytest.warns(DecoupledModeWarning):
             psi = threshold_field(hard_wall, imp, 1, 2, (0.3, 0.4))
-        k = longitudinal_wavenumber(1, threshold_energy(2)).value.real
+        k = longitudinal_wavenumber(1, threshold_energy(2)).real
         assert psi == pytest.approx(math.sin(0.4 * PI) * np.exp(1j * k * 0.3), abs=1e-15)
 
     def test_nonpropagating_incidence_rejected(self, hard_wall):
@@ -703,7 +694,7 @@ class TestThresholdField:
         with pytest.warns(DecoupledModeWarning) as record:
             grid = threshold_field_grid(hard_wall, Impurity(0.5, 0.01), 1, 2, xs, ys)
         assert len(record) == 1
-        k = longitudinal_wavenumber(1, threshold_energy(2)).value.real
+        k = longitudinal_wavenumber(1, threshold_energy(2)).real
         assert np.array_equal(grid, np.outer(np.sin(PI * ys), np.exp(1j * k * xs)))
 
 

@@ -45,8 +45,8 @@ class TestTransportAt:
         omega = 1.05 * OM_2
         res = transport_at(hard_wall, canonical_impurity, omega)
         sol = solve_scattering(hard_wall, canonical_impurity, 1, omega)
-        k1 = longitudinal_wavenumber(1, omega).value.real
-        k2 = longitudinal_wavenumber(2, omega).value.real
+        k1 = longitudinal_wavenumber(1, omega).real
+        k2 = longitudinal_wavenumber(2, omega).real
         assert res.transmission[0, 0] == pytest.approx(abs(sol.transmitted(1)) ** 2, rel=1e-12)
         assert res.transmission[0, 1] == pytest.approx(
             k2 / k1 * abs(sol.transmitted(2)) ** 2, rel=1e-12
@@ -239,7 +239,7 @@ class TestTransportProperties:
         p = res.num_propagating
         assert res.unitarity_defect <= 1e-8
         assert 0.0 <= res.conductance <= p
-        k = [longitudinal_wavenumber(l, omega).value for l in range(1, p + 1)]
+        k = [longitudinal_wavenumber(l, omega) for l in range(1, p + 1)]
         for n in range(1, p + 1):
             for l in range(n + 1, p + 1):
                 a_nl = scattering_amplitude(hard_wall, imp, n, l, omega)
@@ -291,7 +291,7 @@ class TestPatternThroughResonanceOnly:
         # two different strengths: coefficients collapse once expressed
         # through 1/(1 + i k Delta^(-1/2))
         omega = threshold_energy(2) + 3e-4
-        k2 = longitudinal_wavenumber(2, omega).value
+        k2 = longitudinal_wavenumber(2, omega)
         for rho0 in (1e-4, 1e-2):
             imp = Impurity(0.3, rho0)
             d = resonance_parameter(hard_wall, imp, 2, omega)

@@ -30,12 +30,12 @@ class TestModes:
 
     @pytest.mark.parametrize("grid_points", [0, math.nan, math.inf])
     def test_grid_points_must_be_finite_and_positive(self, grid_points):
-        with pytest.raises(DomainError, match=f"grid_points must be a finite number >= 1, "
+        with pytest.raises(DomainError, match=f"grid_points must be an integer in 1..3749999, "
                                               f"got {grid_points}"):
             WireGeometry.from_potential([0.0, 1.0], [0.0, 0.0], grid_points=grid_points)
 
     def test_nan_mode_index_rejected(self, hard_wall):
-        with pytest.raises(DomainError, match="mode index nan"):
+        with pytest.raises(DomainError, match="mode index must be an integer in 1..64, got nan"):
             mode(hard_wall, math.nan)
 
     def test_out_of_range(self, hard_wall):
