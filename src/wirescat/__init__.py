@@ -1,11 +1,13 @@
 """Exact scattering of waveguide modes off a single point impurity in a
-quasi-1D wire, with a finite-difference PDE oracle.
+quasi-1D hard-wall wire, with a finite-difference PDE oracle.
 
 Near a mode cut-off the impurity scatters strongly, yet the pattern it
 produces is independent of its strength - and, for wall impurities, of its
 position.  This package computes the closed-form amplitudes, the Landauer
 transport matrices, the near-cut-off and exact-cut-off limits, and
-validates them against an independent lattice solver.
+validates them against an independent lattice solver.  An impurity on a
+node of the resonant mode decouples from it; the cut-off field then keeps
+the scattering among the open modes, which does depend on the strength.
 """
 
 from .errors import (
@@ -14,7 +16,6 @@ from .errors import (
     DecoupledModeError,
     DecoupledModeWarning,
     DomainError,
-    ResolutionError,
     ThresholdEnergyError,
     ValidityWarning,
     WirescatError,
@@ -72,12 +73,6 @@ from .transport import (
     threshold_transport,
     transport_at,
 )
-from .wire import (
-    TransverseMode,
-    WireGeometry,
-    mode,
-    propagating_count,
-    transverse_eigensolve,
-)
+from .wire import propagating_count
 
 __version__ = "0.1.0"

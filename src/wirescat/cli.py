@@ -1,6 +1,7 @@
 """Batch command-line front-end.
 
-Subcommands: sweep | field | universality | oned | oracle-compare.
+Subcommands: sweep | field | universality | oned | oracle-compare, each for
+the hard-wall wire of unit width.
 Parameters come from ``key = value`` config files and/or command-line flags
 (flags win).  Tables are emitted as CSV or JSON lines with full round-trip
 float precision, so identical configs give byte-identical outputs.
@@ -8,8 +9,8 @@ float precision, so identical configs give byte-identical outputs.
 Exit codes: 0 success, 1 partial numerical failure (a sweep with more than
 10% failed points), 2 configuration or domain error (the message names the
 violated constraint; an --out path that cannot be opened for writing is
-one), 3 numerical failure (a sum, limit or grid that did not converge:
-ConvergenceError, ResolutionError).
+one), 3 numerical failure (a sum or limit that did not converge:
+ConvergenceError).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     ConfigurationError,
     ConvergenceError,
     DomainError,
-    ResolutionError,
     WirescatError,
 )
 from .scatter import (
@@ -42,7 +42,6 @@ from .scatter import (
 )
 from .specfun import longitudinal_wavenumber, threshold_energy
 from .transport import sweep as transport_sweep
-from .wire import WireGeometry
 
 FMT = "%.17g"
 
@@ -305,8 +304,7 @@ def run_sweep(cfg: RunConfig) -> int:
         raise ConfigurationError("sweep requires --omega-grid lo:hi:count")
     omegas = _parse_grid(cfg.omega_grid)
     impurity = _impurity(cfg)
-    geometry = WireGeometry.hard_wall()
-    points = transport_sweep(geometry, impurity, omegas)
+    points = transport_sweep(impurity, omegas)
     p_max = max((pt.result.num_propagating for pt in points if pt.ok), default=0)
     header = ["omega", "m", "num_propagating"]
     header += [f"T_{n}_{l}" for n in range(1, p_max + 1) for l in range(1, p_max + 1)]
@@ -359,7 +357,6 @@ def run_field(cfg: RunConfig) -> int:
     n = cfg.mode_n
     xs = np.linspace(cfg.x_min, cfg.x_max, cfg.nx)
     ys = np.linspace(0.0, 1.0, cfg.ny + 2)[1:-1]  # interior lattice
-    geometry = WireGeometry.hard_wall()
 
     if cfg.field_mode == "clean":
         if cfg.omega is None:
@@ -374,12 +371,12 @@ def run_field(cfg: RunConfig) -> int:
         if cfg.omega is None:
             raise ConfigurationError("defect field requires --omega")
         impurity = _impurity(cfg)
-        psi = scattered_field_grid(geometry, impurity, n, cfg.omega, xs, ys)
+        psi = scattered_field_grid(impurity, n, cfg.omega, xs, ys)
     else:
         if cfg.threshold_m is None:
             raise ConfigurationError("threshold field requires --threshold-m")
         impurity = _impurity(cfg)
-        psi = threshold_field_grid(geometry, impurity, n, cfg.threshold_m, xs, ys)
+        psi = threshold_field_grid(impurity, n, cfg.threshold_m, xs, ys)
 
     header = ["x", "y", "density"] + (["re", "im"] if cfg.with_complex else [])
     x_list, y_list = xs.tolist(), ys.tolist()
@@ -429,9 +426,8 @@ def run_universality(cfg: RunConfig) -> int:
     n = cfg.mode_n
     rho0s = _parse_list(cfg.rho0_list, "rho0 list")
     offset_scales = _parse_list(cfg.offsets, "offsets") if cfg.offsets else [1e-2, 1e-4, 1e-6]
-    geometry = WireGeometry.hard_wall()
 
-    scan = cutoff_scan(geometry, cfg.epsilon, rho0s, n, m, offset_scales)
+    scan = cutoff_scan(cfg.epsilon, rho0s, n, m, offset_scales)
     limits = list(scan.limits)
     target = math.sin(n * math.pi * cfg.epsilon) / math.sin(m * math.pi * cfg.epsilon)
     mean_limit = np.mean(limits)
@@ -442,7 +438,7 @@ def run_universality(cfg: RunConfig) -> int:
     # the cut-off field itself never reads the strength: spread is 0 by
     # construction, and reported as such
     field_samples = [
-        threshold_field(geometry, Impurity(cfg.epsilon, r0), n, m, (0.37, 0.53))
+        threshold_field(Impurity(cfg.epsilon, r0), n, m, (0.37, 0.53))
         for r0 in rho0s
     ]
     field_spread = max(abs(a - b) for a in field_samples for b in field_samples) \
@@ -537,9 +533,7 @@ def run_oracle_compare(cfg: RunConfig) -> int:
     )
     ladder = oracle_mod.solve_ladder(wire, cfg.mode_n, cfg.omega, rhos)
     ext = oracle_mod.extrapolate_to_zero_width(ladder)
-    geometry = WireGeometry.hard_wall()
-    sol = solve_scattering(geometry, impurity, cfg.mode_n, cfg.omega,
-                           l_max=cfg.lead_modes)
+    sol = solve_scattering(impurity, cfg.mode_n, cfg.omega, l_max=cfg.lead_modes)
     fh = _open_out(cfg)
     try:
         for item in ladder:
@@ -666,7 +660,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return _SUBCOMMANDS[args.subcommand][0](cfg)
-    except (ConvergenceError, ResolutionError) as exc:
+    except ConvergenceError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except WirescatError as exc:

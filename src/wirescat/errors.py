@@ -23,16 +23,13 @@ class ConvergenceError(WirescatError, RuntimeError):
     """An iterative limit or extrapolation failed to stabilise."""
 
 
-class ResolutionError(WirescatError, ValueError):
-    """A discrete grid is too coarse to resolve what was asked of it."""
-
-
 class ConfigurationError(WirescatError, ValueError):
     """Invalid run or solver configuration."""
 
 
 class DecoupledModeWarning(UserWarning):
-    """Impurity decoupled from the resonant mode; returning the incident wave."""
+    """Impurity on a node of the resonant mode: the cut-off field is the
+    scattering among the open modes and depends on the impurity strength."""
 
 
 class ValidityWarning(UserWarning):

@@ -54,7 +54,6 @@ from .errors import ConfigurationError, DomainError
 from .numerics import neville_diagonal
 from .scatter import nearest_threshold_index, resonance_parameters
 from .specfun import _index, threshold_energy
-from .wire import WireGeometry
 
 __all__ = [
     "DiscreteWire",
@@ -523,7 +522,7 @@ def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list,
     m = _index(m, "threshold index m", hi=wire.lead_modes)
     if not 0.0 < offset_scale < math.inf:
         raise DomainError(f"offset_scale must be positive and finite, got {offset_scale}")
-    d_inv_sqrt = resonance_parameters(WireGeometry.hard_wall(), wire.eps, rho0_list, m)
+    d_inv_sqrt = resonance_parameters(wire.eps, rho0_list, m)
     offset = offset_scale * min(1.0 / abs(d) ** 2 for d in d_inv_sqrt)
     lattice_cutoff = float(_transverse_eigenvalues(int(round(1.0 / wire.h_y)))[m - 1])
     omega = lattice_cutoff + offset

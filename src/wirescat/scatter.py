@@ -68,7 +68,7 @@ from .specfun import (
     longitudinal_wavenumber,
     threshold_energy,
 )
-from .wire import HARD_WALL, WireGeometry, _check_countable, propagating_count
+from .wire import _check_countable, propagating_count
 
 __all__ = [
     "Impurity",
@@ -209,14 +209,6 @@ def nearest_threshold_index(omega: float) -> int:
 # amplitudes and fields
 # ---------------------------------------------------------------------------
 
-def _require_hard_wall(geometry: WireGeometry) -> None:
-    if geometry.kind != HARD_WALL:
-        raise DomainError(
-            "closed-form amplitudes hold for the hard-wall wire; general "
-            "cross-sections are supported by the threshold-limit field only"
-        )
-
-
 def _cutoff_wavenumbers(omega: float, m: int, ns, ls) -> list:
     """k_q for q = 1..max(m, max(ls)) as Python complexes, after the checks
     of an amplitude table at one energy whose mode indices ``ns`` and ``ls``
@@ -293,8 +285,7 @@ def _amplitude_table(impurity: Impurity, omega: float, m: int, ns, ls):
     return rho_bar, k[0], amp[0]
 
 
-def scattering_amplitude(geometry: WireGeometry, impurity: Impurity,
-                         n: int, l: int, omega: float,
+def scattering_amplitude(impurity: Impurity, n: int, l: int, omega: float,
                          m: int | None = None) -> complex:
     """Amplitude A_nl of the scattered wave in outgoing mode l for incidence
     in mode n at energy omega (see module docstring for the formula).
@@ -302,14 +293,12 @@ def scattering_amplitude(geometry: WireGeometry, impurity: Impurity,
     Finite for every eps, including nodes of the resonant mode where the
     numerator vanishes together with the divergent bracket term.
     """
-    _require_hard_wall(geometry)
     n, l = _index(n, "incident mode"), _index(l, "outgoing mode")
     m = nearest_threshold_index(omega) if m is None else _index(m, "cut-off index")
     return complex(_amplitude_table(impurity, omega, m, [n], [l])[2][0, 0])
 
 
-def solve_scattering(geometry: WireGeometry, impurity: Impurity,
-                     n: int, omega: float, m: int | None = None,
+def solve_scattering(impurity: Impurity, n: int, omega: float, m: int | None = None,
                      l_max: int | None = None) -> ScatteringSolution:
     """Assemble the amplitude table A_nl for l = 1..l_max plus diagnostics.
 
@@ -317,7 +306,6 @@ def solve_scattering(geometry: WireGeometry, impurity: Impurity,
     |1 - sum_l (k_l/k_n)(|delta - A|^2 + |A|^2)| runs over every propagating
     l, whatever l_max is, and is reported, never silently normalized away.
     """
-    _require_hard_wall(geometry)
     n = _index(n, "incident mode")
     m = nearest_threshold_index(omega) if m is None else _index(m, "cut-off index")
     l_max = m + 20 if l_max is None else _index(l_max, "mode truncation l_max")
@@ -352,19 +340,17 @@ def _finite_positions(xs, ys):
     return xs, ys
 
 
-def scattered_field(geometry: WireGeometry, impurity: Impurity,
-                    n: int, omega: float, r, m: int | None = None,
+def scattered_field(impurity: Impurity, n: int, omega: float, r, m: int | None = None,
                     l_max: int | None = None) -> complex:
     """Total wavefunction at r = (x, y): incident mode n plus the impurity
     wave, evanescent content included up to the mode truncation l_max."""
     x, y = r
-    grid = scattered_field_grid(geometry, impurity, n, omega,
-                                np.array([x]), np.array([y]), m=m, l_max=l_max)
+    grid = scattered_field_grid(impurity, n, omega, np.array([x]), np.array([y]),
+                                m=m, l_max=l_max)
     return complex(grid[0, 0])
 
 
-def scattered_field_grid(geometry: WireGeometry, impurity: Impurity,
-                         n: int, omega: float, xs, ys,
+def scattered_field_grid(impurity: Impurity, n: int, omega: float, xs, ys,
                          m: int | None = None,
                          l_max: int | None = None) -> np.ndarray:
     """Vectorized field on the tensor grid ys x xs; returns psi[iy, ix].
@@ -379,30 +365,40 @@ def scattered_field_grid(geometry: WireGeometry, impurity: Impurity,
     empty grid.  Raises DomainError on a non-finite position.
     """
     xs, ys = _finite_positions(xs, ys)
-    _require_hard_wall(geometry)
     n = _index(n, "incident mode")
     m = nearest_threshold_index(omega) if m is None else _index(m, "cut-off index")
-    if l_max is None:
-        dx_min = float(np.min(np.abs(xs), initial=math.inf))
-        l_max = m + 40
-        while l_max < 400 and math.pi * l_max * dx_min < 27.6:
-            l_max += 20
-    else:
-        l_max = _index(l_max, "mode truncation l_max")
+    l_max = _truncation(m, xs) if l_max is None else _index(l_max, "mode truncation l_max")
     _, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, l_max + 1))
+    return _synthesis(n, k, amp[0], xs, ys)
+
+
+def _truncation(m: int, xs) -> int:
+    """The default mode truncation l_max of a field map over the columns xs
+    (see :func:`scattered_field_grid`)."""
+    dx_min = float(np.min(np.abs(xs), initial=math.inf))
+    l_max = m + 40
+    while l_max < 400 and math.pi * l_max * dx_min < 27.6:
+        l_max += 20
+    return l_max
+
+
+def _synthesis(n: int, k, amp_row, xs, ys) -> np.ndarray:
+    """psi[iy, ix] = sin(n pi y) e^{i k_n x} - sum_l A_nl sin(l pi y)
+    e^{i k_l |x|} over l = 1..len(amp_row), with k[q-1] = k_q: one field
+    synthesis per distinct |x|."""
     # each distinct |x| once, unless one row or one distinct |x| is left:
     # numpy would then take a matrix-vector product, whose bits differ from
     # those of the product over every column
     columns, inverse = np.unique(np.abs(xs), return_inverse=True)
     if len(columns) < 2 or len(ys) < 2:
         columns, inverse = np.abs(xs), np.arange(len(xs))
-    out = kernels.field_grid(columns, ys, -amp[0], k[:l_max]).take(inverse, axis=1)
+    out = kernels.field_grid(columns, ys, -amp_row, k[:len(amp_row)]).take(inverse, axis=1)
     out += np.outer(np.sin(n * np.pi * ys), np.exp(1j * k[n - 1] * xs))
     return out
 
 
-def resonance_parameter(geometry: WireGeometry, impurity: Impurity,
-                        m: int, omega: float | None = None) -> complex:
+def resonance_parameter(impurity: Impurity, m: int,
+                        omega: float | None = None) -> complex:
     """Inverse square root of the complex resonance scale Delta_m that
     carries all impurity dependence of the near-cut-off pattern:
 
@@ -414,15 +410,14 @@ def resonance_parameter(geometry: WireGeometry, impurity: Impurity,
     would pick an arbitrary branch.  omega defaults to the cut-off (m pi)^2.
     The one-strength call of :func:`resonance_parameters`.
     """
-    return resonance_parameters(geometry, impurity.epsilon, [impurity.rho0], m, omega)[0]
+    return resonance_parameters(impurity.epsilon, [impurity.rho0], m, omega)[0]
 
 
-def resonance_parameters(geometry: WireGeometry, epsilon: float, rho0s,
-                         m: int, omega: float | None = None) -> list[complex]:
+def resonance_parameters(epsilon: float, rho0s, m: int,
+                         omega: float | None = None) -> list[complex]:
     """Delta_m^(-1/2) of :func:`resonance_parameter` for each strength scale
     in ``rho0s`` at one position: rho_bar depends on neither strength, so it
     is evaluated once for all of them."""
-    _require_hard_wall(geometry)
     m = _index(m, "cut-off index")
     impurities = [Impurity(epsilon, rho0) for rho0 in rho0s]
     if omega is None:
@@ -448,8 +443,7 @@ def _resonance_inv_sqrt(impurity: Impurity, m: int, rho_bar: float) -> complex:
     return value
 
 
-def near_threshold_field(geometry: WireGeometry, impurity: Impurity,
-                         n: int, m: int, omega: float, r) -> complex:
+def near_threshold_field(impurity: Impurity, n: int, m: int, omega: float, r) -> complex:
     """Two-mode approximation of the field near the m-th cut-off:
 
         psi ~= psi_inc - [sin(n pi eps)/sin(m pi eps)]
@@ -461,12 +455,11 @@ def near_threshold_field(geometry: WireGeometry, impurity: Impurity,
     real evanescent dressing of the incident wave.  Raises DomainError on a
     non-finite position.
     """
-    _require_hard_wall(geometry)
     n = _index(n, "incident mode")
     x, y = r
     _finite_positions(x, y)
     eps = impurity.epsilon
-    d_inv_sqrt = resonance_parameter(geometry, impurity, m, omega)
+    d_inv_sqrt = resonance_parameter(impurity, m, omega)
     k_m = longitudinal_wavenumber(m, omega)
     ratio_sq = abs(k_m * d_inv_sqrt) ** 2
     if ratio_sq > 0.25:
@@ -484,64 +477,61 @@ def near_threshold_field(geometry: WireGeometry, impurity: Impurity,
     return complex(inc - res)
 
 
-def threshold_field(geometry: WireGeometry, impurity: Impurity,
-                    n: int, m: int, r) -> complex:
+def threshold_field(impurity: Impurity, n: int, m: int, r) -> complex:
     """Field exactly at the m-th cut-off energy at r = (x, y); the 1 x 1 case
     of :func:`threshold_field_grid`, which has the formulas."""
     x, y = r
-    grid = threshold_field_grid(geometry, impurity, n, m, np.array([x]), np.array([y]))
+    grid = threshold_field_grid(impurity, n, m, np.array([x]), np.array([y]))
     return complex(grid[0, 0])
 
 
-def threshold_field_grid(geometry: WireGeometry, impurity: Impurity,
-                         n: int, m: int, xs, ys) -> np.ndarray:
+def threshold_field_grid(impurity: Impurity, n: int, m: int, xs, ys) -> np.ndarray:
     """Field exactly at the m-th cut-off energy on the tensor grid ys x xs;
-    returns psi[iy, ix].  Hard wall:
+    returns psi[iy, ix]:
 
         psi = sin(n pi y) e^{i pi sqrt(m^2-n^2) x}
               - [sin(n pi eps)/sin(m pi eps)] sin(m pi y).
 
-    General uniform cross-section (orthonormal transverse modes chi):
-
-        psi = chi_n(y) e^{i sqrt(w_m - w_n) x} - [chi_n(eps)/chi_m(eps)] chi_m(y).
-
     The grid is one transverse factor per row times one plane wave per
     column, minus one resonant term per row.  The result carries no
-    dependence on the impurity strength: only eps is read.  If the impurity
-    sits on a node of mode m the wire is transparent at this order; the
-    incident wave is returned and one DecoupledModeWarning is emitted for the
-    whole grid.  Raises DomainError on a non-finite position.
+    dependence on the impurity strength: only eps is read.
+
+    On a node of mode m (|sin(m pi eps)| <= 1e-8) the resonant term drops
+    out, and the field is the limit of :func:`scattered_field_grid` there:
+    the amplitude core at k_m = 0, with rho_bar at the cut-off, gives
+    A_nm = 0 and the scattering among the m - 1 open modes, which depends
+    on the strength.  It is synthesized as :func:`scattered_field_grid`
+    synthesizes, with its default truncation, and one DecoupledModeWarning
+    is emitted for the whole grid.  Raises DomainError on a non-finite
+    position.
     """
     xs, ys = _finite_positions(xs, ys)
     eps = impurity.epsilon
     m = _index(m, "cut-off index")
     n = _index(n, "incident mode", hi=m - 1)
-    if geometry.kind == HARD_WALL:
-        # same evaluation path as the generic wavenumber so that the
-        # near-threshold form at k_m = 0 matches this one bit for bit; for
-        # the same reason the rows take the scalar math.sin that form uses
-        k_inc = longitudinal_wavenumber(n, threshold_energy(m)).real
-        rows = ys.tolist()
-        chi_n_y = np.array([math.sin(n * math.pi * y) for y in rows])
-        chi_m_y = np.array([math.sin(m * math.pi * y) for y in rows])
-        chi_n_eps = math.sin(n * math.pi * eps)
-        chi_m_eps = math.sin(m * math.pi * eps)
-    else:
-        mode_n = geometry.mode(n)
-        mode_m = geometry.mode(m)
-        k_inc = math.sqrt(mode_m.threshold - mode_n.threshold)
-        chi_n_y = mode_n.profile(ys)
-        chi_m_y = mode_m.profile(ys)
-        chi_n_eps = mode_n.profile(eps)
-        chi_m_eps = mode_m.profile(eps)
-    psi = np.outer(chi_n_y, np.exp(1j * k_inc * xs))
+    omega = threshold_energy(m)
+    chi_m_eps = math.sin(m * math.pi * eps)
     if abs(chi_m_eps) <= _NODE:
         warnings.warn(
-            "impurity decoupled from the resonant mode; no scattering at cut-off",
+            "impurity on a node of the resonant mode: the cut-off field is the "
+            "open channels' scattering and depends on the impurity strength",
             DecoupledModeWarning,
             stacklevel=2,
         )
-        return psi
+        ls = range(1, _truncation(m, xs) + 1)
+        k = _cutoff_wavenumbers(omega, m, [n], ls)
+        rho_bar = regularized_scale_tail_subtraction(eps, omega, m)
+        k, amp = _amplitudes(impurity, m, [n], ls, [k], [rho_bar])
+        return _synthesis(n, k[0], amp[0, 0], xs, ys)
+    # same evaluation path as the generic wavenumber so that the
+    # near-threshold form at k_m = 0 matches this one bit for bit; for
+    # the same reason the rows take the scalar math.sin that form uses
+    k_inc = longitudinal_wavenumber(n, omega).real
+    rows = ys.tolist()
+    chi_n_y = np.array([math.sin(n * math.pi * y) for y in rows])
+    chi_m_y = np.array([math.sin(m * math.pi * y) for y in rows])
+    chi_n_eps = math.sin(n * math.pi * eps)
+    psi = np.outer(chi_n_y, np.exp(1j * k_inc * xs))
     psi -= (chi_n_eps / chi_m_eps * chi_m_y)[:, None]
     return psi
 
@@ -621,8 +611,8 @@ def reflection_1d(barrier: OneDBarrier, omega: float) -> float:
 # cut-off limits from the amplitude core
 # ---------------------------------------------------------------------------
 
-def threshold_amplitude_limit(geometry: WireGeometry, impurity: Impurity,
-                              n: int, m: int, l: int | None = None) -> complex:
+def threshold_amplitude_limit(impurity: Impurity, n: int, m: int,
+                              l: int | None = None) -> complex:
     """lim_{omega -> (m pi)^2+} A_nl: the amplitude core evaluated at the
     cut-off itself, with rho_bar there; the one-strength call of
     :func:`cutoff_scan`.
@@ -632,7 +622,7 @@ def threshold_amplitude_limit(geometry: WireGeometry, impurity: Impurity,
     mode m, A_nm = 0 and the other channels keep the scattering of the
     m - 1 open modes, with the resonant term left out of the bracket.
     """
-    return cutoff_scan(geometry, impurity.epsilon, [impurity.rho0], n, m, (), l).limits[0]
+    return cutoff_scan(impurity.epsilon, [impurity.rho0], n, m, (), l).limits[0]
 
 
 class CutoffScan(NamedTuple):
@@ -653,8 +643,8 @@ class CutoffScan(NamedTuple):
     offset_amplitudes: tuple
 
 
-def cutoff_scan(geometry: WireGeometry, epsilon: float, rho0s, n: int, m: int,
-                offset_scales=(), l: int | None = None) -> CutoffScan:
+def cutoff_scan(epsilon: float, rho0s, n: int, m: int, offset_scales=(),
+                l: int | None = None) -> CutoffScan:
     """Delta_m^(-1/2), the cut-off limit of A_nl and A_nl at energies just
     above the cut-off, for every strength scale in ``rho0s`` at position
     ``epsilon``, with two rho_bar passes: one at the cut-off, for Delta_m
@@ -675,7 +665,6 @@ def cutoff_scan(geometry: WireGeometry, epsilon: float, rho0s, n: int, m: int,
         raise DomainError("need at least one impurity strength")
     n, m = _index(n, "incident mode"), _index(m, "cut-off index")
     l = m if l is None else _index(l, "outgoing mode")
-    _require_hard_wall(geometry)
     impurities = [Impurity(epsilon, rho0) for rho0 in rho0s]
     base = threshold_energy(m)
     rho_bar = regularized_scale_tail_subtraction(epsilon, base, m)

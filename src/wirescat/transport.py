@@ -18,12 +18,11 @@ from .scatter import (
     Impurity,
     _amplitudes,
     _cutoff_wavenumbers,
-    _require_hard_wall,
     _wavenumbers,
     nearest_threshold_index,
 )
 from .specfun import _index, threshold_energy
-from .wire import WireGeometry, propagating_count
+from .wire import propagating_count
 
 __all__ = ["TransportResult", "SweepPoint", "transport_at", "threshold_transport", "sweep"]
 
@@ -61,21 +60,20 @@ class SweepPoint:
         return self.result is not None
 
 
-def transport_at(geometry: WireGeometry, impurity: Impurity, omega: float) -> TransportResult:
+def transport_at(impurity: Impurity, omega: float) -> TransportResult:
     """Full flux-normalized T/R matrices at energy omega.
 
     Requires at least one propagating mode and an energy strictly between
     cut-offs (exact cut-offs are the limits of
-    :func:`threshold_transport`).  Hard-wall wires only: other geometries
-    raise :class:`DomainError`.  The one-energy case of :func:`sweep`.
+    :func:`threshold_transport`).  The one-energy case of :func:`sweep`.
     """
-    (result,) = _transport(geometry, impurity, [omega])
+    (result,) = _transport(impurity, [omega])
     if isinstance(result, WirescatError):
         raise result
     return result
 
 
-def _transport(geometry: WireGeometry, impurity: Impurity, omegas) -> list:
+def _transport(impurity: Impurity, omegas) -> list:
     """The TransportResult of :func:`transport_at` for each energy, or the
     WirescatError it raises there, in input order.
 
@@ -89,7 +87,6 @@ def _transport(geometry: WireGeometry, impurity: Impurity, omegas) -> list:
     valid = []  # (index, m, p, wavenumbers, N0)
     for i, omega in enumerate(omegas):
         try:
-            _require_hard_wall(geometry)
             p = propagating_count(omega)
             if p < 1:
                 raise DomainError(f"no propagating modes at omega={omega}")
@@ -133,7 +130,7 @@ def _matrices(impurity: Impurity, m: int, p: int, omegas, ks, rho_bars) -> list:
             for r, omega in enumerate(omegas)]
 
 
-def threshold_transport(geometry: WireGeometry, impurity: Impurity, m: int) -> TransportResult:
+def threshold_transport(impurity: Impurity, m: int) -> TransportResult:
     """Transport exactly at the m-th cut-off, the limit omega -> (m pi)^2:
     the matrices of :func:`transport_at` from the amplitude core at k_m = 0.
 
@@ -141,10 +138,9 @@ def threshold_transport(geometry: WireGeometry, impurity: Impurity, m: int) -> T
     vanishes there, so they transmit perfectly: T = identity, R = 0,
     conductance = m - 1 exactly, independent of the impurity.  On a node
     of mode m the impurity still scatters among the open channels, as
-    :func:`transport_at` does on approach.  Hard-wall wires only, and
-    m >= 2, so that a channel is open.
+    :func:`transport_at` does on approach.  m >= 2, so that a channel is
+    open.
     """
-    _require_hard_wall(geometry)
     m = _index(m, "cut-off index", lo=2)
     omega = threshold_energy(m)
     modes = range(1, m)
@@ -153,7 +149,7 @@ def threshold_transport(geometry: WireGeometry, impurity: Impurity, m: int) -> T
     return _matrices(impurity, m, m - 1, [omega], [k], [rho_bar])[0]
 
 
-def sweep(geometry: WireGeometry, impurity: Impurity, omega_grid) -> list[SweepPoint]:
+def sweep(impurity: Impurity, omega_grid) -> list[SweepPoint]:
     """Evaluate :func:`transport_at` over an energy grid, in one pass.
 
     Points are independent; per-point failures are collected as
@@ -166,5 +162,5 @@ def sweep(geometry: WireGeometry, impurity: Impurity, omega_grid) -> list[SweepP
         SweepPoint(omega=omega, result=None, error=str(result))
         if isinstance(result, WirescatError)
         else SweepPoint(omega=omega, result=result)
-        for omega, result in zip(omegas, _transport(geometry, impurity, omegas))
+        for omega, result in zip(omegas, _transport(impurity, omegas))
     ]

@@ -5,14 +5,9 @@ import signal
 import numpy as np
 import pytest
 
-from wirescat import Impurity, WireGeometry
+from wirescat import Impurity
 
 PI2 = math.pi**2
-
-
-@pytest.fixture(scope="session")
-def hard_wall():
-    return WireGeometry.hard_wall()
 
 
 @pytest.fixture(scope="session")

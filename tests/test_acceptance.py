@@ -13,7 +13,6 @@ from wirescat import (
     DiscreteWire,
     Impurity,
     OneDBarrier,
-    WireGeometry,
     extrapolate_to_zero_width,
     oracle_solve_ladder,
     reflection_1d,
@@ -34,7 +33,6 @@ from wirescat.cli import main as cli_main
 
 PI = math.pi
 OM_2 = (2 * PI) ** 2
-GEO = WireGeometry.hard_wall()
 
 # the strength-independent resonant coefficient sin(0.3 pi)/sin(0.6 pi)
 TARGET_COEF = math.sin(0.3 * PI) / math.sin(0.6 * PI)
@@ -47,7 +45,7 @@ def report(num, ok, detail):
 
 def test_criterion_01_threshold_universality():
     limits = [
-        threshold_amplitude_limit(GEO, Impurity(0.3, rho0), 1, 2)
+        threshold_amplitude_limit(Impurity(0.3, rho0), 1, 2)
         for rho0 in (1e-5, 1e-3, 1e-1)
     ]
     spread = max(abs(a - b) for a in limits for b in limits)
@@ -62,13 +60,13 @@ def test_criterion_02_conductance_quantization():
     exact = []
     for _ in range(5):
         imp = Impurity(float(rng.uniform(0.05, 0.95)), float(10 ** rng.uniform(-5, -1)))
-        exact.append(threshold_transport(GEO, imp, 2).conductance)
+        exact.append(threshold_transport(imp, 2).conductance)
     quantized = all(g == 1.0 for g in exact)
 
     imp = Impurity(0.3, 0.01)
-    delta2 = 1.0 / abs(resonance_parameter(GEO, imp, 2)) ** 2
+    delta2 = 1.0 / abs(resonance_parameter(imp, 2)) ** 2
     offsets = delta2 * np.array([1e-5, 1e-6, 3e-7, 1e-7, 1e-8])
-    points = sweep(GEO, imp, threshold_energy(2) + offsets)
+    points = sweep(imp, threshold_energy(2) + offsets)
     worst = 0.0
     for off, pt in zip(offsets, points):
         if off < 1e-6 * delta2:
@@ -81,7 +79,7 @@ def test_criterion_02_conductance_quantization():
 def test_criterion_03_off_resonant_amplitude_scaling():
     imp = Impurity(0.3, 0.01)
     deltas = OM_2 * np.logspace(-7, -3, 17)  # four decades
-    amps = [abs(scattering_amplitude(GEO, imp, 1, 1, OM_2 + d, m=2)) for d in deltas]
+    amps = [abs(scattering_amplitude(imp, 1, 1, OM_2 + d, m=2)) for d in deltas]
     slope = float(np.polyfit(np.log(deltas), np.log(amps), 1)[0])
     report(3, abs(slope - 0.5) < 0.05,
            f"log-log slope of |A_11| vs (omega - (2 pi)^2) = {slope:.4f} (0.5 +- 0.05)")
@@ -98,7 +96,7 @@ def test_criterion_05_resonance_parameter_surface_consistency():
     # rho0 chosen small enough that the wall formula's own O(mc eps)
     # truncation stays below the 1% budget
     imp = Impurity(1e-3, 1e-7)
-    full = resonance_parameter(GEO, imp, 2)
+    full = resonance_parameter(imp, 2)
     surf = surface_resonance_parameter(imp, 2)
     rel = abs(full.real - surf.real) / abs(full.real)
     report(5, rel < 0.01, f"Re Delta_2^(-1/2) full vs wall formula: {rel:.4%} (<1%)")
@@ -108,7 +106,7 @@ def test_criterion_06_flux_unitarity_sweep():
     imp = Impurity(0.3, 0.01)
     omegas = [o for o in np.linspace(1.1, 8.9, 200) * PI**2
               if min(abs(o - threshold_energy(q)) for q in (1, 2, 3)) > 0.1]
-    points = sweep(GEO, imp, omegas)
+    points = sweep(imp, omegas)
     worst = max(pt.result.unitarity_defect for pt in points if pt.ok)
     ok = all(pt.ok for pt in points) and worst < 1e-8
     report(6, ok, f"max unitarity defect over {len(points)}-point sweep: {worst:.2e} (<1e-8)")
@@ -121,7 +119,7 @@ def test_criterion_07_oracle_agreement():
     wire = DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, h_x=1 / 400, h_y=1 / 400)
     ladder = oracle_solve_ladder(wire, 1, omega, (0.04, 0.02, 0.01))
     ext = extrapolate_to_zero_width(ladder)
-    ana = solve_scattering(GEO, imp, 1, omega)
+    ana = solve_scattering(imp, 1, omega)
     rel1 = abs(ext.amplitude[0] - ana.amplitudes[1]) / abs(ana.amplitudes[1])
     rel2 = abs(ext.amplitude[1] - ana.amplitudes[2]) / abs(ana.amplitudes[2])
     elapsed = time.time() - t0

@@ -13,12 +13,11 @@ import pytest
 from wirescat import (
     DecoupledModeWarning,
     Impurity,
-    ResolutionError,
-    WireGeometry,
     longitudinal_wavenumber,
     scattered_field_grid,
     threshold_energy,
     threshold_field,
+    threshold_field_grid,
     transport_at,
 )
 from wirescat.cli import RunConfig, main, parse_config_file
@@ -86,7 +85,7 @@ class TestSweep:
         assert run(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_single_point_matches_direct_call(self, tmp_path, hard_wall):
+    def test_single_point_matches_direct_call(self, tmp_path):
         omega = 1.3 * (2 * PI) ** 2
         out = tmp_path / "one.csv"
         assert run("sweep", "--epsilon", "0.3", "--rho0", "0.01",
@@ -94,7 +93,7 @@ class TestSweep:
                    "--out", str(out)) == 0
         header, row = out.read_text().strip().splitlines()
         cols = dict(zip(header.split(","), row.split(",")))
-        direct = transport_at(hard_wall, Impurity(0.3, 0.01), float(cols["omega"]))
+        direct = transport_at(Impurity(0.3, 0.01), float(cols["omega"]))
         assert float(cols["T_1_1"]) == direct.transmission[0, 0]
         assert float(cols["conductance"]) == direct.conductance
 
@@ -182,16 +181,6 @@ class TestExitCodes:
                    "--rho0", "0.01", "--omega", "20.0", "--nx", "3", "--ny", "3") == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_resolution_error_exits_three(self, monkeypatch, capsys):
-        # no CLI path reaches a ResolutionError on the hard-wall wire
-        def unresolved(*args, **kwargs):
-            raise ResolutionError("mode sum did not converge")
-
-        monkeypatch.setattr("wirescat.cli.scattered_field_grid", unresolved)
-        assert run("field", "--field-mode", "defect", "--epsilon", "0.3",
-                   "--rho0", "0.01", "--omega", "20.0") == 3
-        assert "numerical failure" in capsys.readouterr().err
-
     def test_failed_sweep_points_keep_exit_one(self, tmp_path, capsys):
         # per-point numerical failures are collected by the sweep: exit 1, not 3
         out = tmp_path / "wall.csv"
@@ -211,7 +200,7 @@ class TestField:
             x, y, density = (float(tok) for tok in line.split(","))
             assert abs(density - math.sin(PI * y) ** 2) < 1e-14
 
-    def test_threshold_mode_matches_closed_form(self, tmp_path, hard_wall):
+    def test_threshold_mode_matches_closed_form(self, tmp_path):
         out = tmp_path / "thr.csv"
         assert run("field", "--field-mode", "threshold", "--mode-n", "1",
                    "--threshold-m", "2", "--epsilon", "0.25", "--rho0", "0.01",
@@ -220,7 +209,7 @@ class TestField:
         imp = Impurity(0.25, 0.01)
         for line in out.read_text().strip().splitlines()[1:]:
             x, y, density, re, im = (float(tok) for tok in line.split(","))
-            ref = threshold_field(hard_wall, imp, 1, 2, (x, y))
+            ref = threshold_field(imp, 1, 2, (x, y))
             assert complex(re, im) == pytest.approx(ref, abs=1e-10)
             assert density == pytest.approx(abs(ref) ** 2, abs=1e-10)
 
@@ -321,13 +310,11 @@ class TestFieldOutputBytes:
     OMEGA = 4.7 * PI**2
 
     def _reference(self, mode, eps):
-        hard_wall = WireGeometry.hard_wall()
         if mode == "clean":
             k = longitudinal_wavenumber(1, self.OMEGA)
             return np.outer(np.sin(PI * self.YS), np.exp(1j * k * self.XS))
         if mode == "defect":
-            return scattered_field_grid(hard_wall, Impurity(eps, 0.003), 1, self.OMEGA,
-                                        self.XS, self.YS)
+            return scattered_field_grid(Impurity(eps, 0.003), 1, self.OMEGA, self.XS, self.YS)
         return np.array([[_cutoff_point(eps, 1, 2, x, y) for x in self.XS] for y in self.YS])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -353,14 +340,14 @@ class TestFieldOutputBytes:
                    "--ny", str(self.NY), "--with-complex", "--out", str(out)) == 0
         assert out.read_bytes() == (DATA / "field_defect_eps0.41_rho0.003.csv").read_bytes()
 
-    def test_scalar_cutoff_field_is_the_reference(self, hard_wall):
+    def test_scalar_cutoff_field_is_the_reference(self):
         imp = Impurity(0.41, 0.003)
         for y in self.YS:
             for x in self.XS:
                 ref = _cutoff_point(0.41, 1, 2, x, y)
-                assert threshold_field(hard_wall, imp, 1, 2, (x, y)) == ref
+                assert threshold_field(imp, 1, 2, (x, y)) == ref
 
-    def test_node_writes_incident_wave_with_one_warning(self, tmp_path):
+    def test_node_writes_the_open_channel_field_with_one_warning(self, tmp_path):
         out = tmp_path / "node.csv"
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
@@ -368,11 +355,13 @@ class TestFieldOutputBytes:
                        "--threshold-m", "2", "--epsilon", "0.5", "--rho0", "0.01",
                        "--nx", str(self.NX), "--ny", str(self.NY), "--with-complex",
                        "--out", str(out)) == 0
-        assert [w.category for w in record] == [DecoupledModeWarning]
+            assert [w.category for w in record] == [DecoupledModeWarning]
+            psi = threshold_field_grid(Impurity(0.5, 0.01), 1, 2, self.XS, self.YS)
+        assert out.read_text() == _point_table(psi, self.XS, self.YS, True, "csv")
+        # on the node the open channel still scatters: not the incident wave
         k = longitudinal_wavenumber(1, threshold_energy(2)).real
-        rows = np.array([math.sin(PI * y) for y in self.YS])
-        incident = np.outer(rows, np.exp(1j * k * self.XS))
-        assert out.read_text() == _point_table(incident, self.XS, self.YS, True, "csv")
+        incident = np.outer(np.sin(PI * self.YS), np.exp(1j * k * self.XS))
+        assert np.max(np.abs(psi - incident)) > 0.1
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="forks on Linux only")

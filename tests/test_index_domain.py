@@ -1,13 +1,14 @@
 """The index domain of the public API.
 
-Every public callable that takes a mode index n or l, a cut-off index m, a
-mode truncation l_max or a mode count gets one bad scalar at a time: it
-raises a WirescatError, or (where the value is inside its own domain, as
-threshold_energy above the allocation ceiling) gives a finite result, and
-returns within 5 s either way.  No memory limit is set: a value above the
-ceiling must raise before anything is allocated.
+Every public callable that takes a mode index n or l, a cut-off index m (or
+a list ms of them), a mode truncation l_max or a lead mode count gets one
+bad scalar at a time: it raises a WirescatError, or (where the value is
+inside its own domain, as threshold_energy above the allocation ceiling)
+gives a finite result, and returns within 5 s either way.  No memory limit
+is set: a value above the ceiling must raise before anything is allocated.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -24,8 +25,6 @@ OM = 1.05 * (2 * PI) ** 2  # two open channels, window m = 2
 
 BAD = (math.nan, math.inf, -math.inf, 0, -1, 2.5, 1e300, 2**60, _MAX_INDEX + 1)
 
-GEO = ws.WireGeometry.hard_wall()
-GENERAL = ws.WireGeometry.from_potential([0.0, 1.0], [0.0, 0.0], num_modes=4, grid_points=512)
 IMP = ws.Impurity(0.3, 0.01)
 WALL = ws.Impurity(0.01, 0.01)
 WIRE = ws.DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, h_x=1.0 / 400, h_y=1.0 / 400)
@@ -39,56 +38,40 @@ CASES = {
     "regularized_scale.m": lambda v: ws.regularized_scale(0.3, OM, v),
     "regularized_scale_tail_subtraction.m":
         lambda v: ws.regularized_scale_tail_subtraction(0.3, OM, v),
-    "regularized_scales.m": lambda v: ws.regularized_scales(0.3, [OM], [v]),
-    "scattering_amplitude.n": lambda v: ws.scattering_amplitude(GEO, IMP, v, 1, OM),
-    "scattering_amplitude.l": lambda v: ws.scattering_amplitude(GEO, IMP, 1, v, OM),
-    "scattering_amplitude.m": lambda v: ws.scattering_amplitude(GEO, IMP, 1, 1, OM, m=v),
-    "solve_scattering.n": lambda v: ws.solve_scattering(GEO, IMP, v, OM).unitarity_defect,
-    "solve_scattering.m": lambda v: ws.solve_scattering(GEO, IMP, 1, OM, m=v).unitarity_defect,
+    "regularized_scales.ms": lambda v: ws.regularized_scales(0.3, [OM], [v]),
+    "scattering_amplitude.n": lambda v: ws.scattering_amplitude(IMP, v, 1, OM),
+    "scattering_amplitude.l": lambda v: ws.scattering_amplitude(IMP, 1, v, OM),
+    "scattering_amplitude.m": lambda v: ws.scattering_amplitude(IMP, 1, 1, OM, m=v),
+    "solve_scattering.n": lambda v: ws.solve_scattering(IMP, v, OM).unitarity_defect,
+    "solve_scattering.m": lambda v: ws.solve_scattering(IMP, 1, OM, m=v).unitarity_defect,
     "solve_scattering.l_max":
-        lambda v: list(ws.solve_scattering(GEO, IMP, 1, OM, l_max=v).amplitudes.values()),
-    "scattered_field.n": lambda v: ws.scattered_field(GEO, IMP, v, OM, R),
-    "scattered_field.m": lambda v: ws.scattered_field(GEO, IMP, 1, OM, R, m=v),
-    "scattered_field.l_max": lambda v: ws.scattered_field(GEO, IMP, 1, OM, R, l_max=v),
-    "scattered_field_grid.n": lambda v: ws.scattered_field_grid(GEO, IMP, v, OM, [0.4], [0.3]),
+        lambda v: list(ws.solve_scattering(IMP, 1, OM, l_max=v).amplitudes.values()),
+    "scattered_field.n": lambda v: ws.scattered_field(IMP, v, OM, R),
+    "scattered_field.m": lambda v: ws.scattered_field(IMP, 1, OM, R, m=v),
+    "scattered_field.l_max": lambda v: ws.scattered_field(IMP, 1, OM, R, l_max=v),
+    "scattered_field_grid.n": lambda v: ws.scattered_field_grid(IMP, v, OM, [0.4], [0.3]),
     "scattered_field_grid.m":
-        lambda v: ws.scattered_field_grid(GEO, IMP, 1, OM, [0.4], [0.3], m=v),
+        lambda v: ws.scattered_field_grid(IMP, 1, OM, [0.4], [0.3], m=v),
     "scattered_field_grid.l_max":
-        lambda v: ws.scattered_field_grid(GEO, IMP, 1, OM, [0.4], [0.3], l_max=v),
-    "resonance_parameter.m": lambda v: ws.resonance_parameter(GEO, IMP, v),
-    "resonance_parameters.m": lambda v: ws.resonance_parameters(GEO, 0.3, [0.01], v),
-    "near_threshold_field.n": lambda v: ws.near_threshold_field(GEO, IMP, v, 2, OM, R),
-    "near_threshold_field.m": lambda v: ws.near_threshold_field(GEO, IMP, 1, v, OM, R),
-    "threshold_field.n": lambda v: ws.threshold_field(GEO, IMP, v, 2, R),
-    "threshold_field.m": lambda v: ws.threshold_field(GEO, IMP, 1, v, R),
-    "threshold_field.n.general": lambda v: ws.threshold_field(GENERAL, IMP, v, 2, R),
-    "threshold_field.m.general": lambda v: ws.threshold_field(GENERAL, IMP, 1, v, R),
-    "threshold_field_grid.n": lambda v: ws.threshold_field_grid(GEO, IMP, v, 2, [0.4], [0.3]),
-    "threshold_field_grid.m": lambda v: ws.threshold_field_grid(GEO, IMP, 1, v, [0.4], [0.3]),
+        lambda v: ws.scattered_field_grid(IMP, 1, OM, [0.4], [0.3], l_max=v),
+    "resonance_parameter.m": lambda v: ws.resonance_parameter(IMP, v),
+    "resonance_parameters.m": lambda v: ws.resonance_parameters(0.3, [0.01], v),
+    "near_threshold_field.n": lambda v: ws.near_threshold_field(IMP, v, 2, OM, R),
+    "near_threshold_field.m": lambda v: ws.near_threshold_field(IMP, 1, v, OM, R),
+    "threshold_field.n": lambda v: ws.threshold_field(IMP, v, 2, R),
+    "threshold_field.m": lambda v: ws.threshold_field(IMP, 1, v, R),
+    "threshold_field_grid.n": lambda v: ws.threshold_field_grid(IMP, v, 2, [0.4], [0.3]),
+    "threshold_field_grid.m": lambda v: ws.threshold_field_grid(IMP, 1, v, [0.4], [0.3]),
     "surface_resonance_parameter.m": lambda v: ws.surface_resonance_parameter(WALL, v),
     "surface_threshold_field.n": lambda v: ws.surface_threshold_field(v, 2, "lower", R),
     "surface_threshold_field.m": lambda v: ws.surface_threshold_field(1, v, "lower", R),
-    "threshold_amplitude_limit.n": lambda v: ws.threshold_amplitude_limit(GEO, IMP, v, 2),
-    "threshold_amplitude_limit.m": lambda v: ws.threshold_amplitude_limit(GEO, IMP, 1, v),
-    "threshold_amplitude_limit.l": lambda v: ws.threshold_amplitude_limit(GEO, IMP, 1, 2, l=v),
-    "cutoff_scan.n": lambda v: ws.cutoff_scan(GEO, 0.3, [0.01], v, 2, [1e-2]).limits,
-    "cutoff_scan.m": lambda v: ws.cutoff_scan(GEO, 0.3, [0.01], 1, v, [1e-2]).limits,
-    "cutoff_scan.l": lambda v: ws.cutoff_scan(GEO, 0.3, [0.01], 1, 2, [1e-2], l=v).limits,
-    "threshold_transport.m": lambda v: ws.threshold_transport(GEO, IMP, v).conductance,
-    "mode.n": lambda v: ws.mode(GEO, v).threshold,
-    "WireGeometry.mode.n": lambda v: GENERAL.mode(v).threshold,
-    "WireGeometry.thresholds.count": lambda v: GEO.thresholds(v),
-    "WireGeometry.num_modes": lambda v: ws.WireGeometry(num_modes=v).num_modes,
-    "WireGeometry.grid_points": lambda v: ws.WireGeometry(grid_points=v).grid_points,
-    "WireGeometry.hard_wall.num_modes": lambda v: ws.WireGeometry.hard_wall(v).num_modes,
-    "WireGeometry.from_potential.num_modes":
-        lambda v: ws.WireGeometry.from_potential([0.0, 1.0], [0.0, 0.0], num_modes=v,
-                                                 grid_points=512).num_modes,
-    "WireGeometry.from_potential.grid_points":
-        lambda v: ws.WireGeometry.from_potential([0.0, 1.0], [0.0, 0.0], num_modes=2,
-                                                 grid_points=v).grid_points,
-    "transverse_eigensolve.count":
-        lambda v: [m.threshold for m in ws.transverse_eigensolve(GENERAL, v)],
+    "threshold_amplitude_limit.n": lambda v: ws.threshold_amplitude_limit(IMP, v, 2),
+    "threshold_amplitude_limit.m": lambda v: ws.threshold_amplitude_limit(IMP, 1, v),
+    "threshold_amplitude_limit.l": lambda v: ws.threshold_amplitude_limit(IMP, 1, 2, l=v),
+    "cutoff_scan.n": lambda v: ws.cutoff_scan(0.3, [0.01], v, 2, [1e-2]).limits,
+    "cutoff_scan.m": lambda v: ws.cutoff_scan(0.3, [0.01], 1, v, [1e-2]).limits,
+    "cutoff_scan.l": lambda v: ws.cutoff_scan(0.3, [0.01], 1, 2, [1e-2], l=v).limits,
+    "threshold_transport.m": lambda v: ws.threshold_transport(IMP, v).conductance,
     "DiscreteWire.lead_modes":
         lambda v: ws.DiscreteWire(h_x=1.0 / 400, h_y=1.0 / 400, lead_modes=v).lead_modes,
     "oracle_solve.n": lambda v: ws.oracle_solve(WIRE, v, OM).reflected,
@@ -102,6 +85,9 @@ CASES = {
     "universality_probe.n": lambda v: ws.universality_probe(WIRE, v, 2, [0.01]).coefficients,
     "universality_probe.m": lambda v: ws.universality_probe(WIRE, 1, v, [0.01]).coefficients,
 }
+
+#: the parameter names that hold a mode or cut-off index, a truncation or a mode count
+INDEX_PARAMETERS = {"n", "l", "m", "ms", "l_max", "lead_modes"}
 
 #: one bad index: the fixed list, or any integer outside 1..ceiling, or any
 #: float that is not a whole number
@@ -139,6 +125,22 @@ def test_bad_index_raises_or_gives_a_finite_result(alarm, name, bad):
     assert _finite(result), (name, bad, result)
 
 
+def test_every_index_parameter_of_the_public_api_has_a_case():
+    # a signature change must not drop a row of CASES silently
+    expected = set()
+    for name in dir(ws):
+        obj = getattr(ws, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        expected |= {f"{name}.{p}" for p in parameters if p in INDEX_PARAMETERS}
+    assert expected, "no index parameter found"
+    assert sorted(expected - set(CASES)) == []
+
+
 def test_only_threshold_energy_reaches_past_the_ceiling():
     # the cut-off energy keeps the float bound of the mode counts
     assert ws.threshold_energy(_MAX_INDEX + 1) == ((_MAX_INDEX + 1) * PI) ** 2
@@ -152,7 +154,7 @@ def test_energies_above_the_ceiling_window_return_promptly(alarm, capsys):
     # the amplitude table were built before the window index was checked
     with alarm(5):
         with pytest.raises(ws.DomainError, match="mode truncation l_max"):
-            ws.solve_scattering(GEO, IMP, 1, OM, l_max=10**9)
+            ws.solve_scattering(IMP, 1, OM, l_max=10**9)
         assert main(["sweep", "--epsilon", "0.3", "--rho0", "0.01",
                      "--omega-grid", "1e17:1e18:2"]) == 1
         assert capsys.readouterr().err.count("cut-off index must be an integer") == 2

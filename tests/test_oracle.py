@@ -113,12 +113,12 @@ class TestSolve:
         sol = oracle_solve(wire, 1, OM)
         assert np.all(np.isfinite(sol.transmitted))
 
-    def test_single_point_agreement_with_analytic(self, hard_wall, canonical_impurity):
+    def test_single_point_agreement_with_analytic(self, canonical_impurity):
         # one mid-ladder width already lands within a few % of the
         # zero-range amplitudes
         wire = DiscreteWire(eps=0.3, rho=0.02, rho0=0.01, **FINE)
         sol = oracle_solve(wire, 1, OM)
-        ana = solve_scattering(hard_wall, canonical_impurity, 1, OM)
+        ana = solve_scattering(canonical_impurity, 1, OM)
         for l in (1, 2):
             rel = abs(sol.amplitude[l - 1] - ana.amplitudes[l]) / abs(ana.amplitudes[l])
             assert rel < 0.03
@@ -308,11 +308,11 @@ class TestExtrapolation:
         ext = extrapolate_to_zero_width(sols)
         assert ext.warnings
 
-    def test_real_ladder_brackets_analytic_value(self, hard_wall, canonical_impurity):
+    def test_real_ladder_brackets_analytic_value(self, canonical_impurity):
         wire = DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, **FINE)
         ladder = oracle_solve_ladder(wire, 1, OM, (0.04, 0.02, 0.01))
         ext = extrapolate_to_zero_width(ladder)
-        ana = solve_scattering(hard_wall, canonical_impurity, 1, OM)
+        ana = solve_scattering(canonical_impurity, 1, OM)
         diff = abs(ext.amplitude[0] - ana.amplitudes[1])
         # converged to a fraction of a percent; the self-estimate is the
         # right order of magnitude

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from wirescat import (
     OneDBarrier,
     ThresholdEnergyError,
     ValidityWarning,
-    WireGeometry,
     cutoff_scan,
     longitudinal_wavenumber,
     near_threshold_field,
@@ -103,7 +103,7 @@ class TestThresholdWindow:
             with pytest.raises(DomainError):
                 regularized_scale_tail_subtraction(0.3, bad, 2)
 
-    def test_unresolvable_energy_rejected_promptly(self, hard_wall, canonical_impurity, alarm):
+    def test_unresolvable_energy_rejected_promptly(self, canonical_impurity, alarm):
         # from (2^52 pi)^2 up neighbouring cut-offs round together: the mode
         # counts must raise there, not search forever for a count
         from wirescat import propagating_count, sweep
@@ -117,8 +117,8 @@ class TestThresholdWindow:
                 with pytest.raises(DomainError, match=named):
                     nearest_threshold_index(bad)
                 with pytest.raises(DomainError, match=named):
-                    scattered_field_grid(hard_wall, canonical_impurity, 1, bad, [0.0], [0.5])
-                (point,) = sweep(hard_wall, canonical_impurity, [bad])
+                    scattered_field_grid(canonical_impurity, 1, bad, [0.0], [0.5])
+                (point,) = sweep(canonical_impurity, [bad])
                 assert f"energy {bad}" in point.error
             below = math.nextafter(_MAX_ENERGY, 0.0)
             p = propagating_count(below)
@@ -164,9 +164,8 @@ class TestRegularizedScale:
         # Delta-level comparison: the general resonance parameter against
         # its wall-impurity reduction, real parts within 1%
         eps, m = 1e-3, 2
-        geo = WireGeometry.hard_wall()
         for rho0 in (1e-7, 1e-12):
-            full = resonance_parameter(geo, Impurity(eps, rho0), m)
+            full = resonance_parameter(Impurity(eps, rho0), m)
             surf = surface_resonance_parameter(Impurity(eps, rho0), m)
             assert abs(full.real - surf.real) / abs(full.real) < 0.01
 
@@ -344,33 +343,33 @@ class TestBatchedScale:
 class TestAmplitudes:
     OM = 1.05 * OM_2
 
-    def test_node_of_outgoing_mode_gives_zero(self, hard_wall):
+    def test_node_of_outgoing_mode_gives_zero(self):
         imp = Impurity(epsilon=0.5, rho0=0.01)
-        a = scattering_amplitude(hard_wall, imp, 1, 2, self.OM)
+        a = scattering_amplitude(imp, 1, 2, self.OM)
         assert abs(a) < 1e-15
 
-    def test_wall_limit_amplitudes_vanish_quadratically(self, hard_wall):
+    def test_wall_limit_amplitudes_vanish_quadratically(self):
         vals = []
         for eps in (1e-2, 1e-3):
             imp = Impurity(epsilon=eps, rho0=0.01)
-            vals.append(abs(scattering_amplitude(hard_wall, imp, 1, 1, self.OM)))
+            vals.append(abs(scattering_amplitude(imp, 1, 1, self.OM)))
         assert vals[0] < 1e-3
         # numerator sin^2 ~ eps^2 beats the logarithmic bracket growth
         assert vals[1] < vals[0] * 1e-1
 
-    def test_reciprocity(self, hard_wall, canonical_impurity):
+    def test_reciprocity(self, canonical_impurity):
         omega = 1.2 * OM_2
         for n, l in [(1, 2), (2, 1), (1, 3), (1, 5)]:
             if omega <= threshold_energy(n):
                 continue
             k_l = longitudinal_wavenumber(l, omega)
             k_n = longitudinal_wavenumber(n, omega)
-            a_nl = scattering_amplitude(hard_wall, canonical_impurity, n, l, omega)
+            a_nl = scattering_amplitude(canonical_impurity, n, l, omega)
             if omega > threshold_energy(l):
-                a_ln = scattering_amplitude(hard_wall, canonical_impurity, l, n, omega)
+                a_ln = scattering_amplitude(canonical_impurity, l, n, omega)
                 assert a_nl * k_l == pytest.approx(a_ln * k_n, abs=1e-10)
 
-    def test_flux_unitarity_random_parameters(self, hard_wall):
+    def test_flux_unitarity_random_parameters(self):
         rng = np.random.default_rng(11)
         tried = 0
         while tried < 100:
@@ -381,28 +380,28 @@ class TestAmplitudes:
             rho0 = float(10 ** rng.uniform(-5, -1))
             p = 1 if omega < OM_2 else 2
             n = int(rng.integers(1, p + 1))
-            sol = solve_scattering(hard_wall, Impurity(eps, rho0), n, omega)
+            sol = solve_scattering(Impurity(eps, rho0), n, omega)
             assert sol.unitarity_defect < 1e-8
             tried += 1
 
-    def test_amplitude_table_conventions(self, hard_wall, canonical_impurity):
-        sol = solve_scattering(hard_wall, canonical_impurity, 1, self.OM)
+    def test_amplitude_table_conventions(self, canonical_impurity):
+        sol = solve_scattering(canonical_impurity, 1, self.OM)
         assert sol.transmitted(1) == 1.0 - sol.amplitudes[1]
         assert sol.transmitted(2) == -sol.amplitudes[2]
         assert sol.reflected(2) == -sol.amplitudes[2]
 
-    def test_threshold_energy_refused(self, hard_wall, canonical_impurity):
+    def test_threshold_energy_refused(self, canonical_impurity):
         with pytest.raises(ThresholdEnergyError):
-            scattering_amplitude(hard_wall, canonical_impurity, 1, 2, OM_2, m=2)
+            scattering_amplitude(canonical_impurity, 1, 2, OM_2, m=2)
 
-    def test_nonpropagating_incidence_refused(self, hard_wall, canonical_impurity):
+    def test_nonpropagating_incidence_refused(self, canonical_impurity):
         with pytest.raises(DomainError):
-            scattering_amplitude(hard_wall, canonical_impurity, 3, 1, self.OM)
+            scattering_amplitude(canonical_impurity, 3, 1, self.OM)
 
-    def test_off_resonant_amplitude_scaling(self, hard_wall, canonical_impurity):
+    def test_off_resonant_amplitude_scaling(self, canonical_impurity):
         # |A_11| ~ sqrt(omega - (2 pi)^2) approaching the cut-off
         deltas = OM_2 * np.logspace(-7, -3, 9)
-        vals = [abs(scattering_amplitude(hard_wall, canonical_impurity, 1, 1,
+        vals = [abs(scattering_amplitude(canonical_impurity, 1, 1,
                                          OM_2 + d, m=2)) for d in deltas]
         slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
         assert slope == pytest.approx(0.5, abs=0.05)
@@ -413,8 +412,7 @@ class TestOneAmplitudeRoute:
     closed-form core, so they agree bit for bit and a solve pays for rho_bar
     once."""
 
-    def test_rho_bar_evaluated_once_per_solve(self, monkeypatch, hard_wall,
-                                              canonical_impurity):
+    def test_rho_bar_evaluated_once_per_solve(self, monkeypatch, canonical_impurity):
         from wirescat import scatter
 
         calls = []
@@ -425,88 +423,86 @@ class TestOneAmplitudeRoute:
             return real(*args)
 
         monkeypatch.setattr(scatter, "regularized_scale_tail_subtraction", counted)
-        sol = solve_scattering(hard_wall, canonical_impurity, 1, 1.05 * OM_2)
+        sol = solve_scattering(canonical_impurity, 1, 1.05 * OM_2)
         assert sol.resonance_inv_sqrt is not None
         assert len(calls) == 1
 
-    def test_solution_matches_single_amplitudes_bit_for_bit(self, hard_wall):
+    def test_solution_matches_single_amplitudes_bit_for_bit(self):
         rng = np.random.default_rng(23)
         for _ in range(16):
             omega = float(rng.uniform(1.1, 15.9)) * PI**2
             imp = Impurity(float(rng.uniform(0.05, 0.95)), float(10 ** rng.uniform(-5, -1)))
             m = nearest_threshold_index(omega)
             n = int(rng.integers(1, m)) if m > 1 else 1
-            sol = solve_scattering(hard_wall, imp, n, omega)
+            sol = solve_scattering(imp, n, omega)
             for l in sorted({1, n, m, m + 1, m + 20}):
-                assert sol.amplitudes[l] == scattering_amplitude(hard_wall, imp, n, l, omega)
-            assert sol.resonance_inv_sqrt == resonance_parameter(hard_wall, imp, m, omega)
+                assert sol.amplitudes[l] == scattering_amplitude(imp, n, l, omega)
+            assert sol.resonance_inv_sqrt == resonance_parameter(imp, m, omega)
 
-    def test_decoupled_resonance_reported_as_none(self, hard_wall):
+    def test_decoupled_resonance_reported_as_none(self):
         imp = Impurity(0.5, 0.01)
-        sol = solve_scattering(hard_wall, imp, 1, 1.05 * OM_2)
+        sol = solve_scattering(imp, 1, 1.05 * OM_2)
         assert sol.resonance_inv_sqrt is None
         with pytest.raises(DecoupledModeError):
-            resonance_parameter(hard_wall, imp, 2, 1.05 * OM_2)
+            resonance_parameter(imp, 2, 1.05 * OM_2)
 
-    def test_short_truncation_keeps_every_open_channel_in_the_defect(self, hard_wall,
-                                                                     canonical_impurity):
+    def test_short_truncation_keeps_every_open_channel_in_the_defect(self, canonical_impurity):
         # omega = 45 opens two channels; l_max = 1 truncates below them
-        full = solve_scattering(hard_wall, canonical_impurity, 1, 45.0)
-        short = solve_scattering(hard_wall, canonical_impurity, 1, 45.0, l_max=1)
+        full = solve_scattering(canonical_impurity, 1, 45.0)
+        short = solve_scattering(canonical_impurity, 1, 45.0, l_max=1)
         assert list(short.amplitudes) == [1]
         assert short.amplitudes[1] == full.amplitudes[1]
         assert short.unitarity_defect == full.unitarity_defect < 1e-8
         for bad in (0, -3):
             with pytest.raises(DomainError, match="l_max"):
-                solve_scattering(hard_wall, canonical_impurity, 1, 45.0, l_max=bad)
+                solve_scattering(canonical_impurity, 1, 45.0, l_max=bad)
 
 
 class TestScatteredField:
     OM = 1.05 * OM_2
 
     @NON_FINITE_POSITIONS
-    def test_non_finite_position_rejected(self, hard_wall, canonical_impurity, r, name):
+    def test_non_finite_position_rejected(self, canonical_impurity, r, name):
         with pytest.raises(DomainError, match=f"positions {name} "):
-            scattered_field(hard_wall, canonical_impurity, 1, self.OM, r)
+            scattered_field(canonical_impurity, 1, self.OM, r)
         xs = np.array([-0.5, r[0], 0.5])
         ys = np.array([0.25, r[1], 0.75])
         with pytest.raises(DomainError, match=f"positions {name} "):
-            scattered_field_grid(hard_wall, canonical_impurity, 1, self.OM, xs, ys)
+            scattered_field_grid(canonical_impurity, 1, self.OM, xs, ys)
 
     @pytest.mark.parametrize("omega", [1.3 * PI**2, 4.6 * PI**2, 9.4 * PI**2],
                              ids=["m1", "m2", "m3"])
-    def test_scattered_wave_is_the_mode_sum_green_function(self, hard_wall,
-                                                           canonical_impurity, omega):
+    def test_scattered_wave_is_the_mode_sum_green_function(self, canonical_impurity, omega):
         # psi_sc = (s_n/B) G(r, r0) with the bracket B = s_n^2/(i k_n A_nn):
         # the field's amplitude table and its |x|-dependent truncation l_max
         # (it grows at |x| = 0.07) against a plain 400-mode sum
         n, eps = 1, canonical_impurity.epsilon
         xs = np.array([-1.2, -0.07, 0.07, 0.45, 1.6])
         ys = np.array([0.13, 0.37, 0.58, 0.86])
-        psi = scattered_field_grid(hard_wall, canonical_impurity, n, omega, xs, ys)
+        psi = scattered_field_grid(canonical_impurity, n, omega, xs, ys)
         k_n = longitudinal_wavenumber(n, omega)
         scattered = psi - np.outer(np.sin(n * PI * ys), np.exp(1j * k_n * xs))
         s_n = math.sin(n * PI * eps)
-        a_nn = solve_scattering(hard_wall, canonical_impurity, n, omega).amplitudes[n]
+        a_nn = solve_scattering(canonical_impurity, n, omega).amplitudes[n]
         bracket = s_n**2 / (1j * k_n * a_nn)
         green = np.array([[brute_force_green(y, eps, abs(x), omega, 400) for x in xs]
                           for y in ys])
         gap = np.max(np.abs(scattered - s_n / bracket * green))
         assert gap <= 1e-12 * np.max(np.abs(scattered))
 
-    def test_empty_axis_gives_empty_grid(self, hard_wall, canonical_impurity):
+    def test_empty_axis_gives_empty_grid(self, canonical_impurity):
         xs, ys, empty = np.linspace(-1.0, 1.0, 5), np.linspace(0.1, 0.9, 3), np.array([])
         for grid_xs, grid_ys in ((empty, ys), (xs, empty), (empty, empty)):
-            grid = scattered_field_grid(hard_wall, canonical_impurity, 1, self.OM,
+            grid = scattered_field_grid(canonical_impurity, 1, self.OM,
                                         grid_xs, grid_ys)
             assert grid.shape == (len(grid_ys), len(grid_xs))
 
-    def test_continuity_across_the_impurity_plane(self, hard_wall, canonical_impurity):
-        up = scattered_field(hard_wall, canonical_impurity, 1, self.OM, (1e-9, 0.43))
-        dn = scattered_field(hard_wall, canonical_impurity, 1, self.OM, (-1e-9, 0.43))
+    def test_continuity_across_the_impurity_plane(self, canonical_impurity):
+        up = scattered_field(canonical_impurity, 1, self.OM, (1e-9, 0.43))
+        dn = scattered_field(canonical_impurity, 1, self.OM, (-1e-9, 0.43))
         assert abs(up - dn) < 1e-6
 
-    def test_vanishing_coupling_returns_incident_wave(self, hard_wall):
+    def test_vanishing_coupling_returns_incident_wave(self):
         # |ln rho0| -> inf kills the coupling; the float floor rho0=1e-300
         # leaves |A| ~ 1e-3, shrinking as the logarithm grows
         k1 = longitudinal_wavenumber(1, self.OM)
@@ -516,186 +512,203 @@ class TestScatteredField:
             worst = 0.0
             for y in (0.2, 0.45, 0.8):
                 for x in (-0.7, 0.2, 0.9):
-                    psi = scattered_field(hard_wall, imp, 1, self.OM, (x, y))
+                    psi = scattered_field(imp, 1, self.OM, (x, y))
                     inc = math.sin(PI * y) * np.exp(1j * k1 * x)
                     worst = max(worst, abs(psi - inc))
             devs.append(worst)
         assert devs[0] < 2e-2
         assert devs[1] < 0.4 * devs[0]
 
-    def test_grid_matches_pointwise_evaluation(self, hard_wall, canonical_impurity):
+    def test_grid_matches_pointwise_evaluation(self, canonical_impurity):
         xs = np.array([-0.5, 0.25])
         ys = np.array([0.3, 0.71])
-        grid = scattered_field_grid(hard_wall, canonical_impurity, 1, self.OM, xs, ys,
+        grid = scattered_field_grid(canonical_impurity, 1, self.OM, xs, ys,
                                     l_max=60)
         for iy, y in enumerate(ys):
             for ix, x in enumerate(xs):
-                val = scattered_field(hard_wall, canonical_impurity, 1, self.OM,
+                val = scattered_field(canonical_impurity, 1, self.OM,
                                       (x, y), l_max=60)
                 assert grid[iy, ix] == pytest.approx(val, rel=1e-12)
 
-    def test_density_grid_against_two_mode_reduction(self, hard_wall, canonical_impurity):
+    def test_density_grid_against_two_mode_reduction(self, canonical_impurity):
         # in the universal window the full solution collapses onto the
         # incident plus resonant mode; the residue is the off-resonant
         # evanescent cloud, largest near the impurity cross-section
         omega = OM_2 * 1.0001
         xs = np.linspace(-1, 1, 21)
         ys = np.linspace(0.05, 0.95, 19)
-        full = scattered_field_grid(hard_wall, canonical_impurity, 1, omega, xs, ys)
+        full = scattered_field_grid(canonical_impurity, 1, omega, xs, ys)
         near = np.array([
-            [near_threshold_field(hard_wall, canonical_impurity, 1, 2, omega, (x, y))
+            [near_threshold_field(canonical_impurity, 1, 2, omega, (x, y))
              for x in xs] for y in ys
         ])
         assert np.max(np.abs(np.abs(full) ** 2 - np.abs(near) ** 2)) < 0.03
 
 
 class TestResonanceParameter:
-    def test_first_threshold_is_purely_real(self, hard_wall):
+    def test_first_threshold_is_purely_real(self):
         imp = Impurity(epsilon=0.37, rho0=0.02)
-        d = resonance_parameter(hard_wall, imp, 1)
+        d = resonance_parameter(imp, 1)
         assert d.imag == 0.0
         rb = regularized_scale_tail_subtraction(0.37, threshold_energy(1), 1)
         assert d.real == pytest.approx(
             math.log(imp.rho0 / rb) / (2 * PI * math.sin(0.37 * PI) ** 2), rel=1e-12
         )
 
-    def test_matched_scale_zeroes_real_part(self, hard_wall):
+    def test_matched_scale_zeroes_real_part(self):
         rb = regularized_scale_tail_subtraction(0.3, threshold_energy(2), 2)
-        d = resonance_parameter(hard_wall, Impurity(0.3, rb), 2)
+        d = resonance_parameter(Impurity(0.3, rb), 2)
         assert d.real == 0.0
 
-    def test_decoupled_node_rejected(self, hard_wall):
+    def test_decoupled_node_rejected(self):
         with pytest.raises(DecoupledModeError):
-            resonance_parameter(hard_wall, Impurity(0.5, 0.01), 2)
+            resonance_parameter(Impurity(0.5, 0.01), 2)
 
-    def test_surface_comparison(self, hard_wall):
+    def test_surface_comparison(self):
         imp = Impurity(1e-3, 1e-7)
-        full = resonance_parameter(hard_wall, imp, 2)
+        full = resonance_parameter(imp, 2)
         surf = surface_resonance_parameter(imp, 2)
         assert abs(full.real - surf.real) / abs(full.real) < 0.01
 
 
 class TestNearThresholdField:
     @NON_FINITE_POSITIONS
-    def test_non_finite_position_rejected(self, hard_wall, canonical_impurity, r, name):
+    def test_non_finite_position_rejected(self, canonical_impurity, r, name):
         with pytest.raises(DomainError, match=f"positions {name} "):
-            near_threshold_field(hard_wall, canonical_impurity, 1, 2, 40.0, r)
+            near_threshold_field(canonical_impurity, 1, 2, 40.0, r)
 
-    def test_reduces_to_threshold_field_exactly_at_cutoff(self, hard_wall,
-                                                          canonical_impurity):
+    def test_reduces_to_threshold_field_exactly_at_cutoff(self, canonical_impurity):
         omega = threshold_energy(2)
         for r in [(0.5, 0.25), (-0.3, 0.6), (0.0, 0.31)]:
-            a = near_threshold_field(hard_wall, canonical_impurity, 1, 2, omega, r)
-            b = threshold_field(hard_wall, canonical_impurity, 1, 2, r)
+            a = near_threshold_field(canonical_impurity, 1, 2, omega, r)
+            b = threshold_field(canonical_impurity, 1, 2, r)
             assert a == b
 
-    def test_resonant_coefficient_at_quarter_position(self, hard_wall):
+    def test_resonant_coefficient_at_quarter_position(self):
         imp = Impurity(epsilon=0.25, rho0=0.01)
         omega = threshold_energy(2)
         y = 0.25
-        psi = near_threshold_field(hard_wall, imp, 1, 2, omega, (0.0, y))
+        psi = near_threshold_field(imp, 1, 2, omega, (0.0, y))
         inc = math.sin(PI * y)
         coef = (inc - psi) / math.sin(2 * PI * y)
         assert coef == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
-    def test_agreement_with_full_field_improves_toward_cutoff(self, hard_wall,
-                                                              canonical_impurity):
-        d = resonance_parameter(hard_wall, canonical_impurity, 2)
+    def test_agreement_with_full_field_improves_toward_cutoff(self, canonical_impurity):
+        d = resonance_parameter(canonical_impurity, 2)
         delta2 = 1.0 / abs(d) ** 2
         xs = np.linspace(-1, 1, 11)
         ys = np.linspace(0.05, 0.95, 9)
         devs = []
         for scale in (1e-2, 1e-4, 1e-6):
             omega = threshold_energy(2) + scale * delta2
-            full = scattered_field_grid(hard_wall, canonical_impurity, 1, omega, xs, ys)
+            full = scattered_field_grid(canonical_impurity, 1, omega, xs, ys)
             near = np.array([
-                [near_threshold_field(hard_wall, canonical_impurity, 1, 2, omega, (x, y))
+                [near_threshold_field(canonical_impurity, 1, 2, omega, (x, y))
                  for x in xs] for y in ys
             ])
             devs.append(float(np.max(np.abs(full - near))))
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 2e-3
 
-    def test_resonant_mode_coefficient_tracks_full_amplitude(self, hard_wall,
-                                                             canonical_impurity):
-        d = resonance_parameter(hard_wall, canonical_impurity, 2)
+    def test_resonant_mode_coefficient_tracks_full_amplitude(self, canonical_impurity):
+        d = resonance_parameter(canonical_impurity, 2)
         delta2 = 1.0 / abs(d) ** 2
         omega = threshold_energy(2) + 1e-4 * delta2
         k2 = longitudinal_wavenumber(2, omega)
         reduced = (math.sin(0.3 * PI) / math.sin(0.6 * PI)) / (1 + 1j * k2 * d)
-        full = scattering_amplitude(hard_wall, canonical_impurity, 1, 2, omega, m=2)
+        full = scattering_amplitude(canonical_impurity, 1, 2, omega, m=2)
         assert full == pytest.approx(reduced, abs=5e-8)
 
-    def test_warns_outside_validity_region(self, hard_wall, canonical_impurity):
+    def test_warns_outside_validity_region(self, canonical_impurity):
         with pytest.warns(ValidityWarning):
-            near_threshold_field(hard_wall, canonical_impurity, 1, 2,
+            near_threshold_field(canonical_impurity, 1, 2,
                                  1.2 * OM_2, (0.3, 0.4))
 
 
 class TestThresholdField:
-    def test_closed_form_value(self, hard_wall):
+    def test_closed_form_value(self):
         imp = Impurity(epsilon=0.25, rho0=0.01)
         x, y = 0.5, 0.25
-        psi = threshold_field(hard_wall, imp, 1, 2, (x, y))
+        psi = threshold_field(imp, 1, 2, (x, y))
         k = longitudinal_wavenumber(1, threshold_energy(2)).real
         expect = math.sin(PI * y) * np.exp(1j * k * x) \
             - (math.sqrt(2) / 2) * math.sin(2 * PI * y)
         assert psi == pytest.approx(complex(expect), abs=1e-12)
 
-    def test_strength_independence_bit_for_bit(self, hard_wall):
+    def test_strength_independence_bit_for_bit(self):
         outs = [
-            threshold_field(hard_wall, Impurity(0.3, rho0), 1, 2, (0.4, 0.7))
+            threshold_field(Impurity(0.3, rho0), 1, 2, (0.4, 0.7))
             for rho0 in (1e-5, 1e-3, 1e-1)
         ]
         assert outs[0] == outs[1] == outs[2]
 
-    def test_general_cross_section_reduces_to_hard_wall(self):
-        geo = WireGeometry.from_potential([0.0, 1.0], [0.0, 0.0], num_modes=4)
-        hw = WireGeometry.hard_wall()
-        imp = Impurity(epsilon=0.3, rho0=0.01)
-        for r in [(0.5, 0.25), (-0.2, 0.62)]:
-            # eigensolver modes carry sqrt(2) normalization in the incident term
-            a = threshold_field(geo, imp, 1, 2, r) / math.sqrt(2)
-            b = threshold_field(hw, imp, 1, 2, r)
-            assert a == pytest.approx(b, abs=2e-4)
-
-    def test_decoupled_returns_incident_with_warning(self, hard_wall):
-        imp = Impurity(epsilon=0.5, rho0=0.01)
-        with pytest.warns(DecoupledModeWarning):
-            psi = threshold_field(hard_wall, imp, 1, 2, (0.3, 0.4))
+    def test_node_gives_the_strength_dependent_limit_with_warning(self):
+        # on a node of mode 2 the open channel still scatters at the cut-off
+        r = (0.3, 0.4)
+        psi = {}
+        for rho0 in (1e-3, 1e-2):
+            with pytest.warns(DecoupledModeWarning, match="depends on the impurity strength"):
+                psi[rho0] = threshold_field(Impurity(0.5, rho0), 1, 2, r)
+            near = scattered_field(Impurity(0.5, rho0), 1, OM_2 * (1.0 + 1e-12), r)
+            assert abs(psi[rho0] - near) < 1e-9
         k = longitudinal_wavenumber(1, threshold_energy(2)).real
-        assert psi == pytest.approx(math.sin(0.4 * PI) * np.exp(1j * k * 0.3), abs=1e-15)
+        incident = math.sin(0.4 * PI) * np.exp(1j * k * 0.3)
+        assert min(abs(value - incident) for value in psi.values()) > 0.1
+        assert abs(psi[1e-3] - psi[1e-2]) > 0.1
 
-    def test_nonpropagating_incidence_rejected(self, hard_wall):
+    def test_nonpropagating_incidence_rejected(self):
         with pytest.raises(DomainError):
-            threshold_field(hard_wall, Impurity(0.3, 0.01), 2, 2, (0.1, 0.5))
+            threshold_field(Impurity(0.3, 0.01), 2, 2, (0.1, 0.5))
 
     @pytest.mark.parametrize("r, name", [((math.nan, 0.5), "x"), ((math.inf, 0.5), "x"),
                                          ((0.1, math.inf), "y"), ((0.1, math.nan), "y")])
-    def test_non_finite_position_rejected(self, hard_wall, r, name):
+    def test_non_finite_position_rejected(self, r, name):
         with pytest.raises(DomainError, match=f"positions {name} "):
-            threshold_field(hard_wall, Impurity(0.3, 0.01), 1, 2, r)
+            threshold_field(Impurity(0.3, 0.01), 1, 2, r)
 
-    def test_point_value_is_the_grid_value_bit_for_bit(self, hard_wall):
-        geo = WireGeometry.from_potential([0.0, 1.0], [0.0, 0.0], num_modes=4)
+    def test_point_value_is_the_grid_value_bit_for_bit(self):
         xs = np.linspace(-2.0, 2.0, 21)
         ys = np.linspace(0.0, 1.0, 13)[1:-1]
-        for geometry, m in ((hard_wall, 2), (hard_wall, 3), (geo, 2)):
+        for m in (2, 3):
             imp = Impurity(0.37, 1e-3)
-            grid = threshold_field_grid(geometry, imp, 1, m, xs, ys)
+            grid = threshold_field_grid(imp, 1, m, xs, ys)
             assert grid.shape == (len(ys), len(xs))
-            points = np.array([[threshold_field(geometry, imp, 1, m, (x, y)) for x in xs]
+            points = np.array([[threshold_field(imp, 1, m, (x, y)) for x in xs]
                                for y in ys])
             assert np.array_equal(grid.view(np.uint64), points.view(np.uint64))
 
-    def test_node_warns_once_for_the_whole_grid(self, hard_wall):
-        xs = np.linspace(-1.0, 1.0, 9)
+    def test_node_warns_once_for_the_whole_grid(self):
+        xs = np.array([-6.0, -1.0, 0.0, 1.0, 6.0])
         ys = np.linspace(0.1, 0.9, 5)
+        imp = Impurity(0.5, 0.01)
         with pytest.warns(DecoupledModeWarning) as record:
-            grid = threshold_field_grid(hard_wall, Impurity(0.5, 0.01), 1, 2, xs, ys)
+            grid = threshold_field_grid(imp, 1, 2, xs, ys)
         assert len(record) == 1
+        # six widths from the impurity the evanescent modes (k >= sqrt(5) pi)
+        # are gone: the incident wave minus the open channel's cut-off limit
+        a_11 = threshold_amplitude_limit(imp, 1, 2, l=1)
+        assert threshold_amplitude_limit(imp, 1, 2) == 0
         k = longitudinal_wavenumber(1, threshold_energy(2)).real
-        assert np.array_equal(grid, np.outer(np.sin(PI * ys), np.exp(1j * k * xs)))
+        for ix in (0, 4):
+            far = np.sin(PI * ys) * (np.exp(1j * k * xs[ix]) - a_11 * np.exp(1j * k * 6.0))
+            assert np.max(np.abs(grid[:, ix] - far)) < 1e-12
+
+    @pytest.mark.parametrize("eps", [0.3, 0.37, 0.5])
+    def test_runs_continuously_into_the_cutoff(self, eps):
+        # off a node the resonant term closes the gap like sqrt(delta): 10x
+        # per 100x step, up to the next order; on the node of mode 2
+        # (eps = 0.5) it closes at least as fast
+        imp = Impurity(eps, 1e-3)
+        xs = np.linspace(-2.0, 2.0, 9)
+        ys = np.linspace(0.0, 1.0, 7)[1:-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DecoupledModeWarning)
+            cutoff = threshold_field_grid(imp, 1, 2, xs, ys)
+        gaps = [np.max(np.abs(scattered_field_grid(imp, 1, OM_2 * (1.0 + delta), xs, ys)
+                              - cutoff))
+                for delta in (1e-8, 1e-10, 1e-12)]
+        assert gaps[0] < 1e-2, gaps
+        assert gaps[0] >= 9.9 * gaps[1] and gaps[1] >= 9.9 * gaps[2], gaps
 
 
 class TestDistinctColumns:
@@ -709,7 +722,7 @@ class TestDistinctColumns:
     CHECK = """
 import json, math
 import numpy as np
-from wirescat import Impurity, WireGeometry, kernels, scattered_field_grid
+from wirescat import Impurity, kernels, scattered_field_grid
 from wirescat.scatter import _amplitude_table
 
 impurity, omega, l_max = Impurity(0.41, 0.003), 4.7 * math.pi**2, 402
@@ -725,7 +738,7 @@ grids = {
 differ = []
 for name, (xs, ny) in grids.items():
     ys = np.linspace(0.0, 1.0, ny + 2)[1:-1]
-    grid = scattered_field_grid(WireGeometry.hard_wall(), impurity, 1, omega, xs, ys,
+    grid = scattered_field_grid(impurity, 1, omega, xs, ys,
                                 l_max=l_max)
     every = kernels.field_grid(np.abs(xs), ys, -amp[0], k[:l_max])
     every += np.outer(np.sin(math.pi * ys), np.exp(1j * k[0] * xs))
@@ -734,13 +747,13 @@ for name, (xs, ny) in grids.items():
 print(json.dumps(differ))
 """
 
-    def test_each_distinct_offset_is_synthesized_once(self, hard_wall, monkeypatch):
+    def test_each_distinct_offset_is_synthesized_once(self, monkeypatch):
         widths = []
         synthesize = kernels.field_grid
         monkeypatch.setattr(kernels, "field_grid",
                             lambda xs, *args: widths.append(len(xs)) or synthesize(xs, *args))
         xs = np.linspace(-2.0, 2.0, 401)
-        scattered_field_grid(hard_wall, Impurity(0.41, 0.003), 1, 4.7 * PI**2, xs,
+        scattered_field_grid(Impurity(0.41, 0.003), 1, 4.7 * PI**2, xs,
                              np.array([0.3, 0.6]))
         # linspace's mirrored points differ in the last bit: 287 distinct |x|, not 201
         assert widths == [287]
@@ -839,71 +852,71 @@ class TestOneDReference:
 
 
 class TestThresholdLimit:
-    def test_limit_matches_closed_form(self, hard_wall):
-        lim = threshold_amplitude_limit(hard_wall, Impurity(0.3, 1e-3), 1, 2)
+    def test_limit_matches_closed_form(self):
+        lim = threshold_amplitude_limit(Impurity(0.3, 1e-3), 1, 2)
         target = math.sin(0.3 * PI) / math.sin(0.6 * PI)
         assert lim == pytest.approx(target, abs=1e-9)
 
-    def test_off_resonant_modes_decouple(self, hard_wall):
-        lim = threshold_amplitude_limit(hard_wall, Impurity(0.3, 1e-3), 1, 2, l=1)
+    def test_off_resonant_modes_decouple(self):
+        lim = threshold_amplitude_limit(Impurity(0.3, 1e-3), 1, 2, l=1)
         assert abs(lim) < 1e-9
 
 
     @staticmethod
-    def _spread(hard_wall, eps, m, rho0s=(1e-5, 1e-3, 1e-1)):
-        limits = [threshold_amplitude_limit(hard_wall, Impurity(eps, r0), 1, m) for r0 in rho0s]
+    def _spread(eps, m, rho0s=(1e-5, 1e-3, 1e-1)):
+        limits = [threshold_amplitude_limit(Impurity(eps, r0), 1, m) for r0 in rho0s]
         target = math.sin(PI * eps) / math.sin(m * PI * eps)
         spread = max(abs(a - b) for a in limits for b in limits) / abs(target)
         return spread, max(abs(c - target) for c in limits) / abs(target)
 
-    def test_ladder_starts_inside_the_disc_of_analyticity(self, hard_wall):
+    def test_ladder_starts_inside_the_disc_of_analyticity(self):
         # |Delta_3^(-1/2)| = 37 for the strongest of these strengths: a limit
         # extrapolated on a ladder from k_m = 0.08 started outside the radius
         # 1/37 and spread 2.4e-6 across strengths; the core at k_m = 0 has
         # no radius to respect
         rho0s = (0.03893918219645293, 1.3316703468977595e-05, 0.01734200501769414)
         eps = 0.3552165050993091
-        assert max(abs(resonance_parameter(hard_wall, Impurity(eps, r0), 3))
+        assert max(abs(resonance_parameter(Impurity(eps, r0), 3))
                    for r0 in rho0s) > 12.5
-        spread, deviation = self._spread(hard_wall, eps, 3, rho0s)
+        spread, deviation = self._spread(eps, 3, rho0s)
         assert spread < 1e-8 and deviation < 1e-6
 
     @pytest.mark.parametrize("m, node", [(2, 0.5), (3, 1.0 / 3.0), (3, 2.0 / 3.0)])
-    def test_near_node_sweep(self, hard_wall, m, node):
+    def test_near_node_sweep(self, m, node):
         # closer to a node of mode m, |Delta_m^(-1/2)| grows like 1/(eps - node)^2
         checked = 0
         for gap in np.geomspace(0.2, 1e-3, 25):
             for eps in (node - gap, node + gap):
                 if not 0.05 <= eps <= 0.95:
                     continue
-                size = max(abs(resonance_parameter(hard_wall, Impurity(eps, r0), m))
+                size = max(abs(resonance_parameter(Impurity(eps, r0), m))
                            for r0 in (1e-5, 1e-3, 1e-1))
                 if size > 1e3:
                     continue
-                spread, deviation = self._spread(hard_wall, eps, m)
+                spread, deviation = self._spread(eps, m)
                 assert spread < 1e-8 and deviation < 1e-6, (eps, size, spread, deviation)
                 checked += 1
         assert checked >= 20
 
-    def test_node_of_the_resonant_mode(self, hard_wall):
+    def test_node_of_the_resonant_mode(self):
         # eps = 1/2 decouples mode 2: the resonant term leaves the bracket,
         # and A_11 takes its finite two-channel value; offsets above the
         # cut-off need Delta_2 and are refused
-        lim = threshold_amplitude_limit(hard_wall, Impurity(0.5, 1e-3), 1, 2, l=1)
+        lim = threshold_amplitude_limit(Impurity(0.5, 1e-3), 1, 2, l=1)
         k1 = math.sqrt(OM_2 - PI**2)
         rho_bar = regularized_scale_tail_subtraction(0.5, OM_2, 2)
         expect = 1.0 / (1j * k1 * (math.log(1e-3 / rho_bar) / (2 * PI) + 1.0 / (1j * k1)))
         assert lim == pytest.approx(expect, rel=1e-9)
         with pytest.raises(DecoupledModeError):
-            cutoff_scan(hard_wall, 0.5, [1e-3], 1, 2, [1e-2])
+            cutoff_scan(0.5, [1e-3], 1, 2, [1e-2])
 
-    def test_incidence_must_be_open_at_the_cutoff(self, hard_wall):
+    def test_incidence_must_be_open_at_the_cutoff(self):
         with pytest.raises(DomainError, match="incident mode 2 does not propagate"):
-            threshold_amplitude_limit(hard_wall, Impurity(0.3, 1e-3), 2, 2)
+            threshold_amplitude_limit(Impurity(0.3, 1e-3), 2, 2)
 
-    def test_negative_offset_stays_below_the_cutoff(self, hard_wall):
+    def test_negative_offset_stays_below_the_cutoff(self):
         # only a positive offset that rounds onto (m pi)^2 is moved above it
-        scan = cutoff_scan(hard_wall, 0.3, [1e-3, 1e-1], 1, 2, [-1e-2, 1e-2])
+        scan = cutoff_scan(0.3, [1e-3, 1e-1], 1, 2, [-1e-2, 1e-2])
         below, above = scan.offset_energies
         assert below < OM_2 < above
 
@@ -927,13 +940,13 @@ class TestCutoffContinuity:
         (0.3, 4, (1e-5, 1e-3, 1e-1)),
         (0.61, 5, (1e-5, 1e-3, 1e-1)),
     ])
-    def test_bracket_runs_into_the_cutoff(self, hard_wall, eps, m, rho0s):
+    def test_bracket_runs_into_the_cutoff(self, eps, m, rho0s):
         base = threshold_energy(m)
         omegas = [base + (0.08 * 0.5**j) ** 2 for j in range(8)]
         ks = [math.sqrt(omega - base) for omega in omegas]  # the k_m realized
         s_n, s_m = math.sin(PI * eps), math.sin(m * PI * eps)
         for rho0 in rho0s:
-            q = [s_n * s_m / scattering_amplitude(hard_wall, Impurity(eps, rho0), 1, m, omega)
+            q = [s_n * s_m / scattering_amplitude(Impurity(eps, rho0), 1, m, omega)
                  for omega in omegas]
             limit = neville_diagonal(ks, q)[-1]
             assert abs(limit - s_m**2) <= 1e-11 * s_m**2, (rho0, limit)
