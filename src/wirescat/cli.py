@@ -189,11 +189,13 @@ def _impurity(cfg: RunConfig) -> Impurity:
     return Impurity(epsilon=cfg.epsilon, rho0=cfg.rho0)
 
 
-def _grid_step(cfg: RunConfig) -> float:
-    """Oracle lattice spacing 1/grid_ny, in both directions."""
-    if cfg.grid_ny < 1:
-        raise ConfigurationError(f"oracle grid needs grid_ny >= 1, got {cfg.grid_ny}")
-    return 1.0 / cfg.grid_ny
+def _oracle_wire(cfg: RunConfig, eps: float) -> oracle_mod.DiscreteWire:
+    """The oracle lattice of grid_ny rows and lead_modes lead modes; its
+    ConfigurationError names grid_ny, the key that sets ny."""
+    try:
+        return oracle_mod.DiscreteWire(eps, ny=cfg.grid_ny, lead_modes=cfg.lead_modes)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"oracle grid_ny = {cfg.grid_ny}: {exc}") from None
 
 
 def _open_out(cfg: RunConfig):
@@ -466,12 +468,7 @@ def run_universality(cfg: RunConfig) -> int:
     }
     verdict = threshold_spread < 1e-8 and report["threshold_deviation"] < 1e-6
     if cfg.oracle:
-        h = _grid_step(cfg)
-        wire = oracle_mod.DiscreteWire(
-            eps=cfg.epsilon, rho=0.04, rho0=rho0s[0],
-            h_y=h, h_x=h, lead_modes=cfg.lead_modes,
-        )
-        probe = oracle_mod.universality_probe(wire, n, m, rho0s)
+        probe = oracle_mod.universality_probe(_oracle_wire(cfg, cfg.epsilon), n, m, rho0s)
         report["oracle"] = {
             "lattice_cutoff": probe.lattice_cutoff,
             "continuum_cutoff": threshold_energy(m),
@@ -526,12 +523,8 @@ def run_oracle_compare(cfg: RunConfig) -> int:
         raise ConfigurationError("oracle-compare requires --omega")
     impurity = _impurity(cfg)
     rhos = _parse_list(cfg.rho_ladder, "rho ladder")
-    h = _grid_step(cfg)
-    wire = oracle_mod.DiscreteWire(
-        eps=impurity.epsilon, rho=rhos[0], rho0=impurity.rho0,
-        h_x=h, h_y=h, lead_modes=cfg.lead_modes,
-    )
-    ladder = oracle_mod.solve_ladder(wire, cfg.mode_n, cfg.omega, rhos)
+    wire = _oracle_wire(cfg, impurity.epsilon)
+    ladder = oracle_mod.solve_ladder(wire, cfg.mode_n, cfg.omega, rhos, impurity.rho0)
     ext = oracle_mod.extrapolate_to_zero_width(ladder)
     sol = solve_scattering(impurity, cfg.mode_n, cfg.omega, l_max=cfg.lead_modes)
     fh = _open_out(cfg)

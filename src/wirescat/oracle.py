@@ -7,13 +7,14 @@ defect column
     V(x, y) = g delta_col(x) exp(-(y - eps)^2 / rho^2),
     g = 2 sqrt(pi) / (rho ln(rho/rho0)),
 
-with Dirichlet walls and exact outgoing boundary conditions: the lead
-matching is done against the discrete operator's own propagating and
-evanescent modes through the lattice Green's function
+on the square lattice of spacing h = 1/ny (:class:`DiscreteWire`), with
+Dirichlet walls and exact outgoing boundary conditions: the lead matching
+is done against the discrete operator's own propagating and evanescent
+modes through the lattice Green's function
 
-    G(r, r') = sum_j phi_j(y) phi_j(y') * h_x e^{i k~_j h_x |p - p'|}
-               / (2 i sin(k~_j h_x)),
-    cos(k~_j h_x) = 1 - (omega - mu_j) h_x^2 / 2,
+    G(r, r') = sum_j phi_j(y) phi_j(y') * h e^{i k~_j h |p - p'|}
+               / (2 i sin(k~_j h)),
+    cos(k~_j h) = 1 - (omega - mu_j) h^2 / 2,
 
 where phi_j are the exact discrete transverse eigenvectors and mu_j their
 eigenvalues.  The leads are effectively infinite, so amplitude extraction
@@ -44,7 +45,7 @@ solve: at ny = 1600 it costs more than the solve itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -52,8 +53,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .numerics import neville_diagonal
-from .scatter import nearest_threshold_index, resonance_parameters
+from .scatter import resonance_parameters
 from .specfun import _index, threshold_energy
+from .wire import _check_countable
 
 __all__ = [
     "DiscreteWire",
@@ -71,57 +73,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscreteWire:
-    """Discretization and defect data for one oracle solve.
+    """The lattice of an oracle solve and the defect's position on it.
 
-    The impurity column must be resolved (rho/h_y >= 4) and the nominal
-    domain half-length x_extent must cover the decay of every retained
-    evanescent lead mode; both are enforced at solve time.  Leaving eps,
-    rho and rho0 unset describes the clean wire (defect strength zero).
+    The square lattice has spacing h_y = 1/ny in both directions, with the
+    walls on rows 0 and ny; the defect column is centred at y = eps, and a
+    solve returns the amplitudes of the first lead_modes lead modes (at
+    most ny - 1, the transverse modes of the grid).  The defect's width rho
+    and strength rho0 are inputs of the solve (:func:`solve_table`).
     """
 
-    eps: float | None = None
-    rho: float | None = None
-    rho0: float | None = None
-    h_x: float = 1.0 / 200.0
-    h_y: float = 1.0 / 200.0
-    x_extent: float = 4.0
+    eps: float
+    ny: int = 200
     lead_modes: int = 12
 
     def __post_init__(self):
-        for name in ("eps", "rho", "rho0", "h_x", "h_y", "x_extent"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-        defect_fields = (self.eps, self.rho, self.rho0)
-        if any(v is None for v in defect_fields) and any(v is not None for v in defect_fields):
-            raise ConfigurationError("set eps, rho and rho0 together, or none of them")
-        if self.eps is not None:
-            if not (0.0 < self.eps < 1.0):
-                raise ConfigurationError(
-                    f"defect position must be inside the wire, got {self.eps}"
-                )
-            if self.rho <= 0.0 or self.rho0 <= 0.0:
-                raise ConfigurationError("defect widths rho and rho0 must be positive")
-        if self.h_x <= 0.0 or self.h_y <= 0.0:
-            raise ConfigurationError("grid spacings must be positive")
-        if abs(round(1.0 / self.h_y) - 1.0 / self.h_y) > 1e-9:
-            raise ConfigurationError("1/h_y must be an integer so the walls sit on the grid")
-        try:  # at most the transverse modes of the grid
-            _index(self.lead_modes, "lead_modes", hi=round(1.0 / self.h_y) - 1)
+        if not 0.0 < self.eps < 1.0:
+            raise ConfigurationError(
+                f"defect position eps must be inside the wire, got {self.eps}")
+        try:
+            object.__setattr__(self, "ny", _index(self.ny, "ny", lo=2))
+            # at most the transverse modes of the grid
+            object.__setattr__(self, "lead_modes",
+                               _index(self.lead_modes, "lead_modes", hi=self.ny - 1))
         except DomainError as exc:
             raise ConfigurationError(str(exc)) from None
 
     @property
-    def has_defect(self) -> bool:
-        return self.eps is not None
+    def h_y(self) -> float:
+        """The lattice spacing 1/ny, across and along the wire."""
+        return 1.0 / self.ny
 
-    @property
-    def inverse_strength(self) -> float:
-        """1/g = rho ln(rho/rho0)/(2 sqrt(pi)); zero at the infinitely
-        attractive well rho = rho0, which the solver handles exactly."""
-        if not self.has_defect:
-            raise ConfigurationError("clean wire has no defect strength")
-        return self.rho * math.log(self.rho / self.rho0) / (2.0 * math.sqrt(math.pi))
+
+def _inverse_strength(rho: float, rho0: float) -> float:
+    """1/g = rho ln(rho/rho0)/(2 sqrt(pi)) of a defect of width rho and
+    strength rho0, each positive and finite; zero at the infinitely
+    attractive well rho = rho0, which the solve handles exactly."""
+    for name, value in (("rho", rho), ("rho0", rho0)):
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(f"defect {name} must be positive and finite, got {value}")
+    return rho * math.log(rho / rho0) / (2.0 * math.sqrt(math.pi))
 
 
 def _transmitted(reflected: np.ndarray, n: int) -> np.ndarray:
@@ -147,6 +137,7 @@ class _ReflectedAmplitudes:
 class OracleSolution(_ReflectedAmplitudes):
     """Amplitude table of one discrete solve.
 
+    ``rho`` and ``rho0`` are the defect's width and strength on ``wire``.
     ``reflected[l-1]`` is the coefficient of sin(l pi y) e^{i k~_l |x|} on
     the near side for l up to lead_modes; ``transmitted`` (far side) is
     reflected + delta_nl and ``amplitude`` = -reflected matches the analytic
@@ -154,10 +145,12 @@ class OracleSolution(_ReflectedAmplitudes):
     violation.  ``residual`` (:func:`_residual`) is computed on first read
     from the solved cell ``_cell`` and the lattice spectrum ``_spectrum``
     (mu, sin_kh, exp_kh) that :func:`solve_table` hands over; a solution
-    without them (the clean wire) reads 0.0.
+    built without them reads 0.0.
     """
 
     wire: DiscreteWire
+    rho: float
+    rho0: float
     incident_mode: int
     energy: float
     reflected: np.ndarray = field(repr=False)
@@ -171,7 +164,8 @@ class OracleSolution(_ReflectedAmplitudes):
         equations around the defect (:func:`_residual`)."""
         if self._cell is None:
             return 0.0
-        [residual] = _residual(self.incident_mode, self.energy, *self._spectrum, [self._cell])
+        [residual] = _residual(self.wire, self.incident_mode, self.energy, *self._spectrum,
+                               [self._cell])
         return residual
 
 
@@ -183,21 +177,22 @@ def _transverse_eigenvalues(ny: int) -> np.ndarray:
     return (2.0 - 2.0 * np.cos(np.arange(1, ny) * np.pi * h_y)) / h_y**2
 
 
-def _lattice_modes(ny: int, h_x: float, omega: float):
+def _lattice_modes(ny: int, omega: float):
     """Discrete transverse spectrum mu and per-mode longitudinal factors
-    sin(k~ h_x) and e^{i k~ h_x}.
+    sin(k~ h) and e^{i k~ h} of the lattice of spacing h = 1/ny.
 
-    They are taken in half-angle form, with t = (omega - mu) h_x^2 / 2 =
-    1 - cos(k~ h_x): sin(k~ h_x) = sqrt(t (2 - t)) as a complex root, so
-    i sinh(kappa h_x) for an evanescent mode (t < 0), and
-    e^{i k~ h_x} = (1 - t) + i sin(k~ h_x).  sin(k~ h_x) keeps the relative
+    They are taken in half-angle form, with t = (omega - mu) h^2 / 2 =
+    1 - cos(k~ h): sin(k~ h) = sqrt(t (2 - t)) as a complex root, so
+    i sinh(kappa h) for an evanescent mode (t < 0), and
+    e^{i k~ h} = (1 - t) + i sin(k~ h).  sin(k~ h) keeps the relative
     precision of t however close omega is to mu, where 1 - t rounds to 1.
     """
     mu = _transverse_eigenvalues(ny)
-    t = (omega - mu) * h_x * h_x / 2.0
+    h = 1.0 / ny
+    t = (omega - mu) * h * h / 2.0
     if np.any(t > 2.0):
         raise ConfigurationError(
-            "omega exceeds the discrete band edge of a retained mode; refine h_x"
+            "omega exceeds the discrete band edge of a retained mode; raise ny"
         )
     sin_kh = np.sqrt((t * (2.0 - t)).astype(complex))
     return mu, sin_kh, (1.0 - t) + 1j * sin_kh
@@ -229,41 +224,28 @@ def _dst(c) -> np.ndarray:
 
 def _check_energy(wire: DiscreteWire, n: int, omega: float) -> int:
     """The checks of a solve that read neither width nor strength: the
-    incident mode index, the domain length against the slowest retained
-    evanescent mode, and a propagating incident mode.  Returns the index."""
+    incident mode index, a finite energy below the countable ceiling, and a
+    propagating incident mode.  Returns the index."""
     n = _index(n, "incident mode", hi=wire.lead_modes)
-    m = nearest_threshold_index(omega)
-    decay = math.sqrt(max(threshold_energy(m + 1) - omega, 0.0))
-    if decay > 0.0 and wire.x_extent < 10.0 / decay:
-        raise ConfigurationError(
-            f"x_extent={wire.x_extent} too short: slowest retained evanescent mode "
-            f"needs at least {10.0 / decay:.2f} to decay below 1e-10 at the leads"
-        )
+    _check_countable(omega)
     if omega <= threshold_energy(n):
         raise DomainError(f"incident mode {n} does not propagate at omega={omega}")
     return n
 
 
-def solve(wire: DiscreteWire, n: int, omega: float) -> OracleSolution:
-    """Scatter lattice mode n off the defect column at energy omega.
-
-    The 1 x 1 call of :func:`solve_table`.  A clean wire (no defect)
-    transmits the incident mode unchanged.
-    """
-    if wire.has_defect:
-        return solve_table(wire, n, omega, [wire.rho], [wire.rho0])[0][0]
-    n = _check_energy(wire, n, omega)
-    # clean wire: psi = psi_inc exactly on the lattice
-    return OracleSolution(wire=wire, incident_mode=n, energy=omega,
-                          reflected=np.zeros(wire.lead_modes, dtype=complex))
+def solve(wire: DiscreteWire, n: int, omega: float, rho: float, rho0: float) -> OracleSolution:
+    """Scatter lattice mode n off a defect column of width rho and strength
+    rho0 at energy omega: the 1 x 1 call of :func:`solve_table`."""
+    return solve_table(wire, n, omega, [rho], [rho0])[0][0]
 
 
 class _Cell(NamedTuple):
-    """One solved cell of a table: its wire, the defect rows ``support``,
-    the source u_i = g w_i psi(r0) h_x on those rows, tau = g psi(r0) and
-    ``g_eps`` = G(r0, y_i) on the support."""
+    """One solved cell of a table: its width and strength, the defect rows
+    ``support``, the source u_i = g w_i psi(r0) h on those rows,
+    tau = g psi(r0) and ``g_eps`` = G(r0, y_i) on the support."""
 
-    wire: DiscreteWire
+    rho: float
+    rho0: float
     support: np.ndarray
     u: np.ndarray
     tau: complex
@@ -273,8 +255,8 @@ class _Cell(NamedTuple):
 def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
                 rho0s) -> list[list[OracleSolution]]:
     """Solve every (width, strength) cell of a table at one energy:
-    ``table[i][j]`` is the solve of ``wire`` with rho = rhos[i] and
-    rho0 = rho0s[j].
+    ``table[i][j]`` is the solve on ``wire`` of the defect of width
+    rho = rhos[i] and strength rho0 = rho0s[j].
 
     What the cells share is built once: the lattice modes and the
     same-column Green's function per mode, G(r0, .) on every row (it reads
@@ -289,7 +271,7 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
     """
     if not len(rhos) or not len(rho0s):
         return [[] for _ in rhos]
-    ny = int(round(1.0 / wire.h_y))
+    ny = wire.ny
     h = wire.h_y
     rows = np.arange(1, ny)
     yi = rows * h
@@ -298,8 +280,8 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
     solved = []
     for rho in rhos:
         # each check comes where the row-major sequence of 1 x 1 solves
-        # meets it: the row's first wire, then the checks, then the others
-        row = [replace(wire, rho=rho, rho0=rho0s[0])]
+        # meets it: the row's first cell, then the checks, then the others
+        row = [(rho0s[0], _inverse_strength(rho, rho0s[0]))]
         if modes is None:
             n = _check_energy(wire, n, omega)
         if rho / h < 4.0:
@@ -307,10 +289,10 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
                 f"impurity width under-resolved: rho/h_y = {rho / h:.2f} < 4"
             )
         if modes is None:
-            modes = _lattice_modes(ny, wire.h_x, omega)
+            modes = _lattice_modes(ny, omega)
             sin_kh = modes[1]
             s_n = math.sin(n * math.pi * wire.eps)
-            g_col = wire.h_x / (2j * sin_kh)  # same-column 1D lattice Green per mode
+            g_col = h / (2j * sin_kh)  # same-column 1D lattice Green per mode
             phi_eps = math.sqrt(2.0) * np.sin(rows * np.pi * wire.eps)
             green_eps = _dst(phi_eps * g_col)  # G(r0, y_i) on every row
         w = np.exp(-(((yi - wire.eps) / rho) ** 2))
@@ -318,21 +300,21 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
         ws = w[support]
         if len(ws) < 4:
             raise ConfigurationError("defect column support too small on this grid")
-        row += [replace(wire, rho=rho, rho0=rho0) for rho0 in rho0s[1:]]
+        row += [(rho0, _inverse_strength(rho, rho0)) for rho0 in rho0s[1:]]
         # unknown tau = g psi(r0): tau (1/g - h sum_i G(r0, y_i) w_i) = psi_inc(r0)
         g_eps = green_eps[support]
         coupled = h * np.dot(g_eps, ws)
-        for cell in row:
-            tau = s_n / (cell.inverse_strength - coupled)
-            # u_i = V psi(r0) column values (times h_x)
-            solved.append(_Cell(cell, support, ws * tau, tau, g_eps))
+        for rho0, inverse_strength in row:
+            tau = s_n / (inverse_strength - coupled)
+            # u_i = V psi(r0) column values (times h)
+            solved.append(_Cell(rho, rho0, support, ws * tau, tau, g_eps))
 
     u_cols = _source_columns(ny, solved)
     lead = wire.lead_modes
     proj = _dst(u_cols)[:lead] / math.sqrt(2.0)  # sum_i sin(l pi y_i) u_i per cell
-    scattered = wire.h_x * h * proj / (1j * sin_kh[:lead, None])
+    scattered = h * h * proj / (1j * sin_kh[:lead, None])
     # discrete flux: group velocity per mode ~ sin(k~ h)/h for propagating modes
-    vel = np.real(sin_kh[:lead]) / wire.h_x
+    vel = np.real(sin_kh[:lead]) / h
     live = vel > 0.0
     out = []
     for k, cell in enumerate(solved):
@@ -343,7 +325,9 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
             / vel[n - 1]
         )
         out.append(OracleSolution(
-            wire=cell.wire,
+            wire=wire,
+            rho=cell.rho,
+            rho0=cell.rho0,
             incident_mode=n,
             energy=omega,
             reflected=reflected,
@@ -363,7 +347,7 @@ def _source_columns(ny: int, cells) -> np.ndarray:
     return u_cols
 
 
-def _residual(n, omega, mu, sin_kh, exp_kh, cells) -> list[float]:
+def _residual(wire, n, omega, mu, sin_kh, exp_kh, cells) -> list[float]:
     """Per cell, the larger of two normalized residuals of the solve.
 
     Helmholtz: psi is reconstructed from the lattice Green's function; the
@@ -378,52 +362,52 @@ def _residual(n, omega, mu, sin_kh, exp_kh, cells) -> list[float]:
 
     It reads what :func:`solve_table` built and each solution keeps: the
     lattice spectrum ``mu``, ``sin_kh``, ``exp_kh`` and the solved ``cells``
-    (:class:`_Cell`), which share one grid, energy and incident mode n;
+    (:class:`_Cell`), which share one ``wire``, energy and incident mode n;
     :attr:`OracleSolution.residual` passes its own cell.  The mode sums are
     its own: one :func:`_dst` projects every cell's ``u`` onto the modes,
     and one more rebuilds the scattered wave of every cell on all ny - 1
     rows (it is even in p, so columns |p| = 0, 1, 2 serve the five), so a
     wrong ``u`` is not hidden by sums that came from it.
     """
-    wire = cells[0].wire
-    ny = len(mu) + 1
+    ny = wire.ny
     h = wire.h_y
     yi = np.arange(1, ny) * h
     u_cols = _source_columns(ny, cells)
     mode_src = _dst(u_cols)  # sum_i phi_j(y_i) u_i per mode j, per cell
     ps = np.arange(-2, 3)
-    # e^{i k~ h_x |p|} per mode, |p| = 0, 1, 2
+    # e^{i k~ h |p|} per mode, |p| = 0, 1, 2
     hops = np.stack((np.ones_like(exp_kh), exp_kh, exp_kh * exp_kh), axis=1)
-    coef = (wire.h_x * h * mode_src / (2j * sin_kh[:, None]))[:, None, :] * hops[:, :, None]
+    coef = (h * h * mode_src / (2j * sin_kh[:, None]))[:, None, :] * hops[:, :, None]
     psi_sc = _dst(coef)  # [row, |p|, cell]
     inc = np.sin(n * math.pi * yi)
     cols = (inc[:, None] * exp_kh[n - 1] ** ps)[:, :, None] + psi_sc[:, np.abs(ps)]
 
     psi = cols[:, 1:-1]  # p = -1, 0, 1
-    res = cols[:, :-2] + cols[:, 2:]  # h_x^2 Laplacian_x psi + 2 psi
-    res *= 1.0 / wire.h_x**2
-    res[1:] += psi[:-1] * (1.0 / h**2)  # h_y^2 Laplacian_y psi + 2 psi, Dirichlet walls
-    res[:-1] += psi[1:] * (1.0 / h**2)
-    res += psi * (omega - 2.0 / wire.h_x**2 - 2.0 / h**2)
-    res[:, 1] -= u_cols * (1.0 / wire.h_x)
+    # h^2 (Laplacian_h + omega) psi on the five-point stencil, Dirichlet walls
+    res = cols[:, :-2] + cols[:, 2:] + psi * (omega * h**2 - 4.0)
+    res[1:] += psi[:-1]
+    res[:-1] += psi[1:]
+    res *= 1.0 / h**2
+    res[:, 1] -= u_cols * (1.0 / h)
     scale = omega * np.maximum(np.max(np.abs(cols[:, 2]), axis=0), 1e-30)
     helmholtz = (np.max(np.abs(res), axis=(0, 1)) / scale).tolist()
 
     out = []
     for k, cell in enumerate(cells):
         # tau/g = sin(n pi eps) + h sum_i G(r0, y_i) u_i
-        terms = (cell.tau * cell.wire.inverse_strength, math.sin(n * math.pi * cell.wire.eps),
-                 h * np.dot(cell.g_eps, cell.u))
+        terms = (cell.tau * _inverse_strength(cell.rho, cell.rho0),
+                 math.sin(n * math.pi * wire.eps), h * np.dot(cell.g_eps, cell.u))
         gap = np.max(np.abs(terms[0] - terms[1] - terms[2]))
         size = max(np.max(np.abs(t)) for t in terms)
         out.append(max(helmholtz[k], float(gap / max(size, 1e-30))))
     return out
 
 
-def solve_ladder(wire: DiscreteWire, n: int, omega: float, rhos) -> list[OracleSolution]:
-    """Solve the same configuration over a decreasing ladder of widths: the
+def solve_ladder(wire: DiscreteWire, n: int, omega: float, rhos,
+                 rho0: float) -> list[OracleSolution]:
+    """Solve one strength rho0 over a decreasing ladder of widths: the
     one-strength column of :func:`solve_table`."""
-    table = solve_table(wire, n, omega, [float(rho) for rho in rhos], [wire.rho0])
+    table = solve_table(wire, n, omega, [float(rho) for rho in rhos], [rho0])
     return [row[0] for row in table]
 
 
@@ -449,10 +433,10 @@ def extrapolate_to_zero_width(solutions) -> ExtrapolatedAmplitudes:
     ladder go through one array Neville tableau (rungs x lead_modes); the
     transmitted ones differ from them by the constant delta_nl.
     """
-    sols = sorted(solutions, key=lambda s: -s.wire.rho)
+    sols = sorted(solutions, key=lambda s: -s.rho)
     if len(sols) < 3:
         raise DomainError("need at least three ladder points to extrapolate")
-    rhos = np.array([s.wire.rho for s in sols])
+    rhos = np.array([s.rho for s in sols])
     if np.any(np.diff(rhos) >= 0):
         raise DomainError("width ladder must be strictly decreasing")
     series = np.array([s.reflected for s in sols], dtype=complex)
@@ -496,14 +480,19 @@ class UniversalityReport:
         return "PASS" if (self.spread < 0.05 and self.mean_deviation < 0.05) else "FAIL"
 
 
-def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list,
-                       offset_scale: float = 1e-4,
-                       rhos=(0.04, 0.02, 0.01)) -> UniversalityReport:
+#: the probe's energy sits this many times the smallest |Delta_m| of its
+#: strengths above the lattice cut-off (:func:`universality_probe`)
+PROBE_OFFSET_SCALE = 1e-4
+#: the width ladder the probe extrapolates to zero width
+PROBE_RHOS = (0.04, 0.02, 0.01)
+
+
+def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list) -> UniversalityReport:
     """Measure how the resonant coefficient varies with the defect strength
     just above the m-th cut-off.
 
     The energy is the lattice's own m-th cut-off
-    mu_m = (2 - 2 cos(m pi h_y)) / h_y^2 plus an offset of offset_scale
+    mu_m = (2 - 2 cos(m pi h_y)) / h_y^2 plus an offset of PROBE_OFFSET_SCALE
     times the smallest |Delta_m| over the strength list (estimated from the
     analytic resonance parameter), which keeps every run inside the
     universal window.  mu_m lies about (m pi)^4 h_y^2 / 12 below the
@@ -511,23 +500,20 @@ def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list,
     than the offset, so an energy referenced to (m pi)^2 would leave that
     window.  The |Delta_m| come from one rho_bar evaluation
     (:func:`~wirescat.scatter.resonance_parameters`), and the whole
-    (width x strength) table is one :func:`solve_table` call at that
-    energy; each strength's width ladder is then extrapolated to zero
-    width.  The report carries the spread across strengths and the
-    deviation of the mean from the zero-range prediction
-    sin(n pi eps)/sin(m pi eps).
+    (width x strength) table, over the widths PROBE_RHOS, is one
+    :func:`solve_table` call at that energy; each strength's width ladder
+    is then extrapolated to zero width.  The report carries the spread
+    across strengths and the deviation of the mean from the zero-range
+    prediction sin(n pi eps)/sin(m pi eps).
     """
     if len(rho0_list) < 1:
         raise DomainError("need at least one impurity strength")
     m = _index(m, "threshold index m", hi=wire.lead_modes)
-    if not 0.0 < offset_scale < math.inf:
-        raise DomainError(f"offset_scale must be positive and finite, got {offset_scale}")
     d_inv_sqrt = resonance_parameters(wire.eps, rho0_list, m)
-    offset = offset_scale * min(1.0 / abs(d) ** 2 for d in d_inv_sqrt)
-    lattice_cutoff = float(_transverse_eigenvalues(int(round(1.0 / wire.h_y)))[m - 1])
+    offset = PROBE_OFFSET_SCALE * min(1.0 / abs(d) ** 2 for d in d_inv_sqrt)
+    lattice_cutoff = float(_transverse_eigenvalues(wire.ny)[m - 1])
     omega = lattice_cutoff + offset
-    table = solve_table(wire, n, omega, [float(rho) for rho in rhos],
-                        [float(r0) for r0 in rho0_list])
+    table = solve_table(wire, n, omega, PROBE_RHOS, [float(r0) for r0 in rho0_list])
     coefficients = [complex(extrapolate_to_zero_width(ladder).amplitude[m - 1])
                     for ladder in zip(*table)]
     target = math.sin(n * math.pi * wire.eps) / math.sin(m * math.pi * wire.eps)
@@ -560,7 +546,7 @@ def amplitude_records(result) -> list[dict]:
     estimate ``reflected_err``.
     """
     if isinstance(result, OracleSolution):
-        rho, errs = result.wire.rho, [None] * len(result.reflected)
+        rho, errs = result.rho, [None] * len(result.reflected)
     elif isinstance(result, ExtrapolatedAmplitudes):
         rho, errs = None, result.reflected_err.tolist()
     else:

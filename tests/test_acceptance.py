@@ -116,8 +116,8 @@ def test_criterion_07_oracle_agreement():
     t0 = time.time()
     omega = OM_2 * 1.05
     imp = Impurity(0.3, 0.01)
-    wire = DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, h_x=1 / 400, h_y=1 / 400)
-    ladder = oracle_solve_ladder(wire, 1, omega, (0.04, 0.02, 0.01))
+    wire = DiscreteWire(eps=0.3, ny=400)
+    ladder = oracle_solve_ladder(wire, 1, omega, (0.04, 0.02, 0.01), 0.01)
     ext = extrapolate_to_zero_width(ladder)
     ana = solve_scattering(imp, 1, omega)
     rel1 = abs(ext.amplitude[0] - ana.amplitudes[1]) / abs(ana.amplitudes[1])
@@ -129,8 +129,8 @@ def test_criterion_07_oracle_agreement():
 
 
 def test_criterion_08_oracle_universality_probe():
-    wire = DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, h_x=1 / 400, h_y=1 / 400)
-    probe = universality_probe(wire, 1, 2, (1e-3, 1e-2, 1e-1), offset_scale=1e-4)
+    wire = DiscreteWire(eps=0.3, ny=400)
+    probe = universality_probe(wire, 1, 2, (1e-3, 1e-2, 1e-1))
     report(8, probe.spread < 0.05 and probe.mean_deviation < 0.05,
            f"resonant coefficient across strengths: spread {probe.spread:.3%}, "
            f"mean deviation {probe.mean_deviation:.3%} (both <5%)")

@@ -100,6 +100,29 @@ def test_counted_spans_bind_the_parameters_the_tracer_reads(monkeypatch):
         assert names <= set(params), (span, names - set(params))
 
 
+def test_oracle_solve_counter_reads_the_wire():
+    # no workload calls oracle.solve, so only this test runs its counter; in
+    # a subprocess, so the tracer's rebinding of library names stays there
+    ny = 400
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(PERFBENCH)!r}, {str(Path(wirescat.__file__).parents[1])!r}]\n"
+        "import wirescat.oracle\n"
+        "from spans import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        f"wire = wirescat.oracle.DiscreteWire(eps=0.3, ny={ny})\n"
+        "wirescat.oracle.solve(wire, 1, 41.452, 0.04, 0.01)\n"
+        "print(json.dumps(tracer.metrics()))\n"
+    )
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    metrics = json.loads(done.stdout.splitlines()[-1])
+    assert (metrics["oracle.solve.calls"], metrics["oracle.solve.errors"]) == (1, 0)
+    assert metrics["oracle.solve.unknowns"] == ny - 1
+
+
 def test_kernel_backend_is_numpy():
     assert wirescat.kernel_backend() == "numpy"
 

@@ -1,11 +1,12 @@
 """The index domain of the public API.
 
 Every public callable that takes a mode index n or l, a cut-off index m (or
-a list ms of them), a mode truncation l_max or a lead mode count gets one
-bad scalar at a time: it raises a WirescatError, or (where the value is
-inside its own domain, as threshold_energy above the allocation ceiling)
-gives a finite result, and returns within 5 s either way.  No memory limit
-is set: a value above the ceiling must raise before anything is allocated.
+a list ms of them), a mode truncation l_max, a lead mode count or a lattice
+row count ny gets one bad scalar at a time: it raises a WirescatError, or
+(where the value is inside its own domain, as threshold_energy above the
+allocation ceiling) gives a finite result, and returns within 5 s either
+way.  No memory limit is set: a value above the ceiling must raise before
+anything is allocated.
 """
 
 import inspect
@@ -27,7 +28,7 @@ BAD = (math.nan, math.inf, -math.inf, 0, -1, 2.5, 1e300, 2**60, _MAX_INDEX + 1)
 
 IMP = ws.Impurity(0.3, 0.01)
 WALL = ws.Impurity(0.01, 0.01)
-WIRE = ws.DiscreteWire(eps=0.3, rho=0.04, rho0=0.01, h_x=1.0 / 400, h_y=1.0 / 400)
+WIRE = ws.DiscreteWire(eps=0.3, ny=400)
 R = (0.4, 0.3)
 
 #: name -> the call with the bad value in that one argument, reduced to numbers
@@ -72,22 +73,23 @@ CASES = {
     "cutoff_scan.m": lambda v: ws.cutoff_scan(0.3, [0.01], 1, v, [1e-2]).limits,
     "cutoff_scan.l": lambda v: ws.cutoff_scan(0.3, [0.01], 1, 2, [1e-2], l=v).limits,
     "threshold_transport.m": lambda v: ws.threshold_transport(IMP, v).conductance,
-    "DiscreteWire.lead_modes":
-        lambda v: ws.DiscreteWire(h_x=1.0 / 400, h_y=1.0 / 400, lead_modes=v).lead_modes,
-    "oracle_solve.n": lambda v: ws.oracle_solve(WIRE, v, OM).reflected,
-    "oracle_solve.n.clean":
-        lambda v: ws.oracle_solve(ws.DiscreteWire(h_x=1.0 / 400, h_y=1.0 / 400), v, OM).reflected,
+    "DiscreteWire.ny": lambda v: ws.DiscreteWire(eps=0.3, ny=v).ny,
+    "DiscreteWire.lead_modes": lambda v: ws.DiscreteWire(eps=0.3, ny=400, lead_modes=v).lead_modes,
+    "oracle_solve.n": lambda v: ws.oracle_solve(WIRE, v, OM, 0.04, 0.01).reflected,
+    "oracle_solve.n.clean":  # the default 200-row grid, defect on the centre line
+        lambda v: ws.oracle_solve(ws.DiscreteWire(eps=0.5), v, OM, 0.04, 0.01).reflected,
     "oracle_solve_table.n":
         lambda v: [s.reflected for row in ws.oracle_solve_table(WIRE, v, OM, [0.04], [0.01])
                    for s in row],
     "oracle_solve_ladder.n":
-        lambda v: [s.reflected for s in ws.oracle_solve_ladder(WIRE, v, OM, [0.04, 0.02])],
+        lambda v: [s.reflected for s in ws.oracle_solve_ladder(WIRE, v, OM, [0.04, 0.02], 0.01)],
     "universality_probe.n": lambda v: ws.universality_probe(WIRE, v, 2, [0.01]).coefficients,
     "universality_probe.m": lambda v: ws.universality_probe(WIRE, 1, v, [0.01]).coefficients,
 }
 
-#: the parameter names that hold a mode or cut-off index, a truncation or a mode count
-INDEX_PARAMETERS = {"n", "l", "m", "ms", "l_max", "lead_modes"}
+#: the parameter names that hold a mode or cut-off index, a truncation, a mode
+#: count or a lattice row count
+INDEX_PARAMETERS = {"n", "l", "m", "ms", "l_max", "lead_modes", "ny"}
 
 #: one bad index: the fixed list, or any integer outside 1..ceiling, or any
 #: float that is not a whole number
