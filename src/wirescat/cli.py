@@ -2,24 +2,29 @@
 
 Subcommands: sweep | field | universality | oned | oracle-compare, each for
 the hard-wall wire of unit width.
-Parameters come from ``key = value`` config files and/or command-line flags
-(flags win).  Tables are emitted as CSV or JSON lines with full round-trip
-float precision, so identical configs give byte-identical outputs.
+Parameters come from a ``key = value`` config file (``--config``) and/or
+command-line flags, which override it.  The flags are the config keys with
+dashes for underscores (``--omega-grid`` sets ``omega_grid``), exact names
+only, each followed by its value or written ``--key=value``; ``--oracle`` and
+``--with-complex`` take no value.  One table of keys checks both sources
+alike, and ``-h``/``--help`` prints the flags it gives a subcommand.  Tables
+are emitted as CSV or JSON lines with full round-trip float precision, so
+identical configs give byte-identical outputs.
 
-Exit codes: 0 success, 1 partial numerical failure (a sweep with more than
-10% failed points), 2 configuration or domain error (the message names the
-violated constraint; an --out path that cannot be opened for writing is
-one), 3 numerical failure (a sum or limit that did not converge:
-ConvergenceError).
+Exit codes: 0 success (and after --help), 1 partial numerical failure (a
+sweep with more than 10% failed points), 2 configuration or domain error
+(the message names the violated constraint: a missing or unknown
+subcommand, an unknown flag, a bad value, an --out path that cannot be
+opened for writing), 3 numerical failure (a sum or limit that did not
+converge: ConvergenceError).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,27 +89,25 @@ class RunConfig:
     lead_modes: int = 12
 
     def to_text(self) -> str:
-        """Serialize as a config file; parsing it back is lossless."""
+        """Serialize the config keys (all fields but the subcommand, which
+        the command line gives) as a config file; parsing it back is
+        lossless."""
         lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for key in _KEYS:
+            v = getattr(self, key)
             if v is None or v == "":
                 continue
             if isinstance(v, bool):
                 v = "true" if v else "false"
             elif isinstance(v, float):
                 v = FMT % v
-            lines.append(f"{f.name} = {v}")
+            lines.append(f"{key} = {v}")
         return "\n".join(lines) + "\n"
 
 
-_BOOL_KEYS = {"oracle", "with_complex"}
-_INT_KEYS = {"mode_n", "threshold_m", "nx", "ny", "grid_ny", "lead_modes"}
-_FLOAT_KEYS = {"epsilon", "rho0", "omega", "x_min", "x_max", "alpha", "delta_v",
-               "barrier_width"}
-
-
 def parse_config_file(path: str) -> dict:
+    """The raw ``key = value`` pairs of a config file, keys with dashes
+    read as underscores; :func:`_coerce` checks each one."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -119,37 +122,28 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    file_values = parse_config_file(args.config) if args.config else {}
-    valid = {f.name for f in fields(RunConfig)}
-    for key, val in file_values.items():
-        if key not in valid:
-            raise ConfigurationError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, val))
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None and flag != "" and f.name != "subcommand":
-            setattr(cfg, f.name, flag)
-    cfg.subcommand = args.subcommand
-    return cfg
-
-
 def _coerce(key: str, val: str):
-    if key in _BOOL_KEYS:
+    """The value of config key ``key`` read from its text, alike for a
+    config-file line and a flag; ConfigurationError naming the key when it
+    is unknown, when the text is not of the key's type or when the value
+    is not one of the key's choices."""
+    if key not in _KEYS:
+        raise ConfigurationError(f"unknown config key {key!r}")
+    kind, _, choices = _KEYS[key]
+    if kind is bool:
         if val.lower() in ("1", "true", "yes", "on"):
             return True
         if val.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigurationError(f"config key {key!r} expects a boolean, got {val!r}")
     try:
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
-            return float(val)
+        value = kind(val)
     except ValueError as exc:
         raise ConfigurationError(f"config key {key!r}: {exc}") from None
-    return val
+    if choices and value not in choices:
+        raise ConfigurationError(
+            f"config key {key!r} must be one of {', '.join(choices)}, got {val!r}")
+    return value
 
 
 def _parse_grid(spec: str, scale: float = math.pi**2) -> np.ndarray:
@@ -554,105 +548,147 @@ def run_oracle_compare(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# command line
 # ---------------------------------------------------------------------------
 
-def _common_arguments(p):
-    p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="table format")
-    p.add_argument("--epsilon", type=float, help="impurity transverse position in (0,1)")
-    p.add_argument("--rho0", type=float, help="impurity strength length scale")
-    p.add_argument("--mode-n", type=int, dest="mode_n", help="incident mode index")
-    p.add_argument("--threshold-m", type=int, dest="threshold_m", help="cut-off index m")
-    p.add_argument("--omega", type=float, help="energy (units 1/width^2)")
-    p.add_argument("--omega-grid", dest="omega_grid",
-                   help="lo:hi:count in units of pi^2")
-
-
-def _field_arguments(p):
-    p.add_argument("--field-mode", dest="field_mode",
-                   choices=("clean", "defect", "threshold"))
-    p.add_argument("--nx", type=int, help="grid points along x")
-    p.add_argument("--ny", type=int, help="interior grid points along y")
-    p.add_argument("--x-min", type=float, dest="x_min")
-    p.add_argument("--x-max", type=float, dest="x_max")
-    p.add_argument("--with-complex", dest="with_complex", action="store_const", const=True,
-                   help="emit re/im columns next to the density")
-
-
-def _universality_arguments(p):
-    p.add_argument("--rho0-list", dest="rho0_list", help="comma-separated strength scales")
-    p.add_argument("--offsets", help="comma-separated offsets in units of |Delta_m|")
-    p.add_argument("--oracle", action="store_const", const=True,
-                   help="also run the finite-difference probe")
-    p.add_argument("--grid-ny", type=int, dest="grid_ny")
-    p.add_argument("--lead-modes", type=int, dest="lead_modes")
-
-
-def _oned_arguments(p):
-    p.add_argument("--alpha", type=float, help="delta-barrier strength")
-    p.add_argument("--delta-v", type=float, dest="delta_v", help="weak-barrier height")
-    p.add_argument("--barrier-width", type=float, dest="barrier_width")
-
-
-def _oracle_compare_arguments(p):
-    p.add_argument("--rho-ladder", dest="rho_ladder", help="comma-separated widths")
-    p.add_argument("--grid-ny", type=int, dest="grid_ny")
-    p.add_argument("--lead-modes", type=int, dest="lead_modes")
-
-
-#: subcommand -> (runner, help, adder of the arguments beyond the common ones)
-_SUBCOMMANDS = {
-    "sweep": (run_sweep, "transport matrices over an energy grid", None),
-    "field": (run_field, "wavefunction / density on an (x, y) lattice", _field_arguments),
-    "universality": (run_universality, "strength-independence experiment at a cut-off",
-                     _universality_arguments),
-    "oned": (run_oned, "1D reference reflection curves", _oned_arguments),
-    "oracle-compare": (run_oracle_compare, "finite-difference ladder vs analytic amplitudes",
-                       _oracle_compare_arguments),
+#: every config key -> (type, help text, choices or None).  The flag of a
+#: key is --key-with-dashes; ``oracle`` and ``with_complex`` take no value.
+_KEYS = {
+    "out": (str, "output path (default stdout)", None),
+    "format": (str, "table format", ("csv", "json")),
+    "epsilon": (float, "impurity transverse position in (0,1)", None),
+    "rho0": (float, "impurity strength length scale", None),
+    "mode_n": (int, "incident mode index", None),
+    "threshold_m": (int, "cut-off index m", None),
+    "omega": (float, "energy (units 1/width^2)", None),
+    "omega_grid": (str, "lo:hi:count in units of pi^2", None),
+    "oracle": (bool, "also run the finite-difference probe", None),
+    "field_mode": (str, "", ("clean", "defect", "threshold")),
+    "nx": (int, "grid points along x", None),
+    "ny": (int, "interior grid points along y", None),
+    "x_min": (float, "", None),
+    "x_max": (float, "", None),
+    "with_complex": (bool, "emit re/im columns next to the density", None),
+    "rho0_list": (str, "comma-separated strength scales", None),
+    "offsets": (str, "comma-separated offsets in units of |Delta_m|", None),
+    "alpha": (float, "delta-barrier strength", None),
+    "delta_v": (float, "weak-barrier height", None),
+    "barrier_width": (float, "", None),
+    "rho_ladder": (str, "comma-separated widths", None),
+    "grid_ny": (int, "", None),
+    "lead_modes": (int, "", None),
 }
 
+_COMMON = ("out", "format", "epsilon", "rho0", "mode_n", "threshold_m", "omega", "omega_grid")
 
-def _build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser with every subcommand registered and its help,
-    and the arguments of ``subcommand`` alone: argparse builds a help
-    formatter per argument, so arguments no run reads are not built."""
-    parser = argparse.ArgumentParser(
-        prog="wirescat",
-        description="Scattering of waveguide modes off a single point impurity "
-                    "in a quasi-1D wire.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, text, add_arguments) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        if name == subcommand:
-            _common_arguments(p)
-            if add_arguments is not None:
-                add_arguments(p)
-    return parser
+#: subcommand -> (runner, help text, the config keys its flags set)
+_SUBCOMMANDS = {
+    "sweep": (run_sweep, "transport matrices over an energy grid", _COMMON),
+    "field": (run_field, "wavefunction / density on an (x, y) lattice",
+              _COMMON + ("field_mode", "nx", "ny", "x_min", "x_max", "with_complex")),
+    "universality": (run_universality, "strength-independence experiment at a cut-off",
+                     _COMMON + ("rho0_list", "offsets", "oracle", "grid_ny", "lead_modes")),
+    "oned": (run_oned, "1D reference reflection curves",
+             _COMMON + ("alpha", "delta_v", "barrier_width")),
+    "oracle-compare": (run_oracle_compare, "finite-difference ladder vs analytic amplitudes",
+                       _COMMON + ("rho_ladder", "grid_ny", "lead_modes")),
+}
+
+_USAGE = "usage: wirescat SUBCOMMAND [-h] [--config CONFIG] [--KEY VALUE ...]"
 
 
-_PARSERS: dict = {}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _parser(subcommand: str | None) -> argparse.ArgumentParser:
-    """The argument parser for ``subcommand``, built once per process: every
-    flag defaults to None and parsing leaves the parser unchanged, so calls
-    share it safely."""
-    if subcommand not in _PARSERS:
-        _PARSERS[subcommand] = _build_parser(subcommand)
-    return _PARSERS[subcommand]
+def build_config(subcommand: str, args: list[str]) -> RunConfig:
+    """The run parameters of ``wirescat SUBCOMMAND ARGS``: the keys of the
+    ``--config`` file, overridden by the flags, of which the last of a
+    repeated one wins.  A flag is the exact ``--key-with-dashes`` of a key
+    that ``subcommand`` reads, followed by its value as the next argument
+    (even one with a leading minus) or after ``=``; every value goes
+    through :func:`_coerce`.  Raises ConfigurationError naming the flag or
+    key at fault."""
+    keys = {_flag(key): key for key in _SUBCOMMANDS[subcommand][2]}
+    config, flags = None, {}
+    rest = iter(args)
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        key = keys.get(flag)
+        if key is None and flag != "--config":
+            raise ConfigurationError(f"wirescat {subcommand} has no flag {flag!r}")
+        if key is not None and _KEYS[key][0] is bool:
+            if eq:
+                raise ConfigurationError(f"flag {flag} takes no value")
+            value = "true"
+        elif not eq:
+            value = next(rest, None)
+            if value is None:
+                raise ConfigurationError(f"flag {flag} expects a value")
+        if key is None:
+            config = value
+        else:
+            flags[key] = value
+    cfg = RunConfig(subcommand=subcommand)
+    file_values = parse_config_file(config) if config else {}
+    for key, val in [*file_values.items(), *flags.items()]:
+        setattr(cfg, key, _coerce(key, val))
+    return cfg
+
+
+def _help_line(invocation: str, text: str) -> str:
+    """One entry of a help list; the text starts at column 24, on a line
+    of its own after a long invocation."""
+    if not text:
+        return f"  {invocation}\n"
+    if len(invocation) > 20:
+        return f"  {invocation}\n{'':24}{text}\n"
+    return f"  {invocation:20}  {text}\n"
+
+
+def _help(subcommand: str | None) -> str:
+    """The --help text of ``subcommand``, or of wirescat itself for None."""
+    options = [_help_line("-h, --help", "show this help message and exit")]
+    if subcommand is None:
+        return (f"{_USAGE}\n\nScattering of waveguide modes off a single point impurity "
+                "in a quasi-1D wire.\n\nsubcommands:\n"
+                + "".join(_help_line(name, text) for name, (_, text, _) in _SUBCOMMANDS.items())
+                + "\noptions:\n" + options[0]
+                + "\n'wirescat SUBCOMMAND --help' lists the flags of SUBCOMMAND.\n")
+    _, text, keys = _SUBCOMMANDS[subcommand]
+    options.append(_help_line("--config CONFIG", "key = value config file; flags override it"))
+    for key in keys:
+        kind, key_text, choices = _KEYS[key]
+        if kind is bool:
+            value = ""
+        elif choices:
+            value = " {" + ",".join(choices) + "}"
+        else:
+            value = " " + key.upper()
+        options.append(_help_line(_flag(key) + value, key_text))
+    return (f"{_USAGE.replace('SUBCOMMAND', subcommand)}\n\n{text}\n\n"
+            "Flag --key-name sets config key key_name and overrides the --config\n"
+            "file; its value is the next argument or follows '='.  Flag names are\n"
+            "exact: no abbreviation is accepted.\n\n"
+            "options:\n" + "".join(options))
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the subcommand is the first argument; anything else is argparse's to report
-    subcommand = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = _parser(subcommand).parse_args(argv)
+    subcommand, args = (argv[0], argv[1:]) if argv else (None, [])
     try:
-        cfg = build_config(args)
-        return _SUBCOMMANDS[args.subcommand][0](cfg)
+        if subcommand not in _SUBCOMMANDS:
+            if subcommand in ("-h", "--help"):
+                print(_help(None), end="")
+                return 0
+            print(_USAGE, file=sys.stderr)
+            raise ConfigurationError(f"unknown subcommand {subcommand!r}" if subcommand
+                                     else "a subcommand is required")
+        if "-h" in args or "--help" in args:
+            print(_help(subcommand), end="")
+            return 0
+        cfg = build_config(subcommand, args)
+        return _SUBCOMMANDS[subcommand][0](cfg)
     except ConvergenceError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3

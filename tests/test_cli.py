@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,14 @@ from wirescat import (
     threshold_field_grid,
     transport_at,
 )
-from wirescat.cli import RunConfig, main, parse_config_file
+from wirescat.cli import (
+    _KEYS,
+    _SUBCOMMANDS,
+    RunConfig,
+    build_config,
+    main,
+    parse_config_file,
+)
 
 PI = math.pi
 DATA = Path(__file__).parent / "data"
@@ -74,6 +82,119 @@ class TestConfig:
         lines = second.read_text().splitlines()
         assert lines[0] == "x,y,density"
         assert len(lines) == 1 + RunConfig.nx * 2
+
+
+def _key_cases(kinds):
+    """(subcommand, key) for every key a subcommand's flags set whose type
+    is one of ``kinds``."""
+    return [(name, key) for name, (_, _, keys) in _SUBCOMMANDS.items() for key in keys
+            if _KEYS[key][0] in kinds]
+
+
+def _good_value(key):
+    kind, _, choices = _KEYS[key]
+    if choices:
+        return choices[-1]
+    return {int: "7", float: "-0.25", str: "1:2:3"}[kind]
+
+
+class TestFlags:
+    """Flags and config lines are read through one key table: the same
+    keys, types, choices and messages from either source."""
+
+    def test_table_holds_every_config_field(self):
+        assert set(_KEYS) == {f.name for f in fields(RunConfig)} - {"subcommand"}
+
+    @pytest.mark.parametrize("name, key", _key_cases((int, float, str)))
+    def test_flag_forms_and_config_line_agree(self, tmp_path, name, key):
+        flag, value = "--" + key.replace("_", "-"), _good_value(key)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        got = [getattr(build_config(name, args), key)
+               for args in ([flag, value], [f"{flag}={value}"], ["--config", str(path)])]
+        assert got[0] == got[1] == got[2] == _KEYS[key][0](value)
+
+    @pytest.mark.parametrize("name, key", _key_cases((bool,)))
+    def test_switch_and_config_line_agree(self, tmp_path, name, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = true\n")
+        assert getattr(build_config(name, ["--" + key.replace("_", "-")]), key) is True
+        assert getattr(build_config(name, ["--config", str(path)]), key) is True
+        assert getattr(build_config(name, []), key) is False
+
+    @pytest.mark.parametrize("name, key", _key_cases((int, float)) + [
+        (name, key) for name, key in _key_cases((str,)) if _KEYS[key][2]])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_value_exits_two_naming_the_key(self, tmp_path, capsys, name, key, source):
+        bad = "1.5" if _KEYS[key][0] is int else "xml"
+        if source == "flag":
+            args = ["--" + key.replace("_", "-"), bad]
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"{key} = {bad}\n")
+            args = ["--config", str(path)]
+        assert run(name, *args) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(_SUBCOMMANDS))
+    def test_flag_of_another_subcommand_exits_two(self, capsys, name):
+        for key in set(_KEYS) - set(_SUBCOMMANDS[name][2]):
+            flag = "--" + key.replace("_", "-")
+            assert run(name, flag, "5") == 2
+            assert repr(flag) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep", "--nx", "5"], "--nx"),
+        (["sweep", "--eps", "0.3"], "--eps"),
+        (["field", "--with", "--field-mode", "clean"], "--with"),
+        (["field", "--x_min", "-1"], "--x_min"),
+        (["sweep", "--epsilon"], "--epsilon"),
+        (["universality", "--oracle=true"], "--oracle"),
+        (["sweep", "0.3"], "0.3"),
+    ])
+    def test_malformed_flag_exits_two_naming_it(self, capsys, argv, named):
+        assert run(*argv) == 2
+        assert named in capsys.readouterr().err
+
+    def test_leading_minus_is_a_value(self):
+        cfg = build_config("field", ["--x-min", "-2", "--x-max", "-1e-3"])
+        assert (cfg.x_min, cfg.x_max) == (-2.0, -1e-3)
+        assert build_config("sweep", ["--out", "-"]).out == "-"
+
+    def test_repeated_flag_takes_the_last_value(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("nx = 3\n")
+        cfg = build_config("field", ["--nx", "5", "--config", str(path), "--nx=7"])
+        assert cfg.nx == 7
+
+    @pytest.mark.parametrize("argv, message", [([], "a subcommand is required"),
+                                               (["frob"], "unknown subcommand 'frob'"),
+                                               (["--epsilon", "0.3"], "unknown subcommand")])
+    def test_missing_or_unknown_subcommand_prints_usage(self, capsys, argv, message):
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: wirescat SUBCOMMAND") and message in err
+
+
+class TestConfigChecks:
+    """A config file meets the checks its flags meet."""
+
+    def test_choice_outside_the_table_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("epsilon = 0.3\nrho0 = 0.01\nomega_grid = 1.5:1.5:1\nformat = xml\n"
+                        f"out = {tmp_path / 'out.csv'}\n")
+        assert run("sweep", "--config", str(path)) == 2
+        assert "'format' must be one of csv, json" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_subcommand_is_not_a_config_key(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("epsilon = 0.3\nrho0 = 0.01\nomega_grid = 1.5:1.5:1\n"
+                        f"subcommand = field\nout = {tmp_path / 'out.csv'}\n")
+        assert run("sweep", "--config", str(path)) == 2
+        assert "unknown config key 'subcommand'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestSweep:
@@ -647,13 +768,9 @@ def test_universality_report_pinned(tmp_path, name):
 
 @pytest.mark.parametrize("name", ["", "sweep", "field", "universality", "oned",
                                   "oracle-compare"])
-def test_help_text_pinned(name, monkeypatch, capsys):
-    # each run builds the arguments of its own subcommand alone; every help
-    # text stays what it was when the parser held all of them
-    monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as done:
-        main(([name] if name else []) + ["--help"])
-    assert done.value.code == 0
+def test_help_text_pinned(name, capsys):
+    # the help is built from the key table and printed to stdout; main returns 0
+    assert main(([name] if name else []) + ["--help"]) == 0
     assert capsys.readouterr().out == json.loads((DATA / "cli_help.json").read_text())[name]
 
 
@@ -722,17 +839,28 @@ class TestOutputsReadNoResidual:
         assert report["oracle"]["spread"] < 0.05
 
 
-def test_import_loads_neither_numba_nor_numpy_fft():
+def test_import_loads_neither_numba_nor_numpy_fft(tmp_path):
     # set-up time of every CLI run: numpy.fft is reached only by the oracle,
+    # numba by neither; the field writer forks by os alone, so no process
+    # pool is loaded; the command line is read without argparse, whose
+    # gettext loads locale on its first message, both at import and after
+    # a sweep
     import wirescat
 
     src = str(Path(wirescat.__file__).resolve().parents[1])
-    # either; the field writer forks by os alone, so no process pool is loaded
-    code = ("import sys, wirescat, wirescat.cli; "
-            "print(','.join(m for m in ('numba', 'numpy.fft', 'multiprocessing', "
-            "'concurrent.futures') if m in sys.modules))")
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"epsilon = 0.3\nrho0 = 0.01\nomega_grid = 1.1:1.9:3\n"
+                      f"out = {tmp_path / 'sweep.csv'}\n", encoding="utf-8")
+    code = ("import sys, wirescat, wirescat.cli\n"
+            "def loaded(names):\n"
+            "    return ','.join(m for m in names if m in sys.modules)\n"
+            "print(loaded(('numba', 'numpy.fft', 'multiprocessing', 'concurrent.futures',\n"
+            "              'argparse', 'gettext', 'locale')))\n"
+            f"assert wirescat.cli.main(['sweep', '--config', {str(config)!r}]) == 0\n"
+            "print(loaded(('argparse', 'gettext', 'locale')))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == ""
+    assert done.stdout.splitlines() == ["", ""]
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 3
