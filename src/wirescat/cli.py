@@ -45,7 +45,7 @@ from .scatter import (
     threshold_field,
     threshold_field_grid,
 )
-from .specfun import longitudinal_wavenumber, threshold_energy
+from .specfun import _MAX_INDEX, longitudinal_wavenumber, threshold_energy
 from .transport import sweep as transport_sweep
 
 FMT = "%.17g"
@@ -219,12 +219,16 @@ def _write_table(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
 
 
 # a forked block prints at least this many numbers.  A field-map CSV line
-# costs 280-450 ns per number it prints (450-750 ns per number it formats:
-# x and y cells are shared), so 2**16 numbers take 18-30 ms; one fork of the
+# costs 150-220 ns per number it prints (250-370 ns per number it formats:
+# x and y cells are shared), so 2**16 numbers take 10-15 ms; one fork of the
 # ~40 MiB CLI process, its exit and the copy of its 1.4 MB of text through a
-# pipe take 4-6 ms (2-CPU Xeon)
+# pipe take ~6 ms (2-CPU Xeon, shared host)
 _MIN_BLOCK_NUMBERS = 1 << 16
 _PIPE_CHUNK = 1 << 20
+# numbers that one call of the numpy '%.17g' kernel formats: the kernel's
+# arrays for 2**14 numbers raise the CLI's peak RSS by ~1 MiB, and 2**12
+# are slower by the cost of a numpy call per step
+_CHUNK_NUMBERS = 1 << 13
 
 
 def _worker_count(n_rows: int, numbers_per_row: int) -> int:
@@ -333,9 +337,12 @@ def run_field(cfg: RunConfig) -> int:
     ``clean`` is the bare incident mode (a finite energy at which mode n
     propagates, else DomainError), ``defect`` comes from
     :func:`scattered_field_grid` and ``threshold`` from
-    :func:`threshold_field_grid`, before ``--out`` is opened.  The CSV is
-    formatted one y-row at a time: the x cells are formatted once, and each
-    row is a single ``%`` format of its values with ``FMT``; JSON is one
+    :func:`threshold_field_grid`, before ``--out`` is opened; a grid of
+    more than ``_MAX_INDEX`` points is refused first (DomainError).  The
+    CSV numbers come from the numpy kernel of :mod:`wirescat._fmt17`,
+    whose text is ``FMT % v`` for every float.  A few rows at a time (or
+    part of one long row) are laid out as NUL-padded cells, and the NULs
+    dropped; the x and y cells are formatted once.  JSON is one
     ``json.dumps`` per point.  :func:`_write_rows` builds the numbers of
     the y-row blocks of a large map and formats them in forked workers, one
     per usable CPU (Linux only), and writes the same bytes as one process.
@@ -344,6 +351,9 @@ def run_field(cfg: RunConfig) -> int:
         raise ConfigurationError("field requires --field-mode clean|defect|threshold")
     if cfg.nx < 1 or cfg.ny < 1:
         raise ConfigurationError("field grid needs nx >= 1 and ny >= 1")
+    if cfg.nx * cfg.ny > _MAX_INDEX:
+        raise DomainError(f"field grid of nx * ny = {cfg.nx} * {cfg.ny} = {cfg.nx * cfg.ny} "
+                          f"points is above the {_MAX_INDEX}-point limit")
     for name in ("x_min", "x_max"):
         value = getattr(cfg, name)
         if not math.isfinite(value):
@@ -375,36 +385,59 @@ def run_field(cfg: RunConfig) -> int:
         psi = threshold_field_grid(impurity, n, cfg.threshold_m, xs, ys)
 
     header = ["x", "y", "density"] + (["re", "im"] if cfg.with_complex else [])
-    x_list, y_list = xs.tolist(), ys.tolist()
     n_col = len(header) - 2
-    if cfg.format == "json":
-        def format_row(y, row):
-            return "".join(json.dumps(dict(zip(header, [x, y, *row[i:i + n_col]]))) + "\n"
-                           for x, i in zip(x_list, range(0, len(row), n_col)))
-    else:
-        cells = ",".join([FMT] * n_col)
-        # the row template with the x cells baked in, split at each y cell
-        pieces = "".join(f"{FMT % x},%s,{cells}\n" for x in x_list).split("%s")
 
-        def format_row(y, row):
-            return (FMT % y).join(pieces) % tuple(row)
-
-    def format_rows(lo, hi):
-        block = psi[lo:hi]
+    def values(block):
+        """The density (and re, im) of a block of psi, one number per
+        column on the last axis."""
         # float(abs(v) ** 2) of a numpy complex scalar is pow(hypot(re, im), 2)
         # in libm; np.abs and ``** 2`` on arrays take SIMD loops that round
         # differently, float_power and hypot do not
         columns = [np.float_power(np.hypot(block.real, block.imag), 2.0)]
         if cfg.with_complex:
             columns += [block.real, block.imag]
-        values = np.stack(columns, axis=-1).reshape(hi - lo, -1)
-        return map(format_row, y_list[lo:hi], map(np.ndarray.tolist, values))
+        return np.stack(columns, axis=-1)
+
+    if cfg.format == "json":
+        x_list, y_list = xs.tolist(), ys.tolist()
+
+        def format_row(y, row):
+            return "".join(json.dumps(dict(zip(header, [x, y, *row[i:i + n_col]]))) + "\n"
+                           for x, i in zip(x_list, range(0, len(row), n_col)))
+
+        def format_rows(lo, hi):
+            rows = values(psi[lo:hi]).reshape(hi - lo, -1)
+            return map(format_row, y_list[lo:hi], map(np.ndarray.tolist, rows))
+    else:
+        from . import _fmt17
+
+        x_cells, y_cells = _fmt17.cells(xs), _fmt17.cells(ys)
+        comma, newline = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
+        # blocks of whole rows, or of one row's columns when a row is longer
+        rows_per = max(1, _CHUNK_NUMBERS // (len(xs) * n_col))
+        cols_per = max(1, _CHUNK_NUMBERS // n_col)
+
+        def format_rows(lo, hi):
+            # each line is laid out in NUL-padded cells of one width per
+            # column, and the NULs are dropped
+            for r0 in range(lo, hi, rows_per):
+                for c0 in range(0, len(xs), cols_per):
+                    rows, cols = slice(r0, min(r0 + rows_per, hi)), slice(c0, c0 + cols_per)
+                    numbers = values(psi[rows, cols])
+                    number_cells = _fmt17.cells(numbers).reshape(*numbers.shape, -1)
+                    cells = [x_cells[cols], y_cells[rows, None], *np.moveaxis(number_cells, 2, 0)]
+                    parts = [part for cell in cells for part in (cell, comma)]
+                    parts[-1] = newline
+                    shape = numbers.shape[:2]
+                    line = np.concatenate([np.broadcast_to(p, (*shape, p.shape[-1]))
+                                           for p in parts], axis=-1)
+                    yield line.tobytes().translate(None, b"\0").decode("ascii")
 
     fh = _open_out(cfg)
     try:
         if cfg.format != "json":
             fh.write(",".join(header) + "\n")
-        _write_rows(fh, len(y_list), len(x_list) * len(header), format_rows)
+        _write_rows(fh, len(ys), len(xs) * len(header), format_rows)
     finally:
         if fh is not sys.stdout:
             fh.close()

@@ -183,13 +183,16 @@ def _head_terms(eps: float, omega: float, m: int) -> int:
     """N0 of :func:`regularized_scales`; ConvergenceError above the term
     budget."""
     edge = min(eps, 1.0 - eps)
-    n0 = max(512, math.ceil(64.0 / edge), math.ceil(8.0 * math.sqrt(abs(omega)) / math.pi), m)
-    if n0 > _TERM_BUDGET:
+    bounds = (64.0 / edge, 8.0 * math.sqrt(abs(omega)) / math.pi)
+    # compared as floats: 64/edge is inf for an edge below ~3.6e-307, and
+    # math.ceil(inf) raises OverflowError
+    need = max(512.0, *bounds, float(m))
+    if need > _TERM_BUDGET:
         raise ConvergenceError(
-            f"tail subtraction needs {n0} exact terms at eps={eps}, omega={omega}, "
+            f"tail subtraction needs {need:.3g} exact terms at eps={eps}, omega={omega}, "
             f"above the {_TERM_BUDGET:.0e}-term budget"
         )
-    return n0
+    return max(512, *map(math.ceil, bounds), m)
 
 
 def _scales(eps: float, omegas, ms, n0s) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 #: Euler-Mascheroni constant, gamma = lim (H_n - ln n).
 EULER_GAMMA = 0.5772156649015329
@@ -125,7 +125,8 @@ def evanescent_gaussian_sum(eps: float, omega: float, m: int, rho: float) -> flo
     The sum is truncated where the Gaussian factor drops below 1e-18, which
     leaves a remainder far below 1e-12 of the total.  S diverges like -ln rho
     as rho -> 0; the finite combination ln rho + S(rho) is what the
-    regularized-scale limit consumes.
+    regularized-scale limit consumes.  A rho so small that the truncation
+    passes the term budget (4.11/rho modes) raises ConvergenceError.
     """
     for name, value in (("eps", eps), ("omega", omega), ("rho", rho)):
         if not math.isfinite(value):
@@ -138,6 +139,11 @@ def evanescent_gaussian_sum(eps: float, omega: float, m: int, rho: float) -> flo
             f"omega={omega} is above the (m+1)-th cut-off; summed modes must all "
             "be evanescent"
         )
-    # exp(-(n pi rho/2)^2) < 1e-18 once n > 2*sqrt(41.5)/(pi rho)
+    # exp(-(n pi rho/2)^2) < 1e-18 once n > 2*sqrt(41.5)/(pi rho); checked
+    # as a float, since int() of 4.11/rho fails once it overflows to inf
+    if 4.11 / rho > _TERM_BUDGET:
+        raise ConvergenceError(
+            f"gaussian width rho={rho} needs {4.11 / rho:.3g} modes, above the "
+            f"{_TERM_BUDGET:.0e}-term budget")
     n_max = max(m + 8, int(4.11 / rho) + m + 8)
     return 2.0 * math.pi * kernels.cut_sum(float(eps), float(omega), m, float(rho), n_max)

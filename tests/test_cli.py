@@ -387,6 +387,26 @@ class TestField:
     def test_requires_mode(self):
         assert run("field", "--omega", "39.0") == 2
 
+    def test_grid_above_point_limit_exits_two(self, monkeypatch, capsys):
+        # refused before any array is built: a grid at the limit gets as far
+        # as the first np.linspace, one point more does not
+        from wirescat.specfun import _MAX_INDEX
+
+        class Reached(Exception):
+            pass
+
+        def linspace(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("wirescat.cli.np.linspace", linspace)
+        clean = ["field", "--field-mode", "clean", "--omega", "39.5"]
+        with pytest.raises(Reached):
+            run(*clean, "--nx", str(_MAX_INDEX), "--ny", "1")
+        for nx, ny in ((_MAX_INDEX + 1, 1), (100000, 100000)):
+            capsys.readouterr()
+            assert run(*clean, "--nx", str(nx), "--ny", str(ny)) == 2
+            assert f"nx * ny = {nx} * {ny} = {nx * ny} points" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--x-min=-inf", "--x-max=inf", "--x-min=nan"])
     def test_non_finite_x_range_is_config_error(self, flag, capsys):
         assert run("field", "--field-mode", "threshold", "--threshold-m", "2",
@@ -451,6 +471,19 @@ class TestFieldOutputBytes:
         assert run(*args, *(["--with-complex"] if with_complex else [])) == 0
         psi = self._reference(mode, eps)
         assert out.read_text() == _point_table(psi, self.XS, self.YS, with_complex, fmt)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("with_complex", [True, False])
+    def test_csv_blocks_of_any_size(self, tmp_path, monkeypatch, chunk, with_complex):
+        # a block is a few whole rows, or a few points of one row when a row
+        # holds more numbers than one kernel call formats
+        monkeypatch.setattr("wirescat.cli._CHUNK_NUMBERS", chunk)
+        out = tmp_path / "clean.csv"
+        assert run("field", "--field-mode", "clean", "--mode-n", "1",
+                   "--omega", repr(self.OMEGA), "--nx", str(self.NX), "--ny", str(self.NY),
+                   "--out", str(out), *(["--with-complex"] if with_complex else [])) == 0
+        psi = self._reference("clean", 0.41)
+        assert out.read_text() == _point_table(psi, self.XS, self.YS, with_complex, "csv")
 
     def test_defect_csv_pinned(self, tmp_path):
         # test_matches_point_recipe takes its defect reference from
@@ -844,7 +877,7 @@ def test_import_loads_neither_numba_nor_numpy_fft(tmp_path):
     # numba by neither; the field writer forks by os alone, so no process
     # pool is loaded; the command line is read without argparse, whose
     # gettext loads locale on its first message, both at import and after
-    # a sweep
+    # a sweep; the field CSV's number kernel is loaded by the field writer
     import wirescat
 
     src = str(Path(wirescat.__file__).resolve().parents[1])
@@ -855,9 +888,9 @@ def test_import_loads_neither_numba_nor_numpy_fft(tmp_path):
             "def loaded(names):\n"
             "    return ','.join(m for m in names if m in sys.modules)\n"
             "print(loaded(('numba', 'numpy.fft', 'multiprocessing', 'concurrent.futures',\n"
-            "              'argparse', 'gettext', 'locale')))\n"
+            "              'argparse', 'gettext', 'locale', 'wirescat._fmt17')))\n"
             f"assert wirescat.cli.main(['sweep', '--config', {str(config)!r}]) == 0\n"
-            "print(loaded(('argparse', 'gettext', 'locale')))\n")
+            "print(loaded(('argparse', 'gettext', 'locale', 'wirescat._fmt17')))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -231,6 +231,16 @@ class TestTailSubtraction:
         with pytest.raises(ConvergenceError):
             regularized_scale_tail_subtraction(1e-8, OM_2, 2)
 
+    @pytest.mark.parametrize("eps, need", [(1e-300, "6.4e+301"), (1e-310, "inf"),
+                                           (5e-324, "inf")])
+    def test_wall_beyond_float_range_raises(self, eps, need):
+        # below eps ~ 3.6e-307 the head's 64/eps overflows to inf: the budget
+        # is compared in floats, and the count printed with three digits
+        with pytest.raises(ConvergenceError, match=f"needs {re.escape(need)} exact terms"):
+            regularized_scale_tail_subtraction(eps, OM_2, 2)
+        with pytest.raises(ConvergenceError, match=f"needs {re.escape(need)} exact terms"):
+            regularized_scales(eps, [50.0], [2])
+
 
 def scalar_loop_scale(eps, omega, m):
     """rho_bar by the one-energy loops that preceded regularized_scales: the

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from wirescat import (
+    ConvergenceError,
     DomainError,
     EULER_GAMMA,
     cosine_integral,
@@ -167,3 +169,10 @@ class TestEvanescentGaussianSum:
                 args = {"eps": 0.3, "omega": 4.0 * math.pi**2, "m": 2, "rho": 0.01, name: value}
                 with pytest.raises(DomainError, match=f"{name} must be finite"):
                     evanescent_gaussian_sum(**args)
+
+    @pytest.mark.parametrize("rho, need", [(1e-10, "4.11e+10"), (5e-324, "inf")])
+    def test_width_beyond_term_budget_raises(self, rho, need):
+        # 4.11/rho modes: checked as a float before int(), which fails on
+        # inf, and before the sum, which would take half an hour at 1e-10
+        with pytest.raises(ConvergenceError, match=f"needs {re.escape(need)} modes"):
+            evanescent_gaussian_sum(0.3, 4.0 * math.pi**2, 2, rho)
