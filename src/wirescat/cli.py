@@ -6,8 +6,9 @@ Parameters come from a ``key = value`` config file (``--config``) and/or
 command-line flags, which override it.  The flags are the config keys with
 dashes for underscores (``--omega-grid`` sets ``omega_grid``), exact names
 only, each followed by its value or written ``--key=value``; ``--oracle`` and
-``--with-complex`` take no value.  One table of keys checks both sources
-alike, and ``-h``/``--help`` prints the flags it gives a subcommand.  Tables
+``--with-complex`` take no value.  One table of keys gives each key's type,
+default, help and choices and checks both sources alike; a subcommand accepts
+only the keys it reads, and ``-h``/``--help`` prints their flags.  Tables
 are emitted as CSV or JSON lines with full round-trip float precision, so
 identical configs give byte-identical outputs.
 
@@ -21,10 +22,11 @@ converge: ConvergenceError).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,55 +61,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass
-class RunConfig:
-    """Flat bag of run parameters; None means 'not set'."""
-
-    subcommand: str = ""
-    out: str = ""
-    format: str = "csv"
-    epsilon: float | None = None
-    rho0: float | None = None
-    mode_n: int = 1
-    threshold_m: int | None = None
-    omega: float | None = None
-    omega_grid: str | None = None       # "lo:hi:count", energies in units of pi^2
-    oracle: bool = False
-    field_mode: str | None = None        # clean | defect | threshold
-    nx: int = 81
-    ny: int = 41
-    x_min: float = -2.0
-    x_max: float = 2.0
-    with_complex: bool = False
-    rho0_list: str | None = None         # comma separated
-    offsets: str | None = None           # comma separated multiples of |Delta_m|
-    alpha: float | None = None
-    delta_v: float | None = None
-    barrier_width: float | None = None
-    rho_ladder: str = "0.04,0.02,0.01"
-    grid_ny: int = 400
-    lead_modes: int = 12
-
-    def to_text(self) -> str:
-        """Serialize the config keys (all fields but the subcommand, which
-        the command line gives) as a config file; parsing it back is
-        lossless."""
-        lines = []
-        for key in _KEYS:
-            v = getattr(self, key)
-            if v is None or v == "":
-                continue
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = FMT % v
-            lines.append(f"{key} = {v}")
-        return "\n".join(lines) + "\n"
-
-
 def parse_config_file(path: str) -> dict:
     """The raw ``key = value`` pairs of a config file, keys with dashes
-    read as underscores; :func:`_coerce` checks each one."""
+    read as underscores; :func:`build_config` checks each one."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -124,12 +80,10 @@ def parse_config_file(path: str) -> dict:
 
 def _coerce(key: str, val: str):
     """The value of config key ``key`` read from its text, alike for a
-    config-file line and a flag; ConfigurationError naming the key when it
-    is unknown, when the text is not of the key's type or when the value
-    is not one of the key's choices."""
-    if key not in _KEYS:
-        raise ConfigurationError(f"unknown config key {key!r}")
-    kind, _, choices = _KEYS[key]
+    config-file line and a flag; ConfigurationError naming the key when the
+    text is not of the key's type or when the value is not one of the key's
+    choices."""
+    kind, _, _, choices = _KEYS[key]
     if kind is bool:
         if val.lower() in ("1", "true", "yes", "on"):
             return True
@@ -175,7 +129,7 @@ def _parse_list(spec: str, what: str) -> list[float]:
     return values
 
 
-def _impurity(cfg: RunConfig) -> Impurity:
+def _impurity(cfg: SimpleNamespace) -> Impurity:
     if cfg.epsilon is None:
         raise ConfigurationError("impurity position --epsilon is required")
     if cfg.rho0 is None:
@@ -183,7 +137,7 @@ def _impurity(cfg: RunConfig) -> Impurity:
     return Impurity(epsilon=cfg.epsilon, rho0=cfg.rho0)
 
 
-def _oracle_wire(cfg: RunConfig, eps: float) -> oracle_mod.DiscreteWire:
+def _oracle_wire(cfg: SimpleNamespace, eps: float) -> oracle_mod.DiscreteWire:
     """The oracle lattice of grid_ny rows and lead_modes lead modes; its
     ConfigurationError names grid_ny, the key that sets ny."""
     try:
@@ -192,20 +146,20 @@ def _oracle_wire(cfg: RunConfig, eps: float) -> oracle_mod.DiscreteWire:
         raise ConfigurationError(f"oracle grid_ny = {cfg.grid_ny}: {exc}") from None
 
 
-def _open_out(cfg: RunConfig):
-    """The --out file opened for writing, or stdout; ConfigurationError
-    naming the path when it cannot be opened."""
+def _output(cfg: SimpleNamespace):
+    """A context manager of the --out file opened for writing, or of stdout,
+    which it leaves open; ConfigurationError naming the path when the file
+    cannot be opened."""
     if not cfg.out:
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     try:
         return open(cfg.out, "w", encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot write --out {cfg.out!r}: {exc.strerror}") from None
 
 
-def _write_table(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
-    fh = _open_out(cfg)
-    try:
+def _write_table(cfg: SimpleNamespace, header: list[str], rows: list[list]) -> None:
+    with _output(cfg) as fh:
         if cfg.format == "json":
             for row in rows:
                 fh.write(json.dumps({k: v for k, v in zip(header, row)}) + "\n")
@@ -213,9 +167,6 @@ def _write_table(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 # a forked block prints at least this many numbers.  A field-map CSV line
@@ -299,7 +250,7 @@ def _write_rows(fh, n_rows: int, numbers_per_row: int, format_rows) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def run_sweep(cfg: RunConfig) -> int:
+def run_sweep(cfg: SimpleNamespace) -> int:
     if not cfg.omega_grid:
         raise ConfigurationError("sweep requires --omega-grid lo:hi:count")
     omegas = _parse_grid(cfg.omega_grid)
@@ -330,7 +281,7 @@ def run_sweep(cfg: RunConfig) -> int:
     return 0 if failures <= 0.1 * len(points) else 1
 
 
-def run_field(cfg: RunConfig) -> int:
+def run_field(cfg: SimpleNamespace) -> int:
     """Write psi on the (x, y) lattice as one line per point: x, y, density
     = |psi|^2 and, with --with-complex, re and im.
 
@@ -433,18 +384,14 @@ def run_field(cfg: RunConfig) -> int:
                                            for p in parts], axis=-1)
                     yield line.tobytes().translate(None, b"\0").decode("ascii")
 
-    fh = _open_out(cfg)
-    try:
+    with _output(cfg) as fh:
         if cfg.format != "json":
             fh.write(",".join(header) + "\n")
         _write_rows(fh, len(ys), len(xs) * len(header), format_rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
-def run_universality(cfg: RunConfig) -> int:
+def run_universality(cfg: SimpleNamespace) -> int:
     if cfg.threshold_m is None:
         raise ConfigurationError("universality requires --threshold-m")
     if cfg.epsilon is None:
@@ -506,17 +453,13 @@ def run_universality(cfg: RunConfig) -> int:
         }
         verdict = verdict and probe.verdict == "PASS"
     report["verdict"] = "PASS" if verdict else "FAIL"
-    fh = _open_out(cfg)
-    try:
+    with _output(cfg) as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
-def run_oned(cfg: RunConfig) -> int:
+def run_oned(cfg: SimpleNamespace) -> int:
     if not cfg.omega_grid:
         raise ConfigurationError("oned requires --omega-grid lo:hi:count")
     omegas = _parse_grid(cfg.omega_grid, scale=1.0)  # 1D energies given directly
@@ -545,7 +488,7 @@ def run_oned(cfg: RunConfig) -> int:
     return 0
 
 
-def run_oracle_compare(cfg: RunConfig) -> int:
+def run_oracle_compare(cfg: SimpleNamespace) -> int:
     if cfg.omega is None:
         raise ConfigurationError("oracle-compare requires --omega")
     impurity = _impurity(cfg)
@@ -554,29 +497,23 @@ def run_oracle_compare(cfg: RunConfig) -> int:
     ladder = oracle_mod.solve_ladder(wire, cfg.mode_n, cfg.omega, rhos, impurity.rho0)
     ext = oracle_mod.extrapolate_to_zero_width(ladder)
     sol = solve_scattering(impurity, cfg.mode_n, cfg.omega, l_max=cfg.lead_modes)
-    fh = _open_out(cfg)
-    try:
-        for item in ladder:
+    comparison = []
+    for l in range(1, cfg.lead_modes + 1):
+        analytic = sol.amplitudes[l]
+        num = ext.amplitude[l - 1]
+        rel = abs(num - analytic) / abs(analytic) if analytic != 0 else None
+        comparison.append({
+            "l": l,
+            "analytic_re": analytic.real, "analytic_im": analytic.imag,
+            "oracle_re": float(num.real), "oracle_im": float(num.imag),
+            "rel_err": rel,
+        })
+    with _output(cfg) as fh:
+        for item in [*ladder, ext]:
             for rec in oracle_mod.amplitude_records(item):
                 fh.write(json.dumps(rec) + "\n")
-        for rec in oracle_mod.amplitude_records(ext):
-            fh.write(json.dumps(rec) + "\n")
-        comparison = []
-        for l in range(1, cfg.lead_modes + 1):
-            analytic = sol.amplitudes[l]
-            num = ext.amplitude[l - 1]
-            rel = abs(num - analytic) / abs(analytic) if analytic != 0 else None
-            comparison.append({
-                "l": l,
-                "analytic_re": analytic.real, "analytic_im": analytic.imag,
-                "oracle_re": float(num.real), "oracle_im": float(num.imag),
-                "rel_err": rel,
-            })
         fh.write(json.dumps({"type": "comparison", "n": cfg.mode_n,
                              "omega": cfg.omega, "rows": comparison}) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -584,47 +521,50 @@ def run_oracle_compare(cfg: RunConfig) -> int:
 # command line
 # ---------------------------------------------------------------------------
 
-#: every config key -> (type, help text, choices or None).  The flag of a
-#: key is --key-with-dashes; ``oracle`` and ``with_complex`` take no value.
+#: every config key -> (type, default, help text, choices or None).  The
+#: flag of a key is --key-with-dashes; ``oracle`` and ``with_complex`` take
+#: no value.  None as a default means "not set".
 _KEYS = {
-    "out": (str, "output path (default stdout)", None),
-    "format": (str, "table format", ("csv", "json")),
-    "epsilon": (float, "impurity transverse position in (0,1)", None),
-    "rho0": (float, "impurity strength length scale", None),
-    "mode_n": (int, "incident mode index", None),
-    "threshold_m": (int, "cut-off index m", None),
-    "omega": (float, "energy (units 1/width^2)", None),
-    "omega_grid": (str, "lo:hi:count in units of pi^2", None),
-    "oracle": (bool, "also run the finite-difference probe", None),
-    "field_mode": (str, "", ("clean", "defect", "threshold")),
-    "nx": (int, "grid points along x", None),
-    "ny": (int, "interior grid points along y", None),
-    "x_min": (float, "", None),
-    "x_max": (float, "", None),
-    "with_complex": (bool, "emit re/im columns next to the density", None),
-    "rho0_list": (str, "comma-separated strength scales", None),
-    "offsets": (str, "comma-separated offsets in units of |Delta_m|", None),
-    "alpha": (float, "delta-barrier strength", None),
-    "delta_v": (float, "weak-barrier height", None),
-    "barrier_width": (float, "", None),
-    "rho_ladder": (str, "comma-separated widths", None),
-    "grid_ny": (int, "", None),
-    "lead_modes": (int, "", None),
+    "out": (str, "", "output path (default stdout)", None),
+    "format": (str, "csv", "table format", ("csv", "json")),
+    "epsilon": (float, None, "impurity transverse position in (0,1)", None),
+    "rho0": (float, None, "impurity strength length scale", None),
+    "mode_n": (int, 1, "incident mode index", None),
+    "threshold_m": (int, None, "cut-off index m", None),
+    "omega": (float, None, "energy (units 1/width^2)", None),
+    "omega_grid": (str, None, "lo:hi:count in units of pi^2", None),
+    "oracle": (bool, False, "also run the finite-difference probe", None),
+    "field_mode": (str, None, "", ("clean", "defect", "threshold")),
+    "nx": (int, 81, "grid points along x", None),
+    "ny": (int, 41, "interior grid points along y", None),
+    "x_min": (float, -2.0, "", None),
+    "x_max": (float, 2.0, "", None),
+    "with_complex": (bool, False, "emit re/im columns next to the density", None),
+    "rho0_list": (str, None, "comma-separated strength scales", None),
+    "offsets": (str, None, "comma-separated offsets in units of |Delta_m|", None),
+    "alpha": (float, None, "delta-barrier strength", None),
+    "delta_v": (float, None, "weak-barrier height", None),
+    "barrier_width": (float, None, "", None),
+    "rho_ladder": (str, "0.04,0.02,0.01", "comma-separated widths", None),
+    "grid_ny": (int, 400, "", None),
+    "lead_modes": (int, 12, "", None),
 }
 
-_COMMON = ("out", "format", "epsilon", "rho0", "mode_n", "threshold_m", "omega", "omega_grid")
-
-#: subcommand -> (runner, help text, the config keys its flags set)
+#: subcommand -> (runner, help text, the config keys the runner reads)
 _SUBCOMMANDS = {
-    "sweep": (run_sweep, "transport matrices over an energy grid", _COMMON),
+    "sweep": (run_sweep, "transport matrices over an energy grid",
+              ("out", "format", "epsilon", "rho0", "omega_grid")),
     "field": (run_field, "wavefunction / density on an (x, y) lattice",
-              _COMMON + ("field_mode", "nx", "ny", "x_min", "x_max", "with_complex")),
+              ("out", "format", "epsilon", "rho0", "mode_n", "threshold_m", "omega",
+               "field_mode", "nx", "ny", "x_min", "x_max", "with_complex")),
     "universality": (run_universality, "strength-independence experiment at a cut-off",
-                     _COMMON + ("rho0_list", "offsets", "oracle", "grid_ny", "lead_modes")),
+                     ("out", "epsilon", "mode_n", "threshold_m", "rho0_list", "offsets",
+                      "oracle", "grid_ny", "lead_modes")),
     "oned": (run_oned, "1D reference reflection curves",
-             _COMMON + ("alpha", "delta_v", "barrier_width")),
+             ("out", "format", "omega_grid", "alpha", "delta_v", "barrier_width")),
     "oracle-compare": (run_oracle_compare, "finite-difference ladder vs analytic amplitudes",
-                       _COMMON + ("rho_ladder", "grid_ny", "lead_modes")),
+                       ("out", "epsilon", "rho0", "mode_n", "omega", "rho_ladder", "grid_ny",
+                        "lead_modes")),
 }
 
 _USAGE = "usage: wirescat SUBCOMMAND [-h] [--config CONFIG] [--KEY VALUE ...]"
@@ -634,22 +574,28 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def build_config(subcommand: str, args: list[str]) -> RunConfig:
-    """The run parameters of ``wirescat SUBCOMMAND ARGS``: the keys of the
-    ``--config`` file, overridden by the flags, of which the last of a
-    repeated one wins.  A flag is the exact ``--key-with-dashes`` of a key
-    that ``subcommand`` reads, followed by its value as the next argument
-    (even one with a leading minus) or after ``=``; every value goes
-    through :func:`_coerce`.  Raises ConfigurationError naming the flag or
-    key at fault."""
-    keys = {_flag(key): key for key in _SUBCOMMANDS[subcommand][2]}
+def build_config(subcommand: str, args: list[str]) -> SimpleNamespace:
+    """The run parameters of ``wirescat SUBCOMMAND ARGS``: one attribute per
+    key that ``subcommand`` reads, from the ``--config`` file, overridden by
+    the flags, of which the last of a repeated one wins, else the default of
+    ``_KEYS``.  A flag is the exact ``--key-with-dashes`` of such a key,
+    followed by its value as the next argument (even one with a leading
+    minus) or after ``=``; every value goes through :func:`_coerce`.
+    Raises ConfigurationError naming the flag or key at fault, and the
+    subcommand when it does not read that key, from either source."""
+    keys = _SUBCOMMANDS[subcommand][2]
+
+    def accept(key, source, name):
+        if key not in keys:
+            raise ConfigurationError(f"unknown {source} {name!r} for wirescat {subcommand}")
+        return key
+
+    flag_keys = {_flag(key): key for key in keys}
     config, flags = None, {}
     rest = iter(args)
     for arg in rest:
         flag, eq, value = arg.partition("=")
-        key = keys.get(flag)
-        if key is None and flag != "--config":
-            raise ConfigurationError(f"wirescat {subcommand} has no flag {flag!r}")
+        key = None if flag == "--config" else accept(flag_keys.get(flag), "flag", flag)
         if key is not None and _KEYS[key][0] is bool:
             if eq:
                 raise ConfigurationError(f"flag {flag} takes no value")
@@ -662,11 +608,13 @@ def build_config(subcommand: str, args: list[str]) -> RunConfig:
             config = value
         else:
             flags[key] = value
-    cfg = RunConfig(subcommand=subcommand)
+    values = {key: _KEYS[key][1] for key in keys}
     file_values = parse_config_file(config) if config else {}
+    for key in file_values:
+        accept(key, "config key", key)
     for key, val in [*file_values.items(), *flags.items()]:
-        setattr(cfg, key, _coerce(key, val))
-    return cfg
+        values[key] = _coerce(key, val)
+    return SimpleNamespace(**values)
 
 
 def _help_line(invocation: str, text: str) -> str:
@@ -691,7 +639,7 @@ def _help(subcommand: str | None) -> str:
     _, text, keys = _SUBCOMMANDS[subcommand]
     options.append(_help_line("--config CONFIG", "key = value config file; flags override it"))
     for key in keys:
-        kind, key_text, choices = _KEYS[key]
+        kind, _, key_text, choices = _KEYS[key]
         if kind is bool:
             value = ""
         elif choices:

@@ -62,6 +62,7 @@ from .rhobar import (
     regularized_scales,
 )
 from .specfun import (
+    _MAX_INDEX,
     EULER_GAMMA,
     _index,
     cosine_integral,
@@ -362,14 +363,18 @@ def scattered_field_grid(impurity: Impurity, n: int, omega: float, xs, ys,
     sampled |x| above the 1e-12 level (hard cap 400: directly at the
     impurity cross-section the evanescent series converges only like the
     log-singular Green's function it resums).  An empty xs or ys gives an
-    empty grid.  Raises DomainError on a non-finite position.
+    empty grid.  Raises DomainError on a non-finite position, and before
+    the amplitude table is built when the synthesis is over the size limit
+    of :func:`_columns`.
     """
     xs, ys = _finite_positions(xs, ys)
     n = _index(n, "incident mode")
-    m = nearest_threshold_index(omega) if m is None else _index(m, "cut-off index")
+    # a window past the index ceiling is refused before its truncation
+    m = _index(nearest_threshold_index(omega) if m is None else m, "cut-off index")
     l_max = _truncation(m, xs) if l_max is None else _index(l_max, "mode truncation l_max")
+    columns = _columns(l_max, xs, ys)
     _, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, l_max + 1))
-    return _synthesis(n, k, amp[0], xs, ys)
+    return _synthesis(n, k, amp[0], xs, ys, columns)
 
 
 def _truncation(m: int, xs) -> int:
@@ -382,16 +387,31 @@ def _truncation(m: int, xs) -> int:
     return l_max
 
 
-def _synthesis(n: int, k, amp_row, xs, ys) -> np.ndarray:
-    """psi[iy, ix] = sin(n pi y) e^{i k_n x} - sum_l A_nl sin(l pi y)
-    e^{i k_l |x|} over l = 1..len(amp_row), with k[q-1] = k_q: one field
-    synthesis per distinct |x|."""
+def _columns(l_max: int, xs, ys):
+    """(columns, inverse): the |x| that :func:`_synthesis` synthesizes and
+    the column of each x among them.  DomainError naming l_max and the grid
+    when the synthesis of l_max modes would hold more than _MAX_INDEX
+    values, l_max per column and per y."""
     # each distinct |x| once, unless one row or one distinct |x| is left:
     # numpy would then take a matrix-vector product, whose bits differ from
     # those of the product over every column
     columns, inverse = np.unique(np.abs(xs), return_inverse=True)
     if len(columns) < 2 or len(ys) < 2:
         columns, inverse = np.abs(xs), np.arange(len(xs))
+    size = l_max * (len(columns) + len(ys))
+    if size > _MAX_INDEX:
+        raise DomainError(
+            f"field synthesis of l_max = {l_max} modes over {len(columns)} distinct |x| and "
+            f"{len(ys)} y: {size} values are above the {_MAX_INDEX}-value limit")
+    return columns, inverse
+
+
+def _synthesis(n: int, k, amp_row, xs, ys, gather) -> np.ndarray:
+    """psi[iy, ix] = sin(n pi y) e^{i k_n x} - sum_l A_nl sin(l pi y)
+    e^{i k_l |x|} over l = 1..len(amp_row), with k[q-1] = k_q: one field
+    synthesis per column of ``gather``, the (columns, inverse) of
+    :func:`_columns`."""
+    columns, inverse = gather
     out = kernels.field_grid(columns, ys, -amp_row, k[:len(amp_row)]).take(inverse, axis=1)
     out += np.outer(np.sin(n * np.pi * ys), np.exp(1j * k[n - 1] * xs))
     return out
@@ -503,7 +523,8 @@ def threshold_field_grid(impurity: Impurity, n: int, m: int, xs, ys) -> np.ndarr
     on the strength.  It is synthesized as :func:`scattered_field_grid`
     synthesizes, with its default truncation, and one DecoupledModeWarning
     is emitted for the whole grid.  Raises DomainError on a non-finite
-    position.
+    position, and on a node for a synthesis over the size limit of
+    :func:`_columns`.
     """
     xs, ys = _finite_positions(xs, ys)
     eps = impurity.epsilon
@@ -518,11 +539,13 @@ def threshold_field_grid(impurity: Impurity, n: int, m: int, xs, ys) -> np.ndarr
             DecoupledModeWarning,
             stacklevel=2,
         )
-        ls = range(1, _truncation(m, xs) + 1)
+        l_max = _truncation(m, xs)
+        columns = _columns(l_max, xs, ys)
+        ls = range(1, l_max + 1)
         k = _cutoff_wavenumbers(omega, m, [n], ls)
         rho_bar = regularized_scale_tail_subtraction(eps, omega, m)
         k, amp = _amplitudes(impurity, m, [n], ls, [k], [rho_bar])
-        return _synthesis(n, k[0], amp[0, 0], xs, ys)
+        return _synthesis(n, k[0], amp[0, 0], xs, ys, columns)
     # same evaluation path as the generic wavenumber so that the
     # near-threshold form at k_m = 0 matches this one bit for bit; for
     # the same reason the rows take the scalar math.sin that form uses

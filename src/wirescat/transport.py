@@ -21,7 +21,7 @@ from .scatter import (
     _wavenumbers,
     nearest_threshold_index,
 )
-from .specfun import _index, threshold_energy
+from .specfun import _MAX_INDEX, _index, threshold_energy
 from .wire import propagating_count
 
 __all__ = ["TransportResult", "SweepPoint", "transport_at", "threshold_transport", "sweep"]
@@ -65,7 +65,9 @@ def transport_at(impurity: Impurity, omega: float) -> TransportResult:
 
     Requires at least one propagating mode and an energy strictly between
     cut-offs (exact cut-offs are the limits of
-    :func:`threshold_transport`).  The one-energy case of :func:`sweep`.
+    :func:`threshold_transport`), and at most _MAX_INDEX values in each
+    p x p matrix of the p open channels.  The one-energy case of
+    :func:`sweep`.
     """
     (result,) = _transport(impurity, [omega])
     if isinstance(result, WirescatError):
@@ -80,7 +82,8 @@ def _transport(impurity: Impurity, omegas) -> list:
     Every energy is checked first, in the order of the one-energy
     computation; one rho_bar pass then serves all energies that pass, and
     :func:`_matrices` builds the matrices of the energies that share a
-    cut-off window m and a channel count p.
+    cut-off window m and a channel count p, at most _MAX_INDEX // (p * p)
+    energies per call.
     """
     results: list = [None] * len(omegas)
     eps = impurity.epsilon
@@ -90,7 +93,9 @@ def _transport(impurity: Impurity, omegas) -> list:
             p = propagating_count(omega)
             if p < 1:
                 raise DomainError(f"no propagating modes at omega={omega}")
-            m = nearest_threshold_index(omega)
+            # a window past the index ceiling is refused before its channels
+            m = _index(nearest_threshold_index(omega), "cut-off index")
+            _check_channels(p, omega)
             modes = range(1, p + 1)
             k = _wavenumbers(omega, m, modes, modes)
             valid.append((i, m, p, k, _head_terms(eps, omega, m)))
@@ -103,12 +108,22 @@ def _transport(impurity: Impurity, omegas) -> list:
     groups: dict = {}
     for j, key in enumerate(zip(ms, ps)):
         groups.setdefault(key, []).append(j)
-    for (m, p), rows in groups.items():
-        matrices = _matrices(impurity, m, p, [omegas[index[j]] for j in rows],
-                             [ks[j] for j in rows], [rho_bars[j] for j in rows])
-        for j, result in zip(rows, matrices):
-            results[index[j]] = result
+    for (m, p), group in groups.items():
+        step = _MAX_INDEX // (p * p)
+        for rows in (group[lo:lo + step] for lo in range(0, len(group), step)):
+            matrices = _matrices(impurity, m, p, [omegas[index[j]] for j in rows],
+                                 [ks[j] for j in rows], [rho_bars[j] for j in rows])
+            for j, result in zip(rows, matrices):
+                results[index[j]] = result
     return results
+
+
+def _check_channels(p: int, omega: float) -> None:
+    """DomainError naming p and omega when the p x p transport matrices
+    would hold more than _MAX_INDEX values."""
+    if p * p > _MAX_INDEX:
+        raise DomainError(f"{p} open channels at omega={omega}: the p x p transport "
+                          f"matrices are above the {_MAX_INDEX}-value limit")
 
 
 def _matrices(impurity: Impurity, m: int, p: int, omegas, ks, rho_bars) -> list:
@@ -139,10 +154,12 @@ def threshold_transport(impurity: Impurity, m: int) -> TransportResult:
     conductance = m - 1 exactly, independent of the impurity.  On a node
     of mode m the impurity still scatters among the open channels, as
     :func:`transport_at` does on approach.  m >= 2, so that a channel is
-    open.
+    open; DomainError when (m - 1)^2 is above _MAX_INDEX, as for
+    :func:`transport_at` with p open channels when p^2 is.
     """
     m = _index(m, "cut-off index", lo=2)
     omega = threshold_energy(m)
+    _check_channels(m - 1, omega)
     modes = range(1, m)
     k = _cutoff_wavenumbers(omega, m, modes, modes)
     rho_bar = regularized_scale_tail_subtraction(impurity.epsilon, omega, m)

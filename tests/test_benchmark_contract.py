@@ -17,6 +17,7 @@ import importlib.util
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import wirescat
+from wirescat.cli import build_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -132,6 +134,19 @@ def test_workloads_import(monkeypatch):
     workloads = _load(monkeypatch, "workloads")
     assert set(workloads.WORKLOADS) == {"sweep", "cutoff-universality", "field-map",
                                         "oracle-compare"}
+
+
+def test_every_workload_call_passes_the_key_check(monkeypatch, tmp_path):
+    # the benchmark feeds every key through --config; a key its subcommand
+    # does not read would make the whole call a failed operation
+    workloads = _load(monkeypatch, "workloads")
+    path, out = tmp_path / "call.cfg", str(tmp_path / "out")
+    for name, (make_calls, _) in workloads.WORKLOADS.items():
+        for seed in range(1, 51):
+            for call in make_calls(random.Random(f"{name}/{seed}")):  # as run.py seeds
+                path.write_text(call.config_text(out), encoding="utf-8")
+                cfg = build_config(call.subcommand, ["--config", str(path)])
+                assert {**call.config, "out": out}.items() <= vars(cfg).items(), (name, seed)
 
 
 @pytest.mark.parametrize("trace", [0, 1])

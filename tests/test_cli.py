@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from wirescat import (
+    ConfigurationError,
     DecoupledModeWarning,
     Impurity,
     longitudinal_wavenumber,
@@ -24,10 +25,8 @@ from wirescat import (
 from wirescat.cli import (
     _KEYS,
     _SUBCOMMANDS,
-    RunConfig,
     build_config,
     main,
-    parse_config_file,
 )
 
 PI = math.pi
@@ -39,17 +38,6 @@ def run(*argv):
 
 
 class TestConfig:
-    def test_round_trip_is_lossless(self, tmp_path):
-        cfg = RunConfig(subcommand="sweep", epsilon=0.3, rho0=0.01,
-                        omega_grid="1.1:8.9:200", format="json", oracle=True,
-                        x_min=-1.25, nx=33)
-        path = tmp_path / "run.cfg"
-        path.write_text(cfg.to_text())
-        parsed = parse_config_file(path)
-        from wirescat.cli import _coerce
-        for key, raw in parsed.items():
-            assert _coerce(key, raw) == getattr(cfg, key)
-
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("frobnicate = 1\n")
@@ -81,18 +69,21 @@ class TestConfig:
         assert len(first.read_text().splitlines()) == 5 * 2
         lines = second.read_text().splitlines()
         assert lines[0] == "x,y,density"
-        assert len(lines) == 1 + RunConfig.nx * 2
+        assert len(lines) == 1 + _KEYS["nx"][1] * 2
 
 
 def _key_cases(kinds):
-    """(subcommand, key) for every key a subcommand's flags set whose type
-    is one of ``kinds``."""
-    return [(name, key) for name, (_, _, keys) in _SUBCOMMANDS.items() for key in keys
-            if _KEYS[key][0] in kinds]
+    """(subcommand, key) for every subcommand and every key of the table
+    whose type is one of ``kinds``, whether the subcommand reads it or not."""
+    return [(name, key) for name in _SUBCOMMANDS for key in _KEYS if _KEYS[key][0] in kinds]
+
+
+def _reads(name, key):
+    return key in _SUBCOMMANDS[name][2]
 
 
 def _good_value(key):
-    kind, _, choices = _KEYS[key]
+    kind, _, _, choices = _KEYS[key]
     if choices:
         return choices[-1]
     return {int: "7", float: "-0.25", str: "1:2:3"}[kind]
@@ -100,48 +91,99 @@ def _good_value(key):
 
 class TestFlags:
     """Flags and config lines are read through one key table: the same
-    keys, types, choices and messages from either source."""
-
-    def test_table_holds_every_config_field(self):
-        assert set(_KEYS) == {f.name for f in fields(RunConfig)} - {"subcommand"}
+    keys, types, choices and messages from either source.  A subcommand
+    refuses a key it does not read from every source alike."""
 
     @pytest.mark.parametrize("name, key", _key_cases((int, float, str)))
     def test_flag_forms_and_config_line_agree(self, tmp_path, name, key):
         flag, value = "--" + key.replace("_", "-"), _good_value(key)
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = {value}\n")
-        got = [getattr(build_config(name, args), key)
-               for args in ([flag, value], [f"{flag}={value}"], ["--config", str(path)])]
+        forms = ([flag, value], [f"{flag}={value}"], ["--config", str(path)])
+        if not _reads(name, key):
+            for args in forms:
+                with pytest.raises(ConfigurationError, match=f"for wirescat {name}$"):
+                    build_config(name, args)
+            return
+        got = [getattr(build_config(name, args), key) for args in forms]
         assert got[0] == got[1] == got[2] == _KEYS[key][0](value)
 
     @pytest.mark.parametrize("name, key", _key_cases((bool,)))
     def test_switch_and_config_line_agree(self, tmp_path, name, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = true\n")
-        assert getattr(build_config(name, ["--" + key.replace("_", "-")]), key) is True
-        assert getattr(build_config(name, ["--config", str(path)]), key) is True
+        forms = (["--" + key.replace("_", "-")], ["--config", str(path)])
+        if not _reads(name, key):
+            for args in forms:
+                with pytest.raises(ConfigurationError, match=f"for wirescat {name}$"):
+                    build_config(name, args)
+            return
+        assert [getattr(build_config(name, args), key) for args in forms] == [True, True]
         assert getattr(build_config(name, []), key) is False
 
     @pytest.mark.parametrize("name, key", _key_cases((int, float)) + [
-        (name, key) for name, key in _key_cases((str,)) if _KEYS[key][2]])
+        (name, key) for name, key in _key_cases((str,)) if _KEYS[key][3]])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_value_exits_two_naming_the_key(self, tmp_path, capsys, name, key, source):
+        # a flag the subcommand does not have is named as given
         bad = "1.5" if _KEYS[key][0] is int else "xml"
+        flag = "--" + key.replace("_", "-")
         if source == "flag":
-            args = ["--" + key.replace("_", "-"), bad]
+            args = [flag, bad]
         else:
             path = tmp_path / "run.cfg"
             path.write_text(f"{key} = {bad}\n")
             args = ["--config", str(path)]
         assert run(name, *args) == 2
-        assert repr(key) in capsys.readouterr().err
+        named = key if _reads(name, key) or source == "config" else flag
+        assert repr(named) in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", list(_SUBCOMMANDS))
-    def test_flag_of_another_subcommand_exits_two(self, capsys, name):
+    def test_flag_of_another_subcommand_exits_two(self, tmp_path, capsys, name):
+        # a key the subcommand does not read is refused as a flag and as a
+        # config line, and the message names it and the subcommand
+        path = tmp_path / "run.cfg"
         for key in set(_KEYS) - set(_SUBCOMMANDS[name][2]):
             flag = "--" + key.replace("_", "-")
-            assert run(name, flag, "5") == 2
-            assert repr(flag) in capsys.readouterr().err
+            path.write_text(f"{key} = 5\n")
+            for args, named in (([flag, "5"], flag), (["--config", str(path)], key)):
+                assert run(name, *args) == 2
+                err = capsys.readouterr().err
+                assert repr(named) in err and f"wirescat {name}" in err
+
+    def test_each_subcommand_reads_exactly_its_keys(self, tmp_path):
+        # every runner, every field mode and universality with and without
+        # the probe, through a config that records each key read from it
+        cases = {
+            "sweep": [["--epsilon", "0.3", "--rho0", "0.01", "--omega-grid", "1.1:1.9:2"]],
+            "field": [["--field-mode", "clean", "--omega", "20", "--nx", "3", "--ny", "2"],
+                      ["--field-mode", "defect", "--epsilon", "0.3", "--rho0", "0.01",
+                       "--omega", "20", "--nx", "3", "--ny", "2"],
+                      ["--field-mode", "threshold", "--threshold-m", "2", "--epsilon", "0.3",
+                       "--rho0", "0.01", "--nx", "3", "--ny", "2"]],
+            "universality": [["--threshold-m", "2", "--epsilon", "0.3", "--rho0-list", "1e-3"],
+                             ["--threshold-m", "2", "--epsilon", "0.3", "--rho0-list", "1e-3",
+                              "--oracle"]],
+            "oned": [["--alpha", "1", "--delta-v", "50", "--barrier-width", "0.001",
+                      "--omega-grid", "0.5:1:2"]],
+            "oracle-compare": [["--epsilon", "0.3", "--rho0", "0.01", "--omega", "41.452",
+                                "--lead-modes", "3"]],
+        }
+        assert set(cases) == set(_SUBCOMMANDS)
+        for name, arg_lists in cases.items():
+            runner, _, keys = _SUBCOMMANDS[name]
+            reads = set()
+
+            class Recording(SimpleNamespace):
+                def __getattribute__(self, key):
+                    reads.add(key)
+                    return super().__getattribute__(key)
+
+            for args in arg_lists:
+                cfg = build_config(name, [*args, "--out", str(tmp_path / "out")])
+                assert set(vars(cfg)) == set(keys)
+                assert runner(Recording(**vars(cfg))) == 0
+            assert reads == set(keys), name
 
     @pytest.mark.parametrize("argv, named", [
         (["sweep", "--nx", "5"], "--nx"),
@@ -301,6 +343,19 @@ class TestExitCodes:
         assert run("field", "--field-mode", "defect", "--epsilon", "1e-8",
                    "--rho0", "0.01", "--omega", "20.0", "--nx", "3", "--ny", "3") == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_sizes_over_the_limit_are_refused(self, tmp_path, capsys):
+        # each energy opens 10000 channels: failed sweep points, exit 1
+        assert run("sweep", "--epsilon", "0.3", "--rho0", "0.01",
+                   "--omega-grid", "1e8:1.0001e8:3", "--out", str(tmp_path / "s.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.count("open channels") == 3 and "Traceback" not in err
+        # a defect map of l_max = 1006624 modes: exit 2, and no file
+        out = tmp_path / "f.csv"
+        assert run("field", "--field-mode", "defect", "--epsilon", "0.3", "--rho0", "0.01",
+                   "--omega", "1e13", "--out", str(out)) == 2
+        assert "l_max = 1006624" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_sweep_points_keep_exit_one(self, tmp_path, capsys):
         # per-point numerical failures are collected by the sweep: exit 1, not 3

@@ -507,6 +507,26 @@ class TestScatteredField:
                                         grid_xs, grid_ys)
             assert grid.shape == (len(grid_ys), len(grid_xs))
 
+    def test_synthesis_over_the_size_limit_refused_before_the_amplitudes(
+            self, canonical_impurity, monkeypatch):
+        # at omega = 1e13 the default truncation is l_max = 1006624 modes, for
+        # 68 distinct |x| and 41 y of the CLI's default grid
+        from wirescat import scatter
+
+        def unreached(*args):
+            raise AssertionError("amplitudes built")
+
+        monkeypatch.setattr(scatter, "_amplitude_table", unreached)
+        monkeypatch.setattr(scatter, "_cutoff_wavenumbers", unreached)
+        xs, ys = np.linspace(-2.0, 2.0, 81), np.linspace(0.0, 1.0, 43)[1:-1]
+        with pytest.raises(DomainError, match="l_max = 1006624 modes over 68 distinct "
+                                              r"\|x\| and 41 y: 109722016 values"):
+            scattered_field_grid(canonical_impurity, 1, 1e13, xs, ys)
+        # on a node of mode m the cut-off field is synthesized over m + 40 modes
+        with pytest.warns(DecoupledModeWarning), \
+                pytest.raises(DomainError, match="l_max = 1000040 modes over 2 distinct"):
+            threshold_field_grid(Impurity(0.5, 0.01), 1, 10**6, [0.3, 0.6], [0.3, 0.6])
+
     def test_continuity_across_the_impurity_plane(self, canonical_impurity):
         up = scattered_field(canonical_impurity, 1, self.OM, (1e-9, 0.43))
         dn = scattered_field(canonical_impurity, 1, self.OM, (-1e-9, 0.43))

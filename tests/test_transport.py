@@ -114,6 +114,11 @@ class TestThresholdTransport:
         with pytest.raises(DomainError):
             threshold_transport(canonical_impurity, 1)
 
+    def test_channels_over_the_size_limit_refused(self, canonical_impurity):
+        # (m - 1)^2 = 1937^2 is above the 3749999-value limit, 1936^2 is not
+        with pytest.raises(DomainError, match="1937 open channels"):
+            threshold_transport(canonical_impurity, 1938)
+
     def test_matches_transport_limit_from_above(self, canonical_impurity):
         # the analytic limit must agree with the numerical approach
         d = resonance_parameter(canonical_impurity, 2)
@@ -199,6 +204,36 @@ class TestSweep:
             tracemalloc.stop()
         assert all(pt.ok for pt in points)
         assert peak <= 24 * 2**20
+
+    def test_channels_over_the_size_limit_are_one_failed_point(self, canonical_impurity):
+        # 10065 open channels at omega = 1e9: one 10065 x 10065 complex
+        # matrix alone would take 1.5 GiB
+        message = "10065 open channels at omega=1000000000.0"
+        points = sweep(canonical_impurity, [50.0, 1e9])
+        assert [pt.ok for pt in points] == [True, False]
+        assert message in points[1].error
+        with pytest.raises(DomainError, match=message):
+            transport_at(canonical_impurity, 1e9)
+
+    def test_stacks_capped_by_the_size_limit(self, canonical_impurity, monkeypatch):
+        # a limit of 9 values stacks at most 9, 2 and 1 energies with 1, 2
+        # and 3 open channels; every point keeps its bits
+        from wirescat import transport
+
+        omegas = list(np.linspace(1.1, 15.5, 120) * PI**2)
+        whole = sweep(canonical_impurity, omegas)
+        stacks = []
+        matrices = transport._matrices
+        monkeypatch.setattr(transport, "_MAX_INDEX", 9)
+        monkeypatch.setattr(transport, "_matrices", lambda imp, m, p, omegas, *args:
+                            stacks.append((p, len(omegas))) or matrices(imp, m, p, omegas, *args))
+        capped = sweep(canonical_impurity, omegas)
+        assert {p: max(n for q, n in stacks if q == p) for p, _ in stacks} == {1: 9, 2: 2, 3: 1}
+        for a, b in zip(whole, capped):
+            assert a.result.transmission.tobytes() == b.result.transmission.tobytes()
+            assert a.result.reflection.tobytes() == b.result.reflection.tobytes()
+            assert (a.result.conductance, a.result.unitarity_defect) == \
+                (b.result.conductance, b.result.unitarity_defect)
 
     def test_nan_energy_is_one_failed_point(self, canonical_impurity):
         points = sweep(canonical_impurity, [math.nan, 20.0])
