@@ -64,6 +64,7 @@ from .specfun import (
     cosine_integral,
     evanescent_gaussian_sum,
     longitudinal_wavenumber,
+    propagating_count,
     threshold_energy,
 )
 from .transport import (
@@ -73,6 +74,5 @@ from .transport import (
     threshold_transport,
     transport_at,
 )
-from .wire import propagating_count
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from . import oracle as oracle_mod
 from .errors import (
     ConfigurationError,
     ConvergenceError,
-    DomainError,
     WirescatError,
 )
 from .scatter import (
@@ -47,7 +46,13 @@ from .scatter import (
     threshold_field,
     threshold_field_grid,
 )
-from .specfun import _MAX_INDEX, longitudinal_wavenumber, threshold_energy
+from .specfun import (
+    _check_incident,
+    _check_size,
+    _index,
+    longitudinal_wavenumber,
+    threshold_energy,
+)
 from .transport import sweep as transport_sweep
 
 FMT = "%.17g"
@@ -101,19 +106,19 @@ def _coerce(key: str, val: str):
 
 
 def _parse_grid(spec: str, scale: float = math.pi**2) -> np.ndarray:
-    """'lo:hi:count' -> energies; lo/hi are in units of ``scale``."""
+    """'lo:hi:count' -> energies; lo/hi are in units of ``scale``.  The
+    count passes through :func:`_index` before the grid is built."""
     try:
         lo, hi, count = spec.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ConfigurationError(
-            f"omega grid must be 'lo:hi:count', got {spec!r}"
+            f"omega_grid must be 'lo:hi:count', got {spec!r}"
         ) from None
     for name, value in (("lo", lo), ("hi", hi)):
         if not math.isfinite(value):
-            raise ConfigurationError(f"omega grid needs a finite {name}, got {value}")
-    if count < 1:
-        raise ConfigurationError("omega grid needs at least one point")
+            raise ConfigurationError(f"omega_grid needs a finite {name}, got {value}")
+    count = _index(count, "omega_grid count")
     if count == 1:
         return np.array([lo * scale])
     return np.linspace(lo, hi, count) * scale
@@ -129,12 +134,12 @@ def _parse_list(spec: str, what: str) -> list[float]:
     return values
 
 
-def _impurity(cfg: SimpleNamespace) -> Impurity:
-    if cfg.epsilon is None:
-        raise ConfigurationError("impurity position --epsilon is required")
-    if cfg.rho0 is None:
-        raise ConfigurationError("impurity strength scale --rho0 is required")
-    return Impurity(epsilon=cfg.epsilon, rho0=cfg.rho0)
+def _require(cfg: SimpleNamespace, *keys: str) -> None:
+    """ConfigurationError naming the flag of the first of ``keys`` that is
+    not set."""
+    for key in keys:
+        if getattr(cfg, key) is None:
+            raise ConfigurationError(f"{_invocation(key)} is required")
 
 
 def _oracle_wire(cfg: SimpleNamespace, eps: float) -> oracle_mod.DiscreteWire:
@@ -251,11 +256,9 @@ def _write_rows(fh, n_rows: int, numbers_per_row: int, format_rows) -> None:
 # ---------------------------------------------------------------------------
 
 def run_sweep(cfg: SimpleNamespace) -> int:
-    if not cfg.omega_grid:
-        raise ConfigurationError("sweep requires --omega-grid lo:hi:count")
+    _require(cfg, "omega_grid", "epsilon", "rho0")
     omegas = _parse_grid(cfg.omega_grid)
-    impurity = _impurity(cfg)
-    points = transport_sweep(impurity, omegas)
+    points = transport_sweep(Impurity(cfg.epsilon, cfg.rho0), omegas)
     p_max = max((pt.result.num_propagating for pt in points if pt.ok), default=0)
     header = ["omega", "m", "num_propagating"]
     header += [f"T_{n}_{l}" for n in range(1, p_max + 1) for l in range(1, p_max + 1)]
@@ -298,13 +301,10 @@ def run_field(cfg: SimpleNamespace) -> int:
     the y-row blocks of a large map and formats them in forked workers, one
     per usable CPU (Linux only), and writes the same bytes as one process.
     """
-    if cfg.field_mode not in ("clean", "defect", "threshold"):
-        raise ConfigurationError("field requires --field-mode clean|defect|threshold")
-    if cfg.nx < 1 or cfg.ny < 1:
-        raise ConfigurationError("field grid needs nx >= 1 and ny >= 1")
-    if cfg.nx * cfg.ny > _MAX_INDEX:
-        raise DomainError(f"field grid of nx * ny = {cfg.nx} * {cfg.ny} = {cfg.nx * cfg.ny} "
-                          f"points is above the {_MAX_INDEX}-point limit")
+    _require(cfg, "field_mode")
+    _check_size(cfg.nx * cfg.ny, "field grid of nx * ny = {} * {} = {} points", cfg.nx,
+                cfg.ny, cfg.nx * cfg.ny)
+    nx, ny = _index(cfg.nx, "nx"), _index(cfg.ny, "ny")
     for name in ("x_min", "x_max"):
         value = getattr(cfg, name)
         if not math.isfinite(value):
@@ -312,28 +312,20 @@ def run_field(cfg: SimpleNamespace) -> int:
     if not cfg.x_max > cfg.x_min:
         raise ConfigurationError("field grid needs x_max > x_min")
     n = cfg.mode_n
-    xs = np.linspace(cfg.x_min, cfg.x_max, cfg.nx)
-    ys = np.linspace(0.0, 1.0, cfg.ny + 2)[1:-1]  # interior lattice
+    xs = np.linspace(cfg.x_min, cfg.x_max, nx)
+    ys = np.linspace(0.0, 1.0, ny + 2)[1:-1]  # interior lattice
 
     if cfg.field_mode == "clean":
-        if cfg.omega is None:
-            raise ConfigurationError("clean field requires --omega")
-        if not math.isfinite(cfg.omega):
-            raise DomainError(f"energy must be finite, got {cfg.omega}")
-        if cfg.omega <= threshold_energy(n):
-            raise DomainError(f"incident mode {n} does not propagate at omega={cfg.omega}")
+        _require(cfg, "omega")
+        _check_incident(n, cfg.omega)
         k_n = longitudinal_wavenumber(n, cfg.omega)
         psi = np.outer(np.sin(n * np.pi * ys), np.exp(1j * k_n * xs))
     elif cfg.field_mode == "defect":
-        if cfg.omega is None:
-            raise ConfigurationError("defect field requires --omega")
-        impurity = _impurity(cfg)
-        psi = scattered_field_grid(impurity, n, cfg.omega, xs, ys)
+        _require(cfg, "omega", "epsilon", "rho0")
+        psi = scattered_field_grid(Impurity(cfg.epsilon, cfg.rho0), n, cfg.omega, xs, ys)
     else:
-        if cfg.threshold_m is None:
-            raise ConfigurationError("threshold field requires --threshold-m")
-        impurity = _impurity(cfg)
-        psi = threshold_field_grid(impurity, n, cfg.threshold_m, xs, ys)
+        _require(cfg, "threshold_m", "epsilon", "rho0")
+        psi = threshold_field_grid(Impurity(cfg.epsilon, cfg.rho0), n, cfg.threshold_m, xs, ys)
 
     header = ["x", "y", "density"] + (["re", "im"] if cfg.with_complex else [])
     n_col = len(header) - 2
@@ -392,16 +384,11 @@ def run_field(cfg: SimpleNamespace) -> int:
 
 
 def run_universality(cfg: SimpleNamespace) -> int:
-    if cfg.threshold_m is None:
-        raise ConfigurationError("universality requires --threshold-m")
-    if cfg.epsilon is None:
-        raise ConfigurationError("universality requires --epsilon")
-    if not cfg.rho0_list:
-        raise ConfigurationError("universality requires --rho0-list r1,r2,...")
+    _require(cfg, "threshold_m", "epsilon", "rho0_list")
     m = cfg.threshold_m
     n = cfg.mode_n
-    rho0s = _parse_list(cfg.rho0_list, "rho0 list")
-    offset_scales = _parse_list(cfg.offsets, "offsets") if cfg.offsets else [1e-2, 1e-4, 1e-6]
+    rho0s = _parse_list(cfg.rho0_list, "rho0_list")
+    offset_scales = _parse_list(cfg.offsets, "offsets")
 
     scan = cutoff_scan(cfg.epsilon, rho0s, n, m, offset_scales)
     limits = list(scan.limits)
@@ -460,8 +447,7 @@ def run_universality(cfg: SimpleNamespace) -> int:
 
 
 def run_oned(cfg: SimpleNamespace) -> int:
-    if not cfg.omega_grid:
-        raise ConfigurationError("oned requires --omega-grid lo:hi:count")
+    _require(cfg, "omega_grid")
     omegas = _parse_grid(cfg.omega_grid, scale=1.0)  # 1D energies given directly
     have_delta = cfg.alpha is not None
     have_weak = cfg.delta_v is not None and cfg.barrier_width is not None
@@ -489,10 +475,9 @@ def run_oned(cfg: SimpleNamespace) -> int:
 
 
 def run_oracle_compare(cfg: SimpleNamespace) -> int:
-    if cfg.omega is None:
-        raise ConfigurationError("oracle-compare requires --omega")
-    impurity = _impurity(cfg)
-    rhos = _parse_list(cfg.rho_ladder, "rho ladder")
+    _require(cfg, "omega", "epsilon", "rho0")
+    impurity = Impurity(cfg.epsilon, cfg.rho0)
+    rhos = _parse_list(cfg.rho_ladder, "rho_ladder")
     wire = _oracle_wire(cfg, impurity.epsilon)
     ladder = oracle_mod.solve_ladder(wire, cfg.mode_n, cfg.omega, rhos, impurity.rho0)
     ext = oracle_mod.extrapolate_to_zero_width(ladder)
@@ -532,7 +517,7 @@ _KEYS = {
     "mode_n": (int, 1, "incident mode index", None),
     "threshold_m": (int, None, "cut-off index m", None),
     "omega": (float, None, "energy (units 1/width^2)", None),
-    "omega_grid": (str, None, "lo:hi:count in units of pi^2", None),
+    "omega_grid": (str, None, "lo:hi:count, in units of pi^2 (oned: plain energies)", None),
     "oracle": (bool, False, "also run the finite-difference probe", None),
     "field_mode": (str, None, "", ("clean", "defect", "threshold")),
     "nx": (int, 81, "grid points along x", None),
@@ -541,7 +526,8 @@ _KEYS = {
     "x_max": (float, 2.0, "", None),
     "with_complex": (bool, False, "emit re/im columns next to the density", None),
     "rho0_list": (str, None, "comma-separated strength scales", None),
-    "offsets": (str, None, "comma-separated offsets in units of |Delta_m|", None),
+    "offsets": (str, "0.01,0.0001,1e-06", "comma-separated offsets in units of |Delta_m|",
+                None),
     "alpha": (float, None, "delta-barrier strength", None),
     "delta_v": (float, None, "weak-barrier height", None),
     "barrier_width": (float, None, "", None),
@@ -572,6 +558,16 @@ _USAGE = "usage: wirescat SUBCOMMAND [-h] [--config CONFIG] [--KEY VALUE ...]"
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
+
+
+def _invocation(key: str) -> str:
+    """The flag of ``key`` with its value: KEY, its choices or none."""
+    kind, _, _, choices = _KEYS[key]
+    if kind is bool:
+        return _flag(key)
+    if choices:
+        return f"{_flag(key)} {{{','.join(choices)}}}"
+    return f"{_flag(key)} {key.upper()}"
 
 
 def build_config(subcommand: str, args: list[str]) -> SimpleNamespace:
@@ -639,14 +635,7 @@ def _help(subcommand: str | None) -> str:
     _, text, keys = _SUBCOMMANDS[subcommand]
     options.append(_help_line("--config CONFIG", "key = value config file; flags override it"))
     for key in keys:
-        kind, _, key_text, choices = _KEYS[key]
-        if kind is bool:
-            value = ""
-        elif choices:
-            value = " {" + ",".join(choices) + "}"
-        else:
-            value = " " + key.upper()
-        options.append(_help_line(_flag(key) + value, key_text))
+        options.append(_help_line(_invocation(key), _KEYS[key][2]))
     return (f"{_USAGE.replace('SUBCOMMAND', subcommand)}\n\n{text}\n\n"
             "Flag --key-name sets config key key_name and overrides the --config\n"
             "file; its value is the next argument or follows '='.  Flag names are\n"

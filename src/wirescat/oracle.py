@@ -54,8 +54,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .numerics import neville_diagonal
 from .scatter import resonance_parameters
-from .specfun import _index, threshold_energy
-from .wire import _check_countable
+from .specfun import _check_incident, _index
 
 __all__ = [
     "DiscreteWire",
@@ -222,17 +221,6 @@ def _dst(c) -> np.ndarray:
     return _fft_extension(c, -1.0)[1:len(c) + 1] * (0.5j * math.sqrt(2.0))
 
 
-def _check_energy(wire: DiscreteWire, n: int, omega: float) -> int:
-    """The checks of a solve that read neither width nor strength: the
-    incident mode index, a finite energy below the countable ceiling, and a
-    propagating incident mode.  Returns the index."""
-    n = _index(n, "incident mode", hi=wire.lead_modes)
-    _check_countable(omega)
-    if omega <= threshold_energy(n):
-        raise DomainError(f"incident mode {n} does not propagate at omega={omega}")
-    return n
-
-
 def solve(wire: DiscreteWire, n: int, omega: float, rho: float, rho0: float) -> OracleSolution:
     """Scatter lattice mode n off a defect column of width rho and strength
     rho0 at energy omega: the 1 x 1 call of :func:`solve_table`."""
@@ -282,8 +270,9 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
         # each check comes where the row-major sequence of 1 x 1 solves
         # meets it: the row's first cell, then the checks, then the others
         row = [(rho0s[0], _inverse_strength(rho, rho0s[0]))]
-        if modes is None:
-            n = _check_energy(wire, n, omega)
+        if modes is None:  # the checks that read neither width nor strength
+            n = _index(n, "incident mode", hi=wire.lead_modes)
+            _check_incident(n, omega)
         if rho / h < 4.0:
             raise ConfigurationError(
                 f"impurity width under-resolved: rho/h_y = {rho / h:.2f} < 4"

@@ -22,33 +22,16 @@ from .numerics import neville_zero
 from .specfun import (
     _TERM_BUDGET,
     EULER_GAMMA,
-    _index,
+    _check_position,
+    _window,
     evanescent_gaussian_sum,
-    threshold_energy,
 )
-from .wire import propagating_count
 
 __all__ = [
     "regularized_scale",
     "regularized_scale_tail_subtraction",
     "regularized_scales",
 ]
-
-
-def _validate_window(omega: float, m: int) -> None:
-    if not math.isfinite(omega):
-        raise DomainError(f"energy must be finite, got {omega}")
-    m = _index(m, "cut-off index")
-    if omega >= threshold_energy(m + 1):
-        raise DomainError(
-            f"omega={omega} lies above the cut-off of mode {m + 1}; "
-            "the evanescent split requires omega < ((m+1) pi)^2"
-        )
-    if propagating_count(omega) > m:
-        raise DomainError(
-            f"all propagating modes must be included in the explicit sum: "
-            f"{propagating_count(omega)} modes propagate at omega={omega} but m={m}"
-        )
 
 
 _LADDER_LEVELS = 14  # deepest rung k of the cross-check ladder rho_k = start 2^-k
@@ -111,9 +94,10 @@ def regularized_scale(eps: float, omega: float, m: int, *,
     1e4, which covers the windows of m <= 30; beyond that it raises
     unless ``stability`` is loosened (or ``ladder_start`` lowered).
     """
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"impurity position must satisfy 0 < eps < 1, got {eps}")
-    _validate_window(omega, m)
+    _check_position(eps)
+    m = _window(omega, m)
+    if not ladder_start > 0.0:
+        raise DomainError(f"ladder_start must be positive, got {ladder_start}")
     edge = min(eps, 1.0 - eps)
     start = min(ladder_start, max(2.0 * edge, 1e-4))
     rhos, values = [], []
@@ -170,11 +154,10 @@ def regularized_scales(eps: float, omegas, ms) -> np.ndarray:
     and ConvergenceError when N0 exceeds the term budget (an impurity within
     ~2e-6 of a wall); the first energy at fault is reported.
     """
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"impurity position must satisfy 0 < eps < 1, got {eps}")
+    _check_position(eps)
     n0s = []
     for omega, m in zip(omegas, ms, strict=True):
-        _validate_window(omega, m)
+        m = _window(omega, m)
         n0s.append(_head_terms(eps, omega, m))
     return _scales(eps, omegas, ms, n0s)
 

@@ -56,20 +56,23 @@ from .errors import (
     ValidityWarning,
 )
 from .rhobar import (
-    _validate_window,
     regularized_scale,
     regularized_scale_tail_subtraction,
     regularized_scales,
 )
 from .specfun import (
-    _MAX_INDEX,
     EULER_GAMMA,
+    _check_incident,
+    _check_position,
+    _check_size,
     _index,
+    _window,
     cosine_integral,
     longitudinal_wavenumber,
+    nearest_threshold_index,
+    propagating_count,
     threshold_energy,
 )
-from .wire import _check_countable, propagating_count
 
 __all__ = [
     "Impurity",
@@ -110,8 +113,7 @@ class Impurity:
     rho0: float
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise DomainError(f"impurity position must satisfy 0 < eps < 1, got {self.epsilon}")
+        _check_position(self.epsilon)
         if not 0.0 < self.rho0 < math.inf:
             raise DomainError(f"impurity scale rho0 must be positive and finite, got {self.rho0}")
 
@@ -140,8 +142,9 @@ class OneDBarrier:
             if not math.isfinite(value):
                 raise DomainError(f"barrier {name} must be finite, got {value}")
         if self.kind == "weak-finite":
-            if self.delta_v <= 0 or self.width <= 0:
-                raise DomainError("weak-finite barrier needs delta_v > 0 and width > 0")
+            if self.delta_v <= 0 or not self.delta_v * self.width > 0:  # width > 0, no underflow
+                raise DomainError("weak-finite barrier needs delta_v > 0 and width > 0 with a "
+                                  f"nonzero product, got {self.delta_v} and {self.width}")
             if math.sqrt(self.delta_v) * self.width >= 0.1:
                 warnings.warn(
                     "sqrt(delta_v)*width >= 0.1: outside the weak-barrier regime",
@@ -182,31 +185,6 @@ _NODE = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# energy-window bookkeeping
-# ---------------------------------------------------------------------------
-
-def nearest_threshold_index(omega: float) -> int:
-    """Cut-off index m whose window contains omega.
-
-    m is the largest integer with (m pi)^2 <= omega + w, half-width
-    w = ((m+1)^2 - m^2) pi^2 / 2; equivalently the largest m with
-    m^2 - m - 1/2 <= omega/pi^2.  The amplitude pipeline is independent of
-    this labelling as long as every propagating mode is <= m and
-    omega < ((m+1) pi)^2, which the rule guarantees.
-    """
-    _check_countable(omega)
-    if omega <= 0.0:
-        raise DomainError(f"energy must be positive, got {omega}")
-    ratio = omega / math.pi**2
-    m = int(math.floor((1.0 + math.sqrt(3.0 + 4.0 * ratio)) / 2.0))
-    while m > 1 and (m * m - m - 0.5) > ratio:
-        m -= 1
-    while ((m + 1) ** 2 - (m + 1) - 0.5) <= ratio:
-        m += 1
-    return max(m, 1)
-
-
-# ---------------------------------------------------------------------------
 # amplitudes and fields
 # ---------------------------------------------------------------------------
 
@@ -214,11 +192,10 @@ def _cutoff_wavenumbers(omega: float, m: int, ns, ls) -> list:
     """k_q for q = 1..max(m, max(ls)) as Python complexes, after the checks
     of an amplitude table at one energy whose mode indices ``ns`` and ``ls``
     are checked: DomainError for an energy outside the window of cut-off m
-    or an incident mode that does not propagate.  k_m = 0 on the cut-off of
-    mode m."""
-    _validate_window(omega, m)
-    if omega <= threshold_energy(max(ns)):
-        raise DomainError(f"incident mode {max(ns)} does not propagate at omega={omega}")
+    or at or below the cut-off of an incident mode.  k_m = 0 on the cut-off
+    of mode m."""
+    _window(omega, m)
+    _check_incident(max(ns), omega)
     return [longitudinal_wavenumber(q, omega) for q in range(1, max(m, max(ls)) + 1)]
 
 
@@ -295,7 +272,7 @@ def scattering_amplitude(impurity: Impurity, n: int, l: int, omega: float,
     numerator vanishes together with the divergent bracket term.
     """
     n, l = _index(n, "incident mode"), _index(l, "outgoing mode")
-    m = nearest_threshold_index(omega) if m is None else _index(m, "cut-off index")
+    m = _window(omega, m)
     return complex(_amplitude_table(impurity, omega, m, [n], [l])[2][0, 0])
 
 
@@ -308,7 +285,7 @@ def solve_scattering(impurity: Impurity, n: int, omega: float, m: int | None = N
     l, whatever l_max is, and is reported, never silently normalized away.
     """
     n = _index(n, "incident mode")
-    m = nearest_threshold_index(omega) if m is None else _index(m, "cut-off index")
+    m = _window(omega, m)
     l_max = m + 20 if l_max is None else _index(l_max, "mode truncation l_max")
     p = propagating_count(omega)
     rho_bar, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, max(l_max, p) + 1))
@@ -331,10 +308,12 @@ def solve_scattering(impurity: Impurity, n: int, omega: float, m: int | None = N
 
 
 def _finite_positions(xs, ys):
-    """xs and ys as float arrays; DomainError naming the axis that holds a
-    non-finite position."""
+    """xs and ys as float arrays; DomainError naming both lengths when the
+    grid ys x xs is over the size limit, or the axis that holds a non-finite
+    position."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    _check_size(xs.size * ys.size, "field grid of {} x and {} y", xs.size, ys.size)
     for name, values in (("x", xs), ("y", ys)):
         if not np.all(np.isfinite(values)):
             raise DomainError(f"field positions {name} must be finite")
@@ -363,14 +342,14 @@ def scattered_field_grid(impurity: Impurity, n: int, omega: float, xs, ys,
     sampled |x| above the 1e-12 level (hard cap 400: directly at the
     impurity cross-section the evanescent series converges only like the
     log-singular Green's function it resums).  An empty xs or ys gives an
-    empty grid.  Raises DomainError on a non-finite position, and before
-    the amplitude table is built when the synthesis is over the size limit
-    of :func:`_columns`.
+    empty grid.  Raises DomainError on a non-finite position or a grid of
+    more than _MAX_INDEX points, and before the amplitude table is built
+    when the synthesis is over the size limit of :func:`_columns`.
     """
     xs, ys = _finite_positions(xs, ys)
     n = _index(n, "incident mode")
     # a window past the index ceiling is refused before its truncation
-    m = _index(nearest_threshold_index(omega) if m is None else m, "cut-off index")
+    m = _window(omega, m)
     l_max = _truncation(m, xs) if l_max is None else _index(l_max, "mode truncation l_max")
     columns = _columns(l_max, xs, ys)
     _, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, l_max + 1))
@@ -398,11 +377,8 @@ def _columns(l_max: int, xs, ys):
     columns, inverse = np.unique(np.abs(xs), return_inverse=True)
     if len(columns) < 2 or len(ys) < 2:
         columns, inverse = np.abs(xs), np.arange(len(xs))
-    size = l_max * (len(columns) + len(ys))
-    if size > _MAX_INDEX:
-        raise DomainError(
-            f"field synthesis of l_max = {l_max} modes over {len(columns)} distinct |x| and "
-            f"{len(ys)} y: {size} values are above the {_MAX_INDEX}-value limit")
+    _check_size(l_max * (len(columns) + len(ys)), "field synthesis of l_max = {} modes "
+                "over {} distinct |x| and {} y", l_max, len(columns), len(ys))
     return columns, inverse
 
 
@@ -523,8 +499,8 @@ def threshold_field_grid(impurity: Impurity, n: int, m: int, xs, ys) -> np.ndarr
     on the strength.  It is synthesized as :func:`scattered_field_grid`
     synthesizes, with its default truncation, and one DecoupledModeWarning
     is emitted for the whole grid.  Raises DomainError on a non-finite
-    position, and on a node for a synthesis over the size limit of
-    :func:`_columns`.
+    position or a grid of more than _MAX_INDEX points, and on a node for a
+    synthesis over the size limit of :func:`_columns`.
     """
     xs, ys = _finite_positions(xs, ys)
     eps = impurity.epsilon
@@ -627,7 +603,11 @@ def reflection_1d(barrier: OneDBarrier, omega: float) -> float:
         strength = barrier.alpha
     else:
         strength = barrier.delta_v * barrier.width
-    return 1.0 / (1.0 + 4.0 * omega / strength**2)
+    try:
+        return 1.0 / (1.0 + 4.0 * omega / strength**2)
+    except (OverflowError, ZeroDivisionError):  # strength**2 leaves the float range
+        ratio = 2.0 * math.sqrt(omega) / strength
+        return 1.0 / (1.0 + ratio * ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Special functions and numeric primitives for the waveguide problem.
+"""Special functions, numeric primitives and the input rules of the library.
 
 Everything here is a pure function of its arguments; no shared state.
 Energies are measured in units of 1/width^2 with hbar = 2m = 1, so the
-transverse cut-offs of a hard-wall wire of unit width sit at (l pi)^2.
+transverse cut-offs of a hard-wall wire of unit width sit at (l pi)^2.  Each
+input rule is written here once, and raises DomainError naming the input:
+indices and counts (``_index``), an energy and its cut-off window
+(``_window``), an incident mode, an impurity position and a size.
 """
 
 from __future__ import annotations
@@ -116,6 +119,96 @@ def threshold_energy(m: int) -> float:
     return (_index(m, hi=_MAX_CUTOFF) * math.pi) ** 2
 
 
+#: From (2^52 pi)^2 up, floats no longer tell neighbouring cut-offs apart.
+_MAX_ENERGY = threshold_energy(_MAX_CUTOFF)
+
+
+def _check_countable(omega: float) -> None:
+    """DomainError for an energy that is not finite, or from ``_MAX_ENERGY``
+    up, where no mode count can be resolved."""
+    if not math.isfinite(omega):
+        raise DomainError(f"energy must be finite, got {omega}")
+    if omega >= _MAX_ENERGY:
+        raise DomainError(f"energy {omega} is at or above {_MAX_ENERGY:.3g}, where "
+                          "neighbouring cut-offs round together")
+
+
+def propagating_count(omega: float) -> int:
+    """Number of hard-wall modes with cut-off strictly below omega."""
+    _check_countable(omega)
+    if omega <= math.pi**2:
+        return 0
+    p = int(math.floor(math.sqrt(omega) / math.pi))
+    while p >= 1 and threshold_energy(p) >= omega:
+        p -= 1
+    while threshold_energy(p + 1) < omega:
+        p += 1
+    return p
+
+
+def nearest_threshold_index(omega: float) -> int:
+    """Cut-off index m whose window contains omega.
+
+    m is the largest integer with (m pi)^2 <= omega + w, half-width
+    w = ((m+1)^2 - m^2) pi^2 / 2; equivalently the largest m with
+    m^2 - m - 1/2 <= omega/pi^2.  The amplitude pipeline is independent of
+    this labelling as long as every propagating mode is <= m and
+    omega < ((m+1) pi)^2, which the rule guarantees.  The label is not
+    bounded by the index ceiling; :func:`_window` checks it.
+    """
+    _check_countable(omega)
+    if omega <= 0.0:
+        raise DomainError(f"energy must be positive, got {omega}")
+    ratio = omega / math.pi**2
+    m = int(math.floor((1.0 + math.sqrt(3.0 + 4.0 * ratio)) / 2.0))
+    while m > 1 and (m * m - m - 0.5) > ratio:
+        m -= 1
+    while ((m + 1) ** 2 - (m + 1) - 0.5) <= ratio:
+        m += 1
+    return max(m, 1)
+
+
+def _window(omega: float, m=None) -> int:
+    """The cut-off index m of the window of a finite energy omega: m when
+    given, else :func:`nearest_threshold_index`, through :func:`_index`
+    either way.  DomainError unless omega < ((m+1) pi)^2, which leaves every
+    mode above m evanescent; at most m modes then propagate."""
+    if m is None:  # the nearest window holds omega by construction
+        return _index(nearest_threshold_index(omega), "cut-off index")
+    if not math.isfinite(omega):
+        raise DomainError(f"energy must be finite, got {omega}")
+    m = _index(m, "cut-off index")
+    if omega >= threshold_energy(m + 1):
+        raise DomainError(
+            f"omega={omega} lies above the cut-off of mode {m + 1}; "
+            "the evanescent split requires omega < ((m+1) pi)^2"
+        )
+    return m
+
+
+def _check_incident(n: int, omega: float) -> None:
+    """DomainError unless omega is a countable energy at which mode n
+    propagates (above its cut-off)."""
+    _check_countable(omega)
+    if omega <= threshold_energy(n):
+        raise DomainError(f"incident mode {n} does not propagate at omega={omega}")
+
+
+def _check_position(eps: float) -> None:
+    """DomainError unless the impurity position eps lies inside the wire."""
+    if not (0.0 < eps < 1.0):
+        raise DomainError(f"impurity position must satisfy 0 < eps < 1, got {eps}")
+
+
+def _check_size(size: int, what: str, *args) -> None:
+    """DomainError naming ``size`` and ``what.format(*args)`` (formatted
+    only then) when an allocation of ``size`` values, its size picked by the
+    caller, is above _MAX_INDEX."""
+    if size > _MAX_INDEX:
+        raise DomainError(f"{what.format(*args)}: {size} values are above the "
+                          f"{_MAX_INDEX}-value limit")
+
+
 def evanescent_gaussian_sum(eps: float, omega: float, m: int, rho: float) -> float:
     """Gaussian-damped sum over the evanescent modes above the m-th cut-off:
 
@@ -133,12 +226,9 @@ def evanescent_gaussian_sum(eps: float, omega: float, m: int, rho: float) -> flo
             raise DomainError(f"{name} must be finite, got {value}")
     if rho <= 0.0:
         raise DomainError(f"gaussian width must be positive, got {rho}")
-    m = _index(m, "cut-off index")
-    if omega >= threshold_energy(m + 1):
-        raise DomainError(
-            f"omega={omega} is above the (m+1)-th cut-off; summed modes must all "
-            "be evanescent"
-        )
+    m = _window(omega, m)
+    if (m + 1) * math.pi * rho > 54.7:  # every factor exp(-(n pi rho/2)^2) is 0.0
+        return 0.0
     # exp(-(n pi rho/2)^2) < 1e-18 once n > 2*sqrt(41.5)/(pi rho); checked
     # as a float, since int() of 4.11/rho fails once it overflows to inf
     if 4.11 / rho > _TERM_BUDGET:

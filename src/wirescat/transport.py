@@ -14,17 +14,19 @@ import numpy as np
 
 from .errors import DomainError, WirescatError
 from .rhobar import _head_terms, _scales, regularized_scale_tail_subtraction
-from .scatter import (
-    Impurity,
-    _amplitudes,
-    _cutoff_wavenumbers,
-    _wavenumbers,
-    nearest_threshold_index,
+from .scatter import Impurity, _amplitudes, _cutoff_wavenumbers, _wavenumbers
+from .specfun import (
+    _MAX_INDEX,
+    _check_size,
+    _index,
+    _window,
+    propagating_count,
+    threshold_energy,
 )
-from .specfun import _MAX_INDEX, _index, threshold_energy
-from .wire import propagating_count
 
 __all__ = ["TransportResult", "SweepPoint", "transport_at", "threshold_transport", "sweep"]
+
+_CHANNELS = "{} open channels at omega={}, p x p transport matrices"
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,8 @@ def _transport(impurity: Impurity, omegas) -> list:
             if p < 1:
                 raise DomainError(f"no propagating modes at omega={omega}")
             # a window past the index ceiling is refused before its channels
-            m = _index(nearest_threshold_index(omega), "cut-off index")
-            _check_channels(p, omega)
+            m = _window(omega)
+            _check_size(p * p, _CHANNELS, p, omega)
             modes = range(1, p + 1)
             k = _wavenumbers(omega, m, modes, modes)
             valid.append((i, m, p, k, _head_terms(eps, omega, m)))
@@ -116,14 +118,6 @@ def _transport(impurity: Impurity, omegas) -> list:
             for j, result in zip(rows, matrices):
                 results[index[j]] = result
     return results
-
-
-def _check_channels(p: int, omega: float) -> None:
-    """DomainError naming p and omega when the p x p transport matrices
-    would hold more than _MAX_INDEX values."""
-    if p * p > _MAX_INDEX:
-        raise DomainError(f"{p} open channels at omega={omega}: the p x p transport "
-                          f"matrices are above the {_MAX_INDEX}-value limit")
 
 
 def _matrices(impurity: Impurity, m: int, p: int, omegas, ks, rho_bars) -> list:
@@ -159,7 +153,7 @@ def threshold_transport(impurity: Impurity, m: int) -> TransportResult:
     """
     m = _index(m, "cut-off index", lo=2)
     omega = threshold_energy(m)
-    _check_channels(m - 1, omega)
+    _check_size((m - 1) ** 2, _CHANNELS, m - 1, omega)
     modes = range(1, m)
     k = _cutoff_wavenumbers(omega, m, modes, modes)
     rho_bar = regularized_scale_tail_subtraction(impurity.epsilon, omega, m)

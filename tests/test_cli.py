@@ -332,6 +332,92 @@ class TestUnwritableOutput:
         assert not path.parent.exists()
 
 
+class TestErrorBranches:
+    """Each configuration error of the CLI exits 2 with a message naming the
+    key (or the config line) at fault."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        # required keys
+        (["sweep", "--epsilon", "0.3", "--rho0", "0.01"], None,
+         "--omega-grid OMEGA_GRID is required"),
+        (["sweep", "--rho0", "0.01", "--omega-grid", "1.1:2:3"], None,
+         "--epsilon EPSILON is required"),
+        (["sweep", "--epsilon", "0.3", "--omega-grid", "1.1:2:3"], None,
+         "--rho0 RHO0 is required"),
+        (["field", "--omega", "39.0"], None,
+         "--field-mode {clean,defect,threshold} is required"),
+        (["field", "--field-mode", "clean"], None, "--omega OMEGA is required"),
+        (["field", "--field-mode", "defect", "--epsilon", "0.3", "--rho0", "0.01"], None,
+         "--omega OMEGA is required"),
+        (["field", "--field-mode", "defect", "--omega", "39.0", "--rho0", "0.01"], None,
+         "--epsilon EPSILON is required"),
+        (["field", "--field-mode", "threshold", "--epsilon", "0.3", "--rho0", "0.01"], None,
+         "--threshold-m THRESHOLD_M is required"),
+        (["field", "--field-mode", "threshold", "--threshold-m", "2", "--epsilon", "0.3"],
+         None, "--rho0 RHO0 is required"),
+        (["universality", "--epsilon", "0.3", "--rho0-list", "1e-3"], None,
+         "--threshold-m THRESHOLD_M is required"),
+        (["universality", "--threshold-m", "2", "--rho0-list", "1e-3"], None,
+         "--epsilon EPSILON is required"),
+        (["universality", "--threshold-m", "2", "--epsilon", "0.3"], None,
+         "--rho0-list RHO0_LIST is required"),
+        (["oned", "--alpha", "1"], None, "--omega-grid OMEGA_GRID is required"),
+        (["oracle-compare", "--epsilon", "0.3", "--rho0", "0.01"], None,
+         "--omega OMEGA is required"),
+        (["oracle-compare", "--omega", "41.452", "--epsilon", "0.3"], None,
+         "--rho0 RHO0 is required"),
+        # the field grid
+        (["field", "--field-mode", "clean", "--omega", "39.5", "--nx", "0"], None,
+         "nx must be an integer in 1.."),
+        (["field", "--field-mode", "clean", "--omega", "39.5", "--ny", "-1"], None,
+         "ny must be an integer in 1.."),
+        (["field", "--field-mode", "clean", "--omega", "39.5", "--x-min", "1", "--x-max", "1"],
+         None, "x_max > x_min"),
+        # parse errors
+        (["sweep"], "epsilon 0.3\n", ":1: expected 'key = value'"),
+        (["universality", "--threshold-m", "2", "--epsilon", "0.3", "--rho0-list", "1e-3"],
+         "oracle = maybe\n", "config key 'oracle' expects a boolean, got 'maybe'"),
+        (["field", "--nx", "many"], None, "config key 'nx': invalid literal"),
+        (["sweep", "--epsilon", "0.3", "--rho0", "0.01", "--omega-grid", "1.1:2"], None,
+         "omega_grid must be 'lo:hi:count', got '1.1:2'"),
+        (["sweep", "--epsilon", "0.3", "--rho0", "0.01", "--omega-grid", "1.1:2:0"], None,
+         "omega_grid count must be an integer in 1.."),
+        (["universality", "--threshold-m", "2", "--epsilon", "0.3", "--rho0-list", "1e-3,x"],
+         None, "rho0_list must be comma-separated numbers"),
+        (["universality", "--threshold-m", "2", "--epsilon", "0.3", "--rho0-list", ","], None,
+         "rho0_list must not be empty"),
+        (["universality", "--threshold-m", "2", "--epsilon", "0.3", "--rho0-list", "1e-3",
+          "--offsets="], None, "offsets must not be empty"),
+        (["oracle-compare", "--omega", "41.452", "--epsilon", "0.3", "--rho0", "0.01",
+          "--rho-ladder", "0.04;0.02"], None, "rho_ladder must be comma-separated numbers"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_exits_two_naming_the_key(self, tmp_path, capsys, argv, config, message):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--epsilon", "0.3", "--rho0", "0.01"], ["oned", "--alpha", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_energy_count_over_the_limit_exits_two_before_the_grid(self, monkeypatch, capsys,
+                                                                   alarm, argv):
+        # 10^8 energies: the grid alone is 763 MiB, and a sweep of it more
+        def linspace(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr("wirescat.cli.np.linspace", linspace)
+        with alarm(5):
+            assert run(*argv, "--omega-grid", "1.1:1.9:100000000") == 2
+        assert "omega_grid count must be an integer in 1..3749999, got 100000000" in \
+            capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_domain_error_exits_two(self, capsys):
         assert run("field", "--field-mode", "defect", "--epsilon", "1.5",

@@ -107,7 +107,7 @@ class TestThresholdWindow:
         # from (2^52 pi)^2 up neighbouring cut-offs round together: the mode
         # counts must raise there, not search forever for a count
         from wirescat import propagating_count, sweep
-        from wirescat.wire import _MAX_ENERGY
+        from wirescat.specfun import _MAX_ENERGY
 
         with alarm(5):
             for bad in (_MAX_ENERGY, 1e34, 1e100):
@@ -506,6 +506,17 @@ class TestScatteredField:
             grid = scattered_field_grid(canonical_impurity, 1, self.OM,
                                         grid_xs, grid_ys)
             assert grid.shape == (len(grid_ys), len(grid_xs))
+
+    def test_grid_over_the_size_limit_refused_before_it_is_built(self, canonical_impurity,
+                                                                 alarm):
+        # 20000 x 20000 points: 5.96 GiB of complex values for one map
+        xs, ys = np.linspace(1.0, 2.0, 20000), np.linspace(0.01, 0.99, 20000)
+        message = "field grid of 20000 x and 20000 y: 400000000 values"
+        with alarm(5):
+            with pytest.raises(DomainError, match=message):
+                scattered_field_grid(canonical_impurity, 1, 50.0, xs, ys)
+            with pytest.raises(DomainError, match=message):
+                threshold_field_grid(canonical_impurity, 1, 2, xs, ys)
 
     def test_synthesis_over_the_size_limit_refused_before_the_amplitudes(
             self, canonical_impurity, monkeypatch):

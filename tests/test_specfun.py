@@ -12,6 +12,7 @@ from wirescat import (
     cosine_integral,
     evanescent_gaussian_sum,
     longitudinal_wavenumber,
+    propagating_count,
     threshold_energy,
 )
 from conftest import brute_force_cut_sum
@@ -118,6 +119,15 @@ class TestThresholdEnergy:
     def test_rejects_bad_index(self, m):
         with pytest.raises(DomainError, match=f"mode index must be an integer in 1..{2**52}, got {m}"):
             threshold_energy(m)
+
+
+class TestPropagatingCount:
+    def test_counts(self):
+        assert propagating_count(0.5 * math.pi**2) == 0
+        assert propagating_count(1.1 * math.pi**2) == 1
+        assert propagating_count(4 * math.pi**2) == 1   # strictly below
+        assert propagating_count(4.01 * math.pi**2) == 2
+        assert propagating_count(9.5 * math.pi**2) == 3
 
 
 class TestEvanescentGaussianSum:
