@@ -36,6 +36,7 @@ from .errors import (
     ConvergenceError,
     WirescatError,
 )
+from .kernels import lattice_rows
 from .scatter import (
     Impurity,
     OneDBarrier,
@@ -296,10 +297,13 @@ def run_field(cfg: SimpleNamespace) -> int:
     CSV numbers come from the numpy kernel of :mod:`wirescat._fmt17`,
     whose text is ``FMT % v`` for every float.  A few rows at a time (or
     part of one long row) are laid out as NUL-padded cells, and the NULs
-    dropped; the x and y cells are formatted once.  JSON is one
-    ``json.dumps`` per point.  :func:`_write_rows` builds the numbers of
-    the y-row blocks of a large map and formats them in forked workers, one
-    per usable CPU (Linux only), and writes the same bytes as one process.
+    dropped; the x and y cells are formatted once.  JSON has the bytes of
+    one ``json.dumps`` per point: a finite row is one ``%r`` template, a
+    row with a non-finite number goes through ``json.dumps``.
+    :func:`_write_rows` builds the numbers of the y-row blocks of a large
+    map and formats them in forked workers, one per usable CPU (Linux
+    only), and writes the same bytes as one process.  The rows are the
+    lattice y_j = j/(ny+1) of :func:`~wirescat.kernels.lattice_rows`.
     """
     _require(cfg, "field_mode")
     _check_size(cfg.nx * cfg.ny, "field grid of nx * ny = {} * {} = {} points", cfg.nx,
@@ -313,7 +317,7 @@ def run_field(cfg: SimpleNamespace) -> int:
         raise ConfigurationError("field grid needs x_max > x_min")
     n = cfg.mode_n
     xs = np.linspace(cfg.x_min, cfg.x_max, nx)
-    ys = np.linspace(0.0, 1.0, ny + 2)[1:-1]  # interior lattice
+    ys = lattice_rows(ny)
 
     if cfg.field_mode == "clean":
         _require(cfg, "omega")
@@ -322,10 +326,10 @@ def run_field(cfg: SimpleNamespace) -> int:
         psi = np.outer(np.sin(n * np.pi * ys), np.exp(1j * k_n * xs))
     elif cfg.field_mode == "defect":
         _require(cfg, "omega", "epsilon", "rho0")
-        psi = scattered_field_grid(Impurity(cfg.epsilon, cfg.rho0), n, cfg.omega, xs, ys)
+        psi = scattered_field_grid(Impurity(cfg.epsilon, cfg.rho0), n, cfg.omega, xs, ny)
     else:
         _require(cfg, "threshold_m", "epsilon", "rho0")
-        psi = threshold_field_grid(Impurity(cfg.epsilon, cfg.rho0), n, cfg.threshold_m, xs, ys)
+        psi = threshold_field_grid(Impurity(cfg.epsilon, cfg.rho0), n, cfg.threshold_m, xs, ny)
 
     header = ["x", "y", "density"] + (["re", "im"] if cfg.with_complex else [])
     n_col = len(header) - 2
@@ -342,15 +346,22 @@ def run_field(cfg: SimpleNamespace) -> int:
         return np.stack(columns, axis=-1)
 
     if cfg.format == "json":
-        x_list, y_list = xs.tolist(), ys.tolist()
+        # json.dumps of a finite float is its repr: one template per row
+        line = "{" + ", ".join(f'"{key}": %r' for key in header) + "}\n"
+        row_template = line * len(xs)
 
-        def format_row(y, row):
-            return "".join(json.dumps(dict(zip(header, [x, y, *row[i:i + n_col]]))) + "\n"
-                           for x, i in zip(x_list, range(0, len(row), n_col)))
+        def format_row(points):
+            numbers = points.ravel().tolist()
+            if np.all(np.isfinite(points)):
+                return row_template % tuple(numbers)
+            return "".join(json.dumps(dict(zip(header, numbers[i:i + len(header)]))) + "\n"
+                           for i in range(0, len(numbers), len(header)))
 
         def format_rows(lo, hi):
-            rows = values(psi[lo:hi]).reshape(hi - lo, -1)
-            return map(format_row, y_list[lo:hi], map(np.ndarray.tolist, rows))
+            points = np.empty((hi - lo, len(xs), len(header)))
+            points[..., 0], points[..., 1] = xs, ys[lo:hi, None]
+            points[..., 2:] = values(psi[lo:hi])
+            return map(format_row, points)
     else:
         from . import _fmt17
 

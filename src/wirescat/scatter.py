@@ -307,51 +307,71 @@ def solve_scattering(impurity: Impurity, n: int, omega: float, m: int | None = N
     )
 
 
-def _finite_positions(xs, ys):
-    """xs and ys as float arrays; DomainError naming both lengths when the
-    grid ys x xs is over the size limit, or the axis that holds a non-finite
-    position."""
+def _grid(xs, ny):
+    """xs as a float array and the ny lattice rows of a field map
+    (:func:`~wirescat.kernels.lattice_rows`).  DomainError naming ny unless
+    it is a row count, naming both sizes when the grid is over the size
+    limit, and naming the value of a non-finite x."""
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    _check_size(xs.size * ys.size, "field grid of {} x and {} y", xs.size, ys.size)
-    for name, values in (("x", xs), ("y", ys)):
-        if not np.all(np.isfinite(values)):
-            raise DomainError(f"field positions {name} must be finite")
-    return xs, ys
+    ny = _index(ny, "field rows ny")
+    _check_size(xs.size * ny, "field grid of {} x and {} y", xs.size, ny)
+    bad = xs[~np.isfinite(xs)]
+    if bad.size:
+        raise DomainError(f"field position x must be finite, got {bad.flat[0]}")
+    return xs, kernels.lattice_rows(ny)
+
+
+def _point(r):
+    """The (x, y) of a field point r; DomainError naming the coordinate and
+    its value unless x is finite and 0 <= y <= 1 (inside the wire)."""
+    x, y = r
+    if not math.isfinite(x):
+        raise DomainError(f"field position x must be finite, got {x}")
+    if not 0.0 <= y <= 1.0:
+        raise DomainError(f"field position y must lie in the wire, 0 <= y <= 1, got {y}")
+    return x, y
 
 
 def scattered_field(impurity: Impurity, n: int, omega: float, r, m: int | None = None,
                     l_max: int | None = None) -> complex:
-    """Total wavefunction at r = (x, y): incident mode n plus the impurity
-    wave, evanescent content included up to the mode truncation l_max."""
-    x, y = r
-    grid = scattered_field_grid(impurity, n, omega, np.array([x]), np.array([y]),
-                                m=m, l_max=l_max)
-    return complex(grid[0, 0])
+    """Total wavefunction at r = (x, y), any y in [0, 1]: incident mode n
+    plus the impurity wave, evanescent content included up to the mode
+    truncation l_max (default as in :func:`scattered_field_grid`, for the
+    one |x|).  A direct sum over the modes, the cross-check of the grid's
+    sine transform."""
+    x, y = _point(r)
+    n = _index(n, "incident mode")
+    m = _window(omega, m)
+    l_max = _truncation(m, [x]) if l_max is None else _index(l_max, "mode truncation l_max")
+    _, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, l_max + 1))
+    return _point_sum(n, k, amp[0], x, y)
 
 
-def scattered_field_grid(impurity: Impurity, n: int, omega: float, xs, ys,
+def scattered_field_grid(impurity: Impurity, n: int, omega: float, xs, ny: int,
                          m: int | None = None,
                          l_max: int | None = None) -> np.ndarray:
-    """Vectorized field on the tensor grid ys x xs; returns psi[iy, ix].
+    """Vectorized field on the columns xs and the ny lattice rows
+    y_j = j/(ny+1), j = 1..ny (:func:`~wirescat.kernels.lattice_rows`, the
+    rows of ``wirescat field``); returns psi[iy, ix].
 
     Both sides are the incident wave plus -A_nl e^{i k_l |x|} (on x > 0 that
     is (delta_nl - A_nl) e^{i k_l x}), one field synthesis over the distinct
-    values of |x|.  The evanescent truncation
+    values of |x|, a sine transform over the rows.  The evanescent truncation
     l_max defaults to m + 40 plus however many modes still reach the nearest
     sampled |x| above the 1e-12 level (hard cap 400: directly at the
     impurity cross-section the evanescent series converges only like the
-    log-singular Green's function it resums).  An empty xs or ys gives an
-    empty grid.  Raises DomainError on a non-finite position or a grid of
-    more than _MAX_INDEX points, and before the amplitude table is built
-    when the synthesis is over the size limit of :func:`_columns`.
+    log-singular Green's function it resums).  An empty xs gives an empty
+    grid.  Raises DomainError on a non-finite position, a row count ny
+    outside 1.._MAX_INDEX or a grid of more than _MAX_INDEX points, and
+    before the amplitude table is built when the synthesis is over the size
+    limit of :func:`_columns`.
     """
-    xs, ys = _finite_positions(xs, ys)
+    xs, ys = _grid(xs, ny)
     n = _index(n, "incident mode")
     # a window past the index ceiling is refused before its truncation
     m = _window(omega, m)
     l_max = _truncation(m, xs) if l_max is None else _index(l_max, "mode truncation l_max")
-    columns = _columns(l_max, xs, ys)
+    columns = _columns(l_max, xs, len(ys))
     _, k, amp = _amplitude_table(impurity, omega, m, [n], range(1, l_max + 1))
     return _synthesis(n, k, amp[0], xs, ys, columns)
 
@@ -366,19 +386,15 @@ def _truncation(m: int, xs) -> int:
     return l_max
 
 
-def _columns(l_max: int, xs, ys):
-    """(columns, inverse): the |x| that :func:`_synthesis` synthesizes and
-    the column of each x among them.  DomainError naming l_max and the grid
-    when the synthesis of l_max modes would hold more than _MAX_INDEX
-    values, l_max per column and per y."""
-    # each distinct |x| once, unless one row or one distinct |x| is left:
-    # numpy would then take a matrix-vector product, whose bits differ from
-    # those of the product over every column
+def _columns(l_max: int, xs, ny: int):
+    """(columns, inverse): each distinct |x| that :func:`_synthesis`
+    synthesizes and the column of each x among them.  DomainError naming
+    l_max and the grid when the synthesis of l_max modes on ny rows would
+    hold more than _MAX_INDEX values: l_max + 2(ny + 1) per column, the
+    modes padded to whole periods of the sine transform."""
     columns, inverse = np.unique(np.abs(xs), return_inverse=True)
-    if len(columns) < 2 or len(ys) < 2:
-        columns, inverse = np.abs(xs), np.arange(len(xs))
-    _check_size(l_max * (len(columns) + len(ys)), "field synthesis of l_max = {} modes "
-                "over {} distinct |x| and {} y", l_max, len(columns), len(ys))
+    _check_size((l_max + 2 * (ny + 1)) * len(columns), "field synthesis of l_max = {} modes "
+                "over {} distinct |x| and {} y", l_max, len(columns), ny)
     return columns, inverse
 
 
@@ -391,6 +407,14 @@ def _synthesis(n: int, k, amp_row, xs, ys, gather) -> np.ndarray:
     out = kernels.field_grid(columns, ys, -amp_row, k[:len(amp_row)]).take(inverse, axis=1)
     out += np.outer(np.sin(n * np.pi * ys), np.exp(1j * k[n - 1] * xs))
     return out
+
+
+def _point_sum(n: int, k, amp_row, x: float, y: float) -> complex:
+    """The sum of :func:`_synthesis` at one point (x, y), any y, mode by
+    mode; no matrix product, so its bits do not depend on a BLAS."""
+    ls = np.arange(1, len(amp_row) + 1)
+    wave = amp_row * np.sin(ls * np.pi * y) * np.exp(1j * k[:len(amp_row)] * abs(x))
+    return complex(np.sin(n * np.pi * y) * np.exp(1j * k[n - 1] * x) - wave.sum())
 
 
 def resonance_parameter(impurity: Impurity, m: int,
@@ -449,11 +473,10 @@ def near_threshold_field(impurity: Impurity, n: int, m: int, omega: float, r) ->
     the value is still computed but a ValidityWarning is emitted.  Below the
     cut-off k_m is the decaying imaginary branch, so the resonant term is a
     real evanescent dressing of the incident wave.  Raises DomainError on a
-    non-finite position.
+    position outside the wire (:func:`scattered_field`).
     """
     n = _index(n, "incident mode")
-    x, y = r
-    _finite_positions(x, y)
+    x, y = _point(r)
     eps = impurity.epsilon
     d_inv_sqrt = resonance_parameter(impurity, m, omega)
     k_m = longitudinal_wavenumber(m, omega)
@@ -474,16 +497,22 @@ def near_threshold_field(impurity: Impurity, n: int, m: int, omega: float, r) ->
 
 
 def threshold_field(impurity: Impurity, n: int, m: int, r) -> complex:
-    """Field exactly at the m-th cut-off energy at r = (x, y); the 1 x 1 case
-    of :func:`threshold_field_grid`, which has the formulas."""
-    x, y = r
-    grid = threshold_field_grid(impurity, n, m, np.array([x]), np.array([y]))
-    return complex(grid[0, 0])
+    """Field exactly at the m-th cut-off energy at r = (x, y), any y in
+    [0, 1]; the formulas are those of :func:`threshold_field_grid`.  Off a
+    node of mode m the value has the bits of the grid's; on a node it is a
+    direct sum over the modes, as :func:`scattered_field` takes it."""
+    x, y = _point(r)
+    m = _index(m, "cut-off index")
+    n = _index(n, "incident mode", hi=m - 1)
+    if _on_node(impurity, m):
+        k, amp_row = _cutoff_amplitudes(impurity, n, m, _truncation(m, [x]))
+        return _point_sum(n, k, amp_row, x, y)
+    return complex(_cutoff_closed_form(impurity, n, m, np.array([x]), [y])[0, 0])
 
 
-def threshold_field_grid(impurity: Impurity, n: int, m: int, xs, ys) -> np.ndarray:
-    """Field exactly at the m-th cut-off energy on the tensor grid ys x xs;
-    returns psi[iy, ix]:
+def threshold_field_grid(impurity: Impurity, n: int, m: int, xs, ny: int) -> np.ndarray:
+    """Field exactly at the m-th cut-off energy on the columns xs and the ny
+    lattice rows of :func:`scattered_field_grid`; returns psi[iy, ix]:
 
         psi = sin(n pi y) e^{i pi sqrt(m^2-n^2) x}
               - [sin(n pi eps)/sin(m pi eps)] sin(m pi y).
@@ -499,37 +528,60 @@ def threshold_field_grid(impurity: Impurity, n: int, m: int, xs, ys) -> np.ndarr
     on the strength.  It is synthesized as :func:`scattered_field_grid`
     synthesizes, with its default truncation, and one DecoupledModeWarning
     is emitted for the whole grid.  Raises DomainError on a non-finite
-    position or a grid of more than _MAX_INDEX points, and on a node for a
-    synthesis over the size limit of :func:`_columns`.
+    position, a row count ny outside 1.._MAX_INDEX or a grid of more than
+    _MAX_INDEX points, and on a node for a synthesis over the size limit of
+    :func:`_columns`.
     """
-    xs, ys = _finite_positions(xs, ys)
-    eps = impurity.epsilon
+    xs, ys = _grid(xs, ny)
     m = _index(m, "cut-off index")
     n = _index(n, "incident mode", hi=m - 1)
-    omega = threshold_energy(m)
-    chi_m_eps = math.sin(m * math.pi * eps)
-    if abs(chi_m_eps) <= _NODE:
-        warnings.warn(
-            "impurity on a node of the resonant mode: the cut-off field is the "
-            "open channels' scattering and depends on the impurity strength",
-            DecoupledModeWarning,
-            stacklevel=2,
-        )
+    if _on_node(impurity, m):
         l_max = _truncation(m, xs)
-        columns = _columns(l_max, xs, ys)
-        ls = range(1, l_max + 1)
-        k = _cutoff_wavenumbers(omega, m, [n], ls)
-        rho_bar = regularized_scale_tail_subtraction(eps, omega, m)
-        k, amp = _amplitudes(impurity, m, [n], ls, [k], [rho_bar])
-        return _synthesis(n, k[0], amp[0, 0], xs, ys, columns)
+        columns = _columns(l_max, xs, len(ys))
+        k, amp_row = _cutoff_amplitudes(impurity, n, m, l_max)
+        return _synthesis(n, k, amp_row, xs, ys, columns)
+    return _cutoff_closed_form(impurity, n, m, xs, ys.tolist())
+
+
+def _on_node(impurity: Impurity, m: int) -> bool:
+    """Whether the impurity sits on a node of mode m; if so, the
+    DecoupledModeWarning of :func:`threshold_field_grid` is emitted for the
+    caller of the public function."""
+    if abs(math.sin(m * math.pi * impurity.epsilon)) > _NODE:
+        return False
+    warnings.warn(
+        "impurity on a node of the resonant mode: the cut-off field is the "
+        "open channels' scattering and depends on the impurity strength",
+        DecoupledModeWarning,
+        stacklevel=3,
+    )
+    return True
+
+
+def _cutoff_amplitudes(impurity: Impurity, n: int, m: int, l_max: int):
+    """(k, A_nl for l = 1..l_max) of the amplitude core at the cut-off
+    (m pi)^2, k_m = 0, with rho_bar there."""
+    omega = threshold_energy(m)
+    ls = range(1, l_max + 1)
+    k = _cutoff_wavenumbers(omega, m, [n], ls)
+    rho_bar = regularized_scale_tail_subtraction(impurity.epsilon, omega, m)
+    k, amp = _amplitudes(impurity, m, [n], ls, [k], [rho_bar])
+    return k[0], amp[0, 0]
+
+
+def _cutoff_closed_form(impurity: Impurity, n: int, m: int, xs, rows) -> np.ndarray:
+    """The closed form of :func:`threshold_field_grid` off a node of mode m,
+    on the columns xs and the rows ``rows`` (a list of y)."""
+    eps = impurity.epsilon
+    omega = threshold_energy(m)
     # same evaluation path as the generic wavenumber so that the
     # near-threshold form at k_m = 0 matches this one bit for bit; for
     # the same reason the rows take the scalar math.sin that form uses
     k_inc = longitudinal_wavenumber(n, omega).real
-    rows = ys.tolist()
     chi_n_y = np.array([math.sin(n * math.pi * y) for y in rows])
     chi_m_y = np.array([math.sin(m * math.pi * y) for y in rows])
     chi_n_eps = math.sin(n * math.pi * eps)
+    chi_m_eps = math.sin(m * math.pi * eps)
     psi = np.outer(chi_n_y, np.exp(1j * k_inc * xs))
     psi -= (chi_n_eps / chi_m_eps * chi_m_y)[:, None]
     return psi
@@ -570,13 +622,12 @@ def surface_threshold_field(n: int, m: int, side: str, r) -> complex:
         psi = sin(n pi y) e^{i pi sqrt(m^2-n^2) x} -/+ (n/m) sin(m pi y),
 
     minus for the lower wall, plus for the upper.  Raises DomainError on a
-    non-finite position."""
+    position outside the wire (:func:`scattered_field`)."""
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     m = _index(m, "cut-off index")
     n = _index(n, "incident mode", hi=m - 1)
-    x, y = r
-    _finite_positions(x, y)
+    x, y = _point(r)
     inc = math.sin(n * math.pi * y) * np.exp(1j * math.pi * math.sqrt(m * m - n * n) * x)
     sign = -1.0 if side == "lower" else 1.0
     return complex(inc + sign * (n / m) * math.sin(m * math.pi * y))

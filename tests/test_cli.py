@@ -28,6 +28,7 @@ from wirescat.cli import (
     build_config,
     main,
 )
+from wirescat.kernels import lattice_rows
 
 PI = math.pi
 DATA = Path(__file__).parent / "data"
@@ -596,7 +597,7 @@ class TestFieldOutputBytes:
             k = longitudinal_wavenumber(1, self.OMEGA)
             return np.outer(np.sin(PI * self.YS), np.exp(1j * k * self.XS))
         if mode == "defect":
-            return scattered_field_grid(Impurity(eps, 0.003), 1, self.OMEGA, self.XS, self.YS)
+            return scattered_field_grid(Impurity(eps, 0.003), 1, self.OMEGA, self.XS, self.NY)
         return np.array([[_cutoff_point(eps, 1, 2, x, y) for x in self.XS] for y in self.YS])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -651,12 +652,37 @@ class TestFieldOutputBytes:
                        "--nx", str(self.NX), "--ny", str(self.NY), "--with-complex",
                        "--out", str(out)) == 0
             assert [w.category for w in record] == [DecoupledModeWarning]
-            psi = threshold_field_grid(Impurity(0.5, 0.01), 1, 2, self.XS, self.YS)
+            psi = threshold_field_grid(Impurity(0.5, 0.01), 1, 2, self.XS, self.NY)
         assert out.read_text() == _point_table(psi, self.XS, self.YS, True, "csv")
         # on the node the open channel still scatters: not the incident wave
         k = longitudinal_wavenumber(1, threshold_energy(2)).real
         incident = np.outer(np.sin(PI * self.YS), np.exp(1j * k * self.XS))
         assert np.max(np.abs(psi - incident)) > 0.1
+
+    def test_json_of_a_large_map_equals_json_dumps_per_point(self, tmp_path):
+        xs, ny = np.linspace(-2.0, 2.0, 401), 201
+        out = tmp_path / "cutoff.json"
+        assert run("field", "--field-mode", "threshold", "--mode-n", "1", "--threshold-m", "2",
+                   "--epsilon", "0.41", "--rho0", "0.003", "--nx", "401", "--ny", str(ny),
+                   "--format", "json", "--with-complex", "--out", str(out)) == 0
+        psi = threshold_field_grid(Impurity(0.41, 0.003), 1, 2, xs, ny)
+        assert out.read_text() == _point_table(psi, xs, lattice_rows(ny), True, "json")
+
+    def test_json_row_with_a_non_finite_number_is_written_by_json_dumps(self, tmp_path,
+                                                                        monkeypatch):
+        # json.dumps writes NaN and Infinity where a %r template would write nan and inf
+        psi = np.array([[_cutoff_point(0.41, 1, 2, x, y) for x in self.XS] for y in self.YS])
+        psi[0, 0] = complex(math.nan, 0.0)
+        psi[3, 5] = complex(math.inf, -1.0)
+        monkeypatch.setattr("wirescat.cli.threshold_field_grid", lambda *args: psi)
+        out = tmp_path / "non-finite.json"
+        assert run("field", "--field-mode", "threshold", "--mode-n", "1", "--threshold-m", "2",
+                   "--epsilon", "0.41", "--rho0", "0.003", "--nx", str(self.NX),
+                   "--ny", str(self.NY), "--format", "json", "--with-complex",
+                   "--out", str(out)) == 0
+        text = out.read_text()
+        assert "NaN" in text and "Infinity" in text
+        assert text == _point_table(psi, self.XS, self.YS, True, "json")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="forks on Linux only")
@@ -708,8 +734,8 @@ class TestRowBlocks:
     @pytest.mark.parametrize("ny", [2, 3])
     def test_small_defect_map_forced_to_fork(self, forks, monkeypatch, capsys, tmp_path,
                                              ny):
-        # blocks of one row: synthesized on its own, a row of a defect map would
-        # take numpy's matrix-vector product and other bits
+        # blocks of one row: the parent synthesizes the whole map, and each
+        # worker formats its row
         monkeypatch.setattr("wirescat.cli._MIN_BLOCK_NUMBERS", 1)
         options = ["--field-mode", "defect", "--nx", "41", "--ny", str(ny), "--with-complex"]
         forks.cpus(1)
@@ -1013,9 +1039,30 @@ class TestOutputsReadNoResidual:
         assert report["oracle"]["spread"] < 0.05
 
 
+def test_defect_map_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the synthesis is one FFT per column and takes no matrix product, whose
+    # bits would follow how a multithreaded BLAS splits it
+    import wirescat
+
+    src = str(Path(wirescat.__file__).resolve().parents[1])
+    code = "import sys\nfrom wirescat.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    maps = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = tmp_path / f"defect-{threads}.csv"
+        subprocess.run([sys.executable, "-c", code, "field", "--field-mode", "defect",
+                        "--epsilon", "0.41", "--rho0", "0.003", "--omega", "46.4",
+                        "--nx", "41", "--ny", "41", "--with-complex", "--out", str(out)],
+                       env=env, check=True, timeout=120)
+        maps.append(out.read_bytes())
+    assert maps[0] == maps[1]
+
+
 def test_import_loads_neither_numba_nor_numpy_fft(tmp_path):
-    # set-up time of every CLI run: numpy.fft is reached only by the oracle,
-    # numba by neither; the field writer forks by os alone, so no process
+    # set-up time of every CLI run: numpy.fft is reached only by the oracle
+    # and the field synthesis, numba by neither; the field writer forks by os alone, so no process
     # pool is loaded; the command line is read without argparse, whose
     # gettext loads locale on its first message, both at import and after
     # a sweep; the field CSV's number kernel is loaded by the field writer

@@ -50,19 +50,21 @@ CASES = {
     "scattered_field.n": lambda v: ws.scattered_field(IMP, v, OM, R),
     "scattered_field.m": lambda v: ws.scattered_field(IMP, 1, OM, R, m=v),
     "scattered_field.l_max": lambda v: ws.scattered_field(IMP, 1, OM, R, l_max=v),
-    "scattered_field_grid.n": lambda v: ws.scattered_field_grid(IMP, v, OM, [0.4], [0.3]),
+    "scattered_field_grid.n": lambda v: ws.scattered_field_grid(IMP, v, OM, [0.4], 3),
+    "scattered_field_grid.ny": lambda v: ws.scattered_field_grid(IMP, 1, OM, [0.4], v),
     "scattered_field_grid.m":
-        lambda v: ws.scattered_field_grid(IMP, 1, OM, [0.4], [0.3], m=v),
+        lambda v: ws.scattered_field_grid(IMP, 1, OM, [0.4], 3, m=v),
     "scattered_field_grid.l_max":
-        lambda v: ws.scattered_field_grid(IMP, 1, OM, [0.4], [0.3], l_max=v),
+        lambda v: ws.scattered_field_grid(IMP, 1, OM, [0.4], 3, l_max=v),
     "resonance_parameter.m": lambda v: ws.resonance_parameter(IMP, v),
     "resonance_parameters.m": lambda v: ws.resonance_parameters(0.3, [0.01], v),
     "near_threshold_field.n": lambda v: ws.near_threshold_field(IMP, v, 2, OM, R),
     "near_threshold_field.m": lambda v: ws.near_threshold_field(IMP, 1, v, OM, R),
     "threshold_field.n": lambda v: ws.threshold_field(IMP, v, 2, R),
     "threshold_field.m": lambda v: ws.threshold_field(IMP, 1, v, R),
-    "threshold_field_grid.n": lambda v: ws.threshold_field_grid(IMP, v, 2, [0.4], [0.3]),
-    "threshold_field_grid.m": lambda v: ws.threshold_field_grid(IMP, 1, v, [0.4], [0.3]),
+    "threshold_field_grid.n": lambda v: ws.threshold_field_grid(IMP, v, 2, [0.4], 3),
+    "threshold_field_grid.m": lambda v: ws.threshold_field_grid(IMP, 1, v, [0.4], 3),
+    "threshold_field_grid.ny": lambda v: ws.threshold_field_grid(IMP, 1, 2, [0.4], v),
     "surface_resonance_parameter.m": lambda v: ws.surface_resonance_parameter(WALL, v),
     "surface_threshold_field.n": lambda v: ws.surface_threshold_field(v, 2, "lower", R),
     "surface_threshold_field.m": lambda v: ws.surface_threshold_field(1, v, "lower", R),

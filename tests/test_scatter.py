@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,9 @@ from wirescat import (
 )
 from conftest import brute_force_log_scale
 from wirescat import kernels
+from wirescat.kernels import lattice_rows
 from wirescat.numerics import neville_diagonal
+from wirescat.scatter import _amplitude_table
 
 PI = math.pi
 OM_2 = (2 * PI) ** 2
@@ -65,6 +69,12 @@ NON_FINITE_POSITIONS = pytest.mark.parametrize("r, name", [
 ] + [
     ((0.1, bad), "y") for bad in (math.nan, math.inf, -math.inf)
 ])
+
+
+def _names(r, name):
+    """The pattern of the DomainError that names coordinate ``name`` of r and
+    its value."""
+    return f"position {name} .*got {r[0] if name == 'x' else r[1]}"
 
 
 class TestImpurity:
@@ -117,7 +127,7 @@ class TestThresholdWindow:
                 with pytest.raises(DomainError, match=named):
                     nearest_threshold_index(bad)
                 with pytest.raises(DomainError, match=named):
-                    scattered_field_grid(canonical_impurity, 1, bad, [0.0], [0.5])
+                    scattered_field_grid(canonical_impurity, 1, bad, [0.0], 1)
                 (point,) = sweep(canonical_impurity, [bad])
                 assert f"energy {bad}" in point.error
             below = math.nextafter(_MAX_ENERGY, 0.0)
@@ -473,12 +483,27 @@ class TestScatteredField:
 
     @NON_FINITE_POSITIONS
     def test_non_finite_position_rejected(self, canonical_impurity, r, name):
-        with pytest.raises(DomainError, match=f"positions {name} "):
+        with pytest.raises(DomainError, match=_names(r, name)):
             scattered_field(canonical_impurity, 1, self.OM, r)
-        xs = np.array([-0.5, r[0], 0.5])
-        ys = np.array([0.25, r[1], 0.75])
-        with pytest.raises(DomainError, match=f"positions {name} "):
-            scattered_field_grid(canonical_impurity, 1, self.OM, xs, ys)
+        if name == "x":
+            with pytest.raises(DomainError, match=f"position x must be finite, got {r[0]}"):
+                scattered_field_grid(canonical_impurity, 1, self.OM, [-0.5, r[0], 0.5], 3)
+
+    @pytest.mark.parametrize("y", [-1.0, -1e-300, 1.0 + 2**-52, 1e300])
+    def test_position_outside_the_wire_rejected(self, canonical_impurity, y):
+        calls = (
+            lambda r: scattered_field(canonical_impurity, 1, self.OM, r),
+            lambda r: threshold_field(canonical_impurity, 1, 2, r),
+            lambda r: near_threshold_field(canonical_impurity, 1, 2, self.OM, r),
+            lambda r: surface_threshold_field(1, 2, "lower", r),
+        )
+        named = f"position y must lie in the wire.*got {re.escape(str(y))}"
+        for call in calls:
+            with pytest.raises(DomainError, match=named):
+                call((0.3, y))
+        # the walls themselves are in the wire, where every mode vanishes
+        for wall in (0.0, 1.0):
+            assert abs(scattered_field(canonical_impurity, 1, self.OM, (0.3, wall))) < 1e-12
 
     @pytest.mark.parametrize("omega", [1.3 * PI**2, 4.6 * PI**2, 9.4 * PI**2],
                              ids=["m1", "m2", "m3"])
@@ -488,8 +513,8 @@ class TestScatteredField:
         # (it grows at |x| = 0.07) against a plain 400-mode sum
         n, eps = 1, canonical_impurity.epsilon
         xs = np.array([-1.2, -0.07, 0.07, 0.45, 1.6])
-        ys = np.array([0.13, 0.37, 0.58, 0.86])
-        psi = scattered_field_grid(canonical_impurity, n, omega, xs, ys)
+        ys = lattice_rows(4)
+        psi = scattered_field_grid(canonical_impurity, n, omega, xs, len(ys))
         k_n = longitudinal_wavenumber(n, omega)
         scattered = psi - np.outer(np.sin(n * PI * ys), np.exp(1j * k_n * xs))
         s_n = math.sin(n * PI * eps)
@@ -501,27 +526,24 @@ class TestScatteredField:
         assert gap <= 1e-12 * np.max(np.abs(scattered))
 
     def test_empty_axis_gives_empty_grid(self, canonical_impurity):
-        xs, ys, empty = np.linspace(-1.0, 1.0, 5), np.linspace(0.1, 0.9, 3), np.array([])
-        for grid_xs, grid_ys in ((empty, ys), (xs, empty), (empty, empty)):
-            grid = scattered_field_grid(canonical_impurity, 1, self.OM,
-                                        grid_xs, grid_ys)
-            assert grid.shape == (len(grid_ys), len(grid_xs))
+        grid = scattered_field_grid(canonical_impurity, 1, self.OM, np.array([]), 3)
+        assert grid.shape == (3, 0)
 
     def test_grid_over_the_size_limit_refused_before_it_is_built(self, canonical_impurity,
                                                                  alarm):
         # 20000 x 20000 points: 5.96 GiB of complex values for one map
-        xs, ys = np.linspace(1.0, 2.0, 20000), np.linspace(0.01, 0.99, 20000)
+        xs = np.linspace(1.0, 2.0, 20000)
         message = "field grid of 20000 x and 20000 y: 400000000 values"
         with alarm(5):
             with pytest.raises(DomainError, match=message):
-                scattered_field_grid(canonical_impurity, 1, 50.0, xs, ys)
+                scattered_field_grid(canonical_impurity, 1, 50.0, xs, 20000)
             with pytest.raises(DomainError, match=message):
-                threshold_field_grid(canonical_impurity, 1, 2, xs, ys)
+                threshold_field_grid(canonical_impurity, 1, 2, xs, 20000)
 
     def test_synthesis_over_the_size_limit_refused_before_the_amplitudes(
             self, canonical_impurity, monkeypatch):
         # at omega = 1e13 the default truncation is l_max = 1006624 modes, for
-        # 68 distinct |x| and 41 y of the CLI's default grid
+        # 68 distinct |x| and 41 y of the CLI's default grid: (l_max + 84) x 68
         from wirescat import scatter
 
         def unreached(*args):
@@ -529,14 +551,14 @@ class TestScatteredField:
 
         monkeypatch.setattr(scatter, "_amplitude_table", unreached)
         monkeypatch.setattr(scatter, "_cutoff_wavenumbers", unreached)
-        xs, ys = np.linspace(-2.0, 2.0, 81), np.linspace(0.0, 1.0, 43)[1:-1]
+        xs = np.linspace(-2.0, 2.0, 81)
         with pytest.raises(DomainError, match="l_max = 1006624 modes over 68 distinct "
-                                              r"\|x\| and 41 y: 109722016 values"):
-            scattered_field_grid(canonical_impurity, 1, 1e13, xs, ys)
+                                              r"\|x\| and 41 y: 68456144 values"):
+            scattered_field_grid(canonical_impurity, 1, 1e13, xs, 41)
         # on a node of mode m the cut-off field is synthesized over m + 40 modes
         with pytest.warns(DecoupledModeWarning), \
-                pytest.raises(DomainError, match="l_max = 1000040 modes over 2 distinct"):
-            threshold_field_grid(Impurity(0.5, 0.01), 1, 10**6, [0.3, 0.6], [0.3, 0.6])
+                pytest.raises(DomainError, match="l_max = 1000040 modes over 4 distinct"):
+            threshold_field_grid(Impurity(0.5, 0.01), 1, 10**6, [0.3, 0.6, 0.9, 1.2], 2)
 
     def test_continuity_across_the_impurity_plane(self, canonical_impurity):
         up = scattered_field(canonical_impurity, 1, self.OM, (1e-9, 0.43))
@@ -562,8 +584,8 @@ class TestScatteredField:
 
     def test_grid_matches_pointwise_evaluation(self, canonical_impurity):
         xs = np.array([-0.5, 0.25])
-        ys = np.array([0.3, 0.71])
-        grid = scattered_field_grid(canonical_impurity, 1, self.OM, xs, ys,
+        ys = lattice_rows(2)
+        grid = scattered_field_grid(canonical_impurity, 1, self.OM, xs, len(ys),
                                     l_max=60)
         for iy, y in enumerate(ys):
             for ix, x in enumerate(xs):
@@ -577,8 +599,8 @@ class TestScatteredField:
         # evanescent cloud, largest near the impurity cross-section
         omega = OM_2 * 1.0001
         xs = np.linspace(-1, 1, 21)
-        ys = np.linspace(0.05, 0.95, 19)
-        full = scattered_field_grid(canonical_impurity, 1, omega, xs, ys)
+        ys = lattice_rows(19)  # 0.05, 0.1, ..., 0.95
+        full = scattered_field_grid(canonical_impurity, 1, omega, xs, len(ys))
         near = np.array([
             [near_threshold_field(canonical_impurity, 1, 2, omega, (x, y))
              for x in xs] for y in ys
@@ -615,7 +637,7 @@ class TestResonanceParameter:
 class TestNearThresholdField:
     @NON_FINITE_POSITIONS
     def test_non_finite_position_rejected(self, canonical_impurity, r, name):
-        with pytest.raises(DomainError, match=f"positions {name} "):
+        with pytest.raises(DomainError, match=_names(r, name)):
             near_threshold_field(canonical_impurity, 1, 2, 40.0, r)
 
     def test_reduces_to_threshold_field_exactly_at_cutoff(self, canonical_impurity):
@@ -638,11 +660,11 @@ class TestNearThresholdField:
         d = resonance_parameter(canonical_impurity, 2)
         delta2 = 1.0 / abs(d) ** 2
         xs = np.linspace(-1, 1, 11)
-        ys = np.linspace(0.05, 0.95, 9)
+        ys = lattice_rows(9)
         devs = []
         for scale in (1e-2, 1e-4, 1e-6):
             omega = threshold_energy(2) + scale * delta2
-            full = scattered_field_grid(canonical_impurity, 1, omega, xs, ys)
+            full = scattered_field_grid(canonical_impurity, 1, omega, xs, len(ys))
             near = np.array([
                 [near_threshold_field(canonical_impurity, 1, 2, omega, (x, y))
                  for x in xs] for y in ys
@@ -704,15 +726,15 @@ class TestThresholdField:
     @pytest.mark.parametrize("r, name", [((math.nan, 0.5), "x"), ((math.inf, 0.5), "x"),
                                          ((0.1, math.inf), "y"), ((0.1, math.nan), "y")])
     def test_non_finite_position_rejected(self, r, name):
-        with pytest.raises(DomainError, match=f"positions {name} "):
+        with pytest.raises(DomainError, match=_names(r, name)):
             threshold_field(Impurity(0.3, 0.01), 1, 2, r)
 
     def test_point_value_is_the_grid_value_bit_for_bit(self):
         xs = np.linspace(-2.0, 2.0, 21)
-        ys = np.linspace(0.0, 1.0, 13)[1:-1]
+        ys = lattice_rows(11)
         for m in (2, 3):
             imp = Impurity(0.37, 1e-3)
-            grid = threshold_field_grid(imp, 1, m, xs, ys)
+            grid = threshold_field_grid(imp, 1, m, xs, len(ys))
             assert grid.shape == (len(ys), len(xs))
             points = np.array([[threshold_field(imp, 1, m, (x, y)) for x in xs]
                                for y in ys])
@@ -720,10 +742,10 @@ class TestThresholdField:
 
     def test_node_warns_once_for_the_whole_grid(self):
         xs = np.array([-6.0, -1.0, 0.0, 1.0, 6.0])
-        ys = np.linspace(0.1, 0.9, 5)
+        ys = lattice_rows(5)
         imp = Impurity(0.5, 0.01)
         with pytest.warns(DecoupledModeWarning) as record:
-            grid = threshold_field_grid(imp, 1, 2, xs, ys)
+            grid = threshold_field_grid(imp, 1, 2, xs, len(ys))
         assert len(record) == 1
         # six widths from the impurity the evanescent modes (k >= sqrt(5) pi)
         # are gone: the incident wave minus the open channel's cut-off limit
@@ -741,11 +763,10 @@ class TestThresholdField:
         # (eps = 0.5) it closes at least as fast
         imp = Impurity(eps, 1e-3)
         xs = np.linspace(-2.0, 2.0, 9)
-        ys = np.linspace(0.0, 1.0, 7)[1:-1]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DecoupledModeWarning)
-            cutoff = threshold_field_grid(imp, 1, 2, xs, ys)
-        gaps = [np.max(np.abs(scattered_field_grid(imp, 1, OM_2 * (1.0 + delta), xs, ys)
+            cutoff = threshold_field_grid(imp, 1, 2, xs, 5)
+        gaps = [np.max(np.abs(scattered_field_grid(imp, 1, OM_2 * (1.0 + delta), xs, 5)
                               - cutoff))
                 for delta in (1e-8, 1e-10, 1e-12)]
         assert gaps[0] < 1e-2, gaps
@@ -754,39 +775,19 @@ class TestThresholdField:
 
 class TestDistinctColumns:
     """scattered_field_grid synthesizes each distinct |x| once and gathers its
-    columns; the grid has the bits of one synthesis over every column.  The
-    check runs with one BLAS thread, as the benchmark does, and with two: the
-    bits of a matrix product depend on how BLAS splits it among its threads,
-    so the identity is only known for the thread counts checked here.
+    columns.  The sine transform takes each column on its own, so the grid
+    has the bits of a synthesis of each column alone, whatever the other
+    columns, the row count or the number of distinct |x|.
     """
 
-    CHECK = """
-import json, math
-import numpy as np
-from wirescat import Impurity, kernels, scattered_field_grid
-from wirescat.scatter import _amplitude_table
-
-impurity, omega, l_max = Impurity(0.41, 0.003), 4.7 * math.pi**2, 402
-_, k, amp = _amplitude_table(impurity, omega, 2, [1], range(1, l_max + 1))
-grids = {
-    "cli-default": (np.linspace(-2.0, 2.0, 81), 41),
-    "benchmark": (np.linspace(-2.0, 2.0, 401), 201),
-    "asymmetric": (np.linspace(-0.7, 2.3, 157), 37),
-    "without-x=0": (np.linspace(-2.0, 2.0, 80), 40),
-    "one-distinct-|x|": (np.array([-1.0, 1.0]), 5),
-    "one-row": (np.linspace(-2.0, 2.0, 5), 1),
-}
-differ = []
-for name, (xs, ny) in grids.items():
-    ys = np.linspace(0.0, 1.0, ny + 2)[1:-1]
-    grid = scattered_field_grid(impurity, 1, omega, xs, ys,
-                                l_max=l_max)
-    every = kernels.field_grid(np.abs(xs), ys, -amp[0], k[:l_max])
-    every += np.outer(np.sin(math.pi * ys), np.exp(1j * k[0] * xs))
-    if not np.array_equal(grid.view(np.uint64), every.view(np.uint64)):
-        differ.append(name)
-print(json.dumps(differ))
-"""
+    GRIDS = {
+        "cli-default": (np.linspace(-2.0, 2.0, 81), 41),
+        "benchmark": (np.linspace(-2.0, 2.0, 401), 201),
+        "asymmetric": (np.linspace(-0.7, 2.3, 157), 37),
+        "without-x=0": (np.linspace(-2.0, 2.0, 80), 40),
+        "one-distinct-|x|": (np.array([-1.0, 1.0]), 5),
+        "one-row": (np.linspace(-2.0, 2.0, 5), 1),
+    }
 
     def test_each_distinct_offset_is_synthesized_once(self, monkeypatch):
         widths = []
@@ -794,21 +795,114 @@ print(json.dumps(differ))
         monkeypatch.setattr(kernels, "field_grid",
                             lambda xs, *args: widths.append(len(xs)) or synthesize(xs, *args))
         xs = np.linspace(-2.0, 2.0, 401)
-        scattered_field_grid(Impurity(0.41, 0.003), 1, 4.7 * PI**2, xs,
-                             np.array([0.3, 0.6]))
+        scattered_field_grid(Impurity(0.41, 0.003), 1, 4.7 * PI**2, xs, 2)
         # linspace's mirrored points differ in the last bit: 287 distinct |x|, not 201
         assert widths == [287]
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_bits_equal_every_column_synthesis(self, threads):
-        src = str(Path(kernels.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "MKL_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
-                                             if p)}
-        done = subprocess.run([sys.executable, "-c", self.CHECK], capture_output=True,
-                              text=True, env=env, check=True)
-        assert json.loads(done.stdout) == []
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_bits_equal_a_synthesis_of_each_column_alone(self, grid):
+        impurity, omega, l_max = Impurity(0.41, 0.003), 4.7 * PI**2, 402
+        xs, ny = self.GRIDS[grid]
+        ys = lattice_rows(ny)
+        _, k, amp = _amplitude_table(impurity, omega, 2, [1], range(1, l_max + 1))
+        gathered = scattered_field_grid(impurity, 1, omega, xs, ny, l_max=l_max)
+        alone = np.hstack([kernels.field_grid([abs(x)], ys, -amp[0], k[:l_max]) for x in xs])
+        alone += np.outer(np.sin(PI * ys), np.exp(1j * k[0] * xs))
+        assert np.array_equal(gathered.view(np.uint64), alone.view(np.uint64))
+
+
+class TestFieldSynthesis:
+    """kernels.field_grid, a sine transform over the row lattice, against the
+    mode sum taken term by term and summed exactly by math.fsum.  Modes past
+    the transform's period 2(ny + 1) fold back onto 1..ny; the truncations
+    below sit under, on and several periods above it."""
+
+    OMEGA = 4.7 * PI**2
+
+    def _direct(self, xs, ys, coefs, kxs):
+        """sum_l coefs[l] sin((l+1) pi y) e^{i kxs[l] x} per cell, and the sum
+        of the terms' magnitudes, the scale of its rounding."""
+        out = np.empty((len(ys), len(xs)), dtype=complex)
+        scale = np.empty((len(ys), len(xs)))
+        for ix, x in enumerate(xs):
+            phases = [c * cmath.exp(1j * k * x) for c, k in zip(coefs, kxs)]
+            for iy, y in enumerate(ys):
+                terms = [p * math.sin(l * PI * y) for l, p in enumerate(phases, start=1)]
+                out[iy, ix] = complex(math.fsum(t.real for t in terms),
+                                      math.fsum(t.imag for t in terms))
+                scale[iy, ix] = math.fsum(abs(t) for t in terms)
+        return out, scale
+
+    @pytest.mark.parametrize("periods", [0.75, 1.0, 5.25])
+    @pytest.mark.parametrize("ny", [1, 2, 11, 201])
+    def test_cells_match_the_exact_direct_sum(self, ny, periods):
+        l_max = round(periods * 2 * (ny + 1))
+        rng = np.random.default_rng(ny * 10 + l_max)
+        coefs = (rng.standard_normal(l_max) + 1j * rng.standard_normal(l_max)).tolist()
+        kxs = [longitudinal_wavenumber(l, self.OMEGA) for l in range(1, l_max + 1)]
+        ys = lattice_rows(ny)
+        for xs in ([0.0, 0.013, 0.4], [0.25]):  # x = 0 keeps every mode; one distinct |x|
+            grid = kernels.field_grid(xs, ys, coefs, kxs)
+            exact, scale = self._direct(xs, ys.tolist(), coefs, kxs)
+            assert grid.shape == exact.shape
+            assert np.all(np.abs(grid - exact) <= 1e-13 * scale), (ny, l_max, xs)
+
+    @staticmethod
+    def _sin_cos_pi(t):
+        """sin(pi t) and cos(pi t) for a fraction 0 <= t < 2, from math.sin
+        and math.cos at an argument of at most pi/4."""
+        sin_sign = cos_sign = 1.0
+        if t >= 1:
+            t, sin_sign, cos_sign = t - 1, -1.0, -1.0
+        if t > Fraction(1, 2):
+            t, cos_sign = 1 - t, -cos_sign
+        if t > Fraction(1, 4):
+            arg = PI * float(Fraction(1, 2) - t)
+            return sin_sign * math.cos(arg), cos_sign * math.sin(arg)
+        arg = PI * float(t)
+        return sin_sign * math.sin(arg), cos_sign * math.cos(arg)
+
+    @pytest.mark.parametrize("periods", [0.75, 5.25])
+    @pytest.mark.parametrize("ny", [2, 11, 201])
+    def test_cells_are_the_sum_at_the_double_rows(self, ny, periods):
+        # the rows are doubles y_j + d_j, not j/(ny+1): the reference takes
+        # sin and cos of the exact lattice angle l j pi/(ny+1) and adds
+        # l pi d_j cos to the sine, d_j from fractions.  At x = 0, where no
+        # mode decays, a sum at the lattice points themselves misses by more
+        # than 2e-16 of the scale for ny = 11 and 201; at x = 0.4 a few modes
+        # carry the scale, and the transform's rounding reaches 5e-16 of it
+        l_max = round(periods * 2 * (ny + 1))
+        rng = np.random.default_rng(ny * 10 + l_max)
+        coefs = (rng.standard_normal(l_max) + 1j * rng.standard_normal(l_max)).tolist()
+        kxs = [longitudinal_wavenumber(l, self.OMEGA) for l in range(1, l_max + 1)]
+        ys = lattice_rows(ny)
+        xs, tolerances = [0.0, 0.4], [2e-16, 1e-15]
+        grid = kernels.field_grid(xs, ys, coefs, kxs)
+        rows, period = ny + 1, 2 * (ny + 1)
+        angles = [self._sin_cos_pi(Fraction(r, rows)) for r in range(period)]
+        for ix, (x, tolerance) in enumerate(zip(xs, tolerances)):
+            terms = [c * cmath.exp(1j * k * x) for c, k in zip(coefs, kxs)]
+            scale = math.fsum(abs(t) for t in terms)
+            for j, y in enumerate(ys.tolist(), start=1):
+                offset = PI * float(Fraction(y) - Fraction(j, rows))
+                parts = []
+                for l, t in enumerate(terms, start=1):
+                    sin, cos = angles[l * j % period]
+                    parts += [t * sin, t * (l * offset * cos)]
+                want = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
+                assert abs(grid[j - 1, ix] - want) <= tolerance * scale, (ny, l_max, x, j)
+
+    @pytest.mark.parametrize("ny", [1, 2, 11, 201, 12345])
+    def test_row_offsets_are_the_exact_offsets(self, ny):
+        ys = lattice_rows(ny)
+        exact = [float(Fraction(y) - Fraction(j, ny + 1)) for j, y in enumerate(ys.tolist(), 1)]
+        assert np.allclose(kernels._row_offsets(ys), exact, rtol=4e-16, atol=0.0)
+
+    def test_rows_off_the_lattice_refused(self):
+        coefs, kxs = [1.0, 0.5], [1.0, 2.0]
+        for ys in ([0.25, 0.5, 0.75, 1.0], [0.3, 0.6], np.linspace(0.05, 0.95, 19)):
+            with pytest.raises(DomainError, match="lattice"):
+                kernels.field_grid([0.1], ys, coefs, kxs)
 
 
 class TestSurfaceImpurity:
@@ -837,7 +931,7 @@ class TestSurfaceImpurity:
 
     @NON_FINITE_POSITIONS
     def test_non_finite_position_rejected(self, r, name):
-        with pytest.raises(DomainError, match=f"positions {name} "):
+        with pytest.raises(DomainError, match=_names(r, name)):
             surface_threshold_field(1, 2, "lower", r)
 
     def test_position_must_be_near_a_wall(self):

@@ -65,9 +65,8 @@ CASES = {
     "scattered_field.omega": lambda v: ws.scattered_field(IMP, 1, v, (0.4, 0.3)),
     "scattered_field.r": lambda v: ws.scattered_field(IMP, 1, OM, (v, 0.3)),
     "scattered_field.r/y": lambda v: ws.scattered_field(IMP, 1, OM, (0.4, v)),
-    "scattered_field_grid.omega": lambda v: ws.scattered_field_grid(IMP, 1, v, [0.4], [0.3]),
-    "scattered_field_grid.xs": lambda v: ws.scattered_field_grid(IMP, 1, OM, [0.4, v], [0.3]),
-    "scattered_field_grid.ys": lambda v: ws.scattered_field_grid(IMP, 1, OM, [0.4], [0.3, v]),
+    "scattered_field_grid.omega": lambda v: ws.scattered_field_grid(IMP, 1, v, [0.4], 3),
+    "scattered_field_grid.xs": lambda v: ws.scattered_field_grid(IMP, 1, OM, [0.4, v], 3),
     "resonance_parameter.omega": lambda v: ws.resonance_parameter(IMP, 2, v),
     "resonance_parameters.epsilon": lambda v: ws.resonance_parameters(v, [0.01], 2),
     "resonance_parameters.rho0s": lambda v: ws.resonance_parameters(0.3, [0.01, v], 2),
@@ -77,8 +76,7 @@ CASES = {
     "near_threshold_field.r/y": lambda v: ws.near_threshold_field(IMP, 1, 2, OM, (0.4, v)),
     "threshold_field.r": lambda v: ws.threshold_field(IMP, 1, 2, (v, 0.3)),
     "threshold_field.r/y": lambda v: ws.threshold_field(IMP, 1, 2, (0.4, v)),
-    "threshold_field_grid.xs": lambda v: ws.threshold_field_grid(IMP, 1, 2, [0.4, v], [0.3]),
-    "threshold_field_grid.ys": lambda v: ws.threshold_field_grid(IMP, 1, 2, [0.4], [0.3, v]),
+    "threshold_field_grid.xs": lambda v: ws.threshold_field_grid(IMP, 1, 2, [0.4, v], 3),
     "surface_threshold_field.r": lambda v: ws.surface_threshold_field(1, 2, "lower", (v, 0.3)),
     "surface_threshold_field.r/y":
         lambda v: ws.surface_threshold_field(1, 2, "lower", (0.4, v)),
@@ -112,7 +110,7 @@ CASES = {
 
 #: the parameter names that hold a float or a list of floats
 FLOAT_PARAMETERS = {
-    "x", "r", "xs", "ys", "eps", "epsilon", "omega", "omegas", "omega_grid", "rho", "rhos",
+    "x", "r", "xs", "eps", "epsilon", "omega", "omegas", "omega_grid", "rho", "rhos",
     "rho0", "rho0s", "rho0_list", "alpha", "delta_v", "width", "offset_scales",
     "ladder_start", "stability",
 }
