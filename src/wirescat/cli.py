@@ -37,6 +37,7 @@ from .errors import (
     WirescatError,
 )
 from .kernels import lattice_rows
+from .numerics import relative_spread
 from .scatter import (
     Impurity,
     OneDBarrier,
@@ -44,7 +45,6 @@ from .scatter import (
     reflection_1d,
     scattered_field_grid,
     solve_scattering,
-    threshold_field,
     threshold_field_grid,
 )
 from .specfun import (
@@ -402,29 +402,12 @@ def run_universality(cfg: SimpleNamespace) -> int:
     offset_scales = _parse_list(cfg.offsets, "offsets")
 
     scan = cutoff_scan(cfg.epsilon, rho0s, n, m, offset_scales)
-    limits = list(scan.limits)
+    limits = scan.limits
     target = math.sin(n * math.pi * cfg.epsilon) / math.sin(m * math.pi * cfg.epsilon)
-    mean_limit = np.mean(limits)
-    threshold_spread = (
-        max(abs(a - b) for a in limits for b in limits) / abs(mean_limit)
-        if len(limits) > 1 else 0.0
-    )
-    # the cut-off field itself never reads the strength: spread is 0 by
-    # construction, and reported as such
-    field_samples = [
-        threshold_field(Impurity(cfg.epsilon, r0), n, m, (0.37, 0.53))
-        for r0 in rho0s
-    ]
-    field_spread = max(abs(a - b) for a in field_samples for b in field_samples) \
-        if len(field_samples) > 1 else 0.0
-
-    near = []
-    for scale, omega, coefs in zip(offset_scales, scan.offset_energies, scan.offset_amplitudes):
-        spread = (
-            max(abs(a - b) for a in coefs for b in coefs) / abs(np.mean(coefs))
-            if len(coefs) > 1 else 0.0
-        )
-        near.append({"offset_scale": scale, "omega": omega, "spread": spread})
+    threshold_spread = relative_spread(limits)
+    near = [{"offset_scale": scale, "omega": omega, "spread": relative_spread(coefs)}
+            for scale, omega, coefs in zip(offset_scales, scan.offset_energies,
+                                           scan.offset_amplitudes)]
 
     report = {
         "mode_n": n,
@@ -434,8 +417,7 @@ def run_universality(cfg: SimpleNamespace) -> int:
         "target_coefficient": target,
         "threshold_limits": [[c.real, c.imag] for c in limits],
         "threshold_spread": threshold_spread,
-        "threshold_field_spread": field_spread,
-        "threshold_deviation": abs(mean_limit - target) / abs(target),
+        "threshold_deviation": abs(np.mean(limits) - target) / abs(target),
         "near_threshold": near,
     }
     verdict = threshold_spread < 1e-8 and report["threshold_deviation"] < 1e-6

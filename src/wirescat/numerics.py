@@ -1,4 +1,5 @@
-"""Small shared numerical helpers (polynomial extrapolation to zero)."""
+"""Small shared numerical helpers (polynomial extrapolation to zero, the
+relative spread of a sample)."""
 
 from __future__ import annotations
 
@@ -49,3 +50,12 @@ def neville_zero(x, y):
     """
     diag = neville_diagonal(x, y)
     return diag[-1], abs(diag[-1] - diag[-2])
+
+
+def relative_spread(values) -> float:
+    """max |a - b| over pairs of values, relative to |mean|: how far a
+    sample that should be one number strays from itself; 0.0 for a single
+    value."""
+    if len(values) < 2:
+        return 0.0
+    return float(max(abs(a - b) for a in values for b in values) / abs(np.mean(values)))

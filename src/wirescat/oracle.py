@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .numerics import neville_diagonal
+from .numerics import neville_diagonal, relative_spread
 from .scatter import resonance_parameters
 from .specfun import _check_incident, _index
 
@@ -254,46 +254,45 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
     columns.
     Each solution keeps its cell and the shared lattice spectrum for its
     residual, which is computed on first read.  Each cell gets the bits of
-    its own 1 x 1 table, and an invalid cell raises the error its 1 x 1
-    table would, the first in row-major order.
+    its own 1 x 1 table.  Every input is checked before the lattice is
+    built, in stages over the whole table: every cell's strength, the
+    incident mode, the energy, every width's resolution; building the
+    lattice checks the band edge, and each width's defect support is
+    checked as its row is solved.  A table with several bad inputs names
+    the first in this order.
     """
     if not len(rhos) or not len(rho0s):
         return [[] for _ in rhos]
     ny = wire.ny
     h = wire.h_y
-    rows = np.arange(1, ny)
-    yi = rows * h
     rho0s = list(rho0s)
-    modes = None
-    solved = []
+    inverse_strengths = [[_inverse_strength(rho, rho0) for rho0 in rho0s] for rho in rhos]
+    n = _index(n, "incident mode", hi=wire.lead_modes)
+    _check_incident(n, omega)
     for rho in rhos:
-        # each check comes where the row-major sequence of 1 x 1 solves
-        # meets it: the row's first cell, then the checks, then the others
-        row = [(rho0s[0], _inverse_strength(rho, rho0s[0]))]
-        if modes is None:  # the checks that read neither width nor strength
-            n = _index(n, "incident mode", hi=wire.lead_modes)
-            _check_incident(n, omega)
         if rho / h < 4.0:
             raise ConfigurationError(
                 f"impurity width under-resolved: rho/h_y = {rho / h:.2f} < 4"
             )
-        if modes is None:
-            modes = _lattice_modes(ny, omega)
-            sin_kh = modes[1]
-            s_n = math.sin(n * math.pi * wire.eps)
-            g_col = h / (2j * sin_kh)  # same-column 1D lattice Green per mode
-            phi_eps = math.sqrt(2.0) * np.sin(rows * np.pi * wire.eps)
-            green_eps = _dst(phi_eps * g_col)  # G(r0, y_i) on every row
+    modes = _lattice_modes(ny, omega)
+    sin_kh = modes[1]
+    s_n = math.sin(n * math.pi * wire.eps)
+    g_col = h / (2j * sin_kh)  # same-column 1D lattice Green per mode
+    rows = np.arange(1, ny)
+    phi_eps = math.sqrt(2.0) * np.sin(rows * np.pi * wire.eps)
+    green_eps = _dst(phi_eps * g_col)  # G(r0, y_i) on every row
+    yi = rows * h
+    solved = []
+    for rho, row in zip(rhos, inverse_strengths):
         w = np.exp(-(((yi - wire.eps) / rho) ** 2))
         support = w >= 1e-14
         ws = w[support]
         if len(ws) < 4:
             raise ConfigurationError("defect column support too small on this grid")
-        row += [(rho0, _inverse_strength(rho, rho0)) for rho0 in rho0s[1:]]
         # unknown tau = g psi(r0): tau (1/g - h sum_i G(r0, y_i) w_i) = psi_inc(r0)
         g_eps = green_eps[support]
         coupled = h * np.dot(g_eps, ws)
-        for rho0, inverse_strength in row:
+        for rho0, inverse_strength in zip(rho0s, row):
             tau = s_n / (inverse_strength - coupled)
             # u_i = V psi(r0) column values (times h)
             solved.append(_Cell(rho, rho0, support, ws * tau, tau, g_eps))
@@ -507,10 +506,6 @@ def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list) -> Univers
                     for ladder in zip(*table)]
     target = math.sin(n * math.pi * wire.eps) / math.sin(m * math.pi * wire.eps)
     mean = np.mean(coefficients)
-    if len(coefficients) > 1:
-        spread = max(abs(a - b) for a in coefficients for b in coefficients) / abs(mean)
-    else:
-        spread = 0.0
     return UniversalityReport(
         incident_mode=n,
         threshold_index=m,
@@ -520,7 +515,7 @@ def universality_probe(wire: DiscreteWire, n: int, m: int, rho0_list) -> Univers
         rho0_values=tuple(float(r) for r in rho0_list),
         coefficients=tuple(coefficients),
         target=target,
-        spread=float(spread),
+        spread=relative_spread(coefficients),
         mean_deviation=float(abs(mean - target) / abs(target)),
     )
 

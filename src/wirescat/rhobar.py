@@ -113,8 +113,8 @@ def regularized_scale(eps: float, omega: float, m: int, *,
             if gap < stability:
                 return math.exp(limit)
     raise ConvergenceError(
-        f"regularized-scale ladder did not stabilise to {stability:.1e} "
-        f"(last gap {gap:.2e})"
+        f"regularized-scale ladder at eps={eps}, omega={omega}, m={m} did not "
+        f"stabilise to {stability:.1e} (last gap {gap:.2e})"
     )
 
 

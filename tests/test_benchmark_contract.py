@@ -6,7 +6,9 @@ imports library names to build its references.  A rename or a signature
 change would break ``perfbench/run.py --trace 1`` only when the benchmark
 runs; these tests break first.  A last test runs ``perfbench/child.py``
 itself on four tiny jobs, untraced and traced: a child that cannot run its
-calls is what the benchmark counts as failed operations.  They read the
+calls is what the benchmark counts as failed operations.  Seed 1 of every
+workload runs through the CLI and passes the workload's own check, so an
+output the benchmark reads cannot lose a key or a column unnoticed.  They read the
 files under ``perfbench/`` and change none of them (no bytecode is written
 next to them).
 """
@@ -25,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import wirescat
-from wirescat.cli import build_config
+from wirescat.cli import build_config, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -147,6 +149,20 @@ def test_every_workload_call_passes_the_key_check(monkeypatch, tmp_path):
                 path.write_text(call.config_text(out), encoding="utf-8")
                 cfg = build_config(call.subcommand, ["--config", str(path)])
                 assert {**call.config, "out": out}.items() <= vars(cfg).items(), (name, seed)
+
+
+def test_every_workload_passes_its_own_check(monkeypatch, tmp_path):
+    # what a check reads of an output (a report key, a CSV column) must be
+    # there before the benchmark runs: seed 1 of every workload, run through
+    # the CLI as child.py runs it, then checked as run.py checks it
+    workloads = _load(monkeypatch, "workloads")
+    for name, (make_calls, check) in workloads.WORKLOADS.items():
+        for j, call in enumerate(make_calls(random.Random(f"{name}/1"))):
+            path, out = tmp_path / f"{name}-c{j}.cfg", tmp_path / f"{name}-c{j}{call.suffix}"
+            path.write_text(call.config_text(str(out)), encoding="utf-8")
+            assert main([call.subcommand, "--config", str(path)]) == 0, (name, j)
+            outcome = check(call, str(out))
+            assert outcome.failed == 0, (name, j, outcome.notes)
 
 
 @pytest.mark.parametrize("trace", [0, 1])

@@ -112,7 +112,7 @@ class TestSolveTable:
         (3, OM, (0.04, 0.02), (0.01,)),                  # mode 3 closed at OM
         (1, OM, (0.04, 0.001), (0.01, 0.1)),             # second width under-resolved
         (1, OM, (0.04, 0.02), (0.01, -1.0)),             # bad strength, second column
-        (1, 7e5, (0.04, 0.001), (0.01,)),                # band edge 4 ny^2 + mu_1, before row 2
+        (1, 7e5, (0.04, 0.02), (0.01,)),                 # band edge 4 ny^2 + mu_1
     ], ids=["mode-index", "closed-mode", "under-resolved", "strength", "band-edge"])
     def test_errors_match_the_first_failing_cell(self, n, omega, rhos, rho0s):
         wire = DiscreteWire(eps=0.3, **FINE)
@@ -130,6 +130,23 @@ class TestSolveTable:
         with pytest.raises(type(expected)) as got:
             oracle_solve_table(wire, n, omega, rhos, rho0s)
         assert str(got.value) == str(expected)
+
+    @pytest.mark.parametrize("n, omega, rhos, rho0s, error, match", [
+        (1, OM, (0.04, 0.02), (0.01, -1.0), ConfigurationError, "rho0 .* got -1.0"),
+        (0, OM, (0.04, 0.02), (0.01, 0.1), DomainError, "incident mode .* got 0"),
+        (3, OM, (0.04, 0.02), (0.01, 0.1), DomainError, "incident mode 3 does not propagate"),
+        (1, math.nan, (0.04, 0.02), (0.01, 0.1), DomainError, "energy must be finite"),
+        # above the band edge too, which only the lattice build checks
+        (1, 7e5, (0.04, 0.001), (0.01, 0.1), ConfigurationError, "under-resolved"),
+    ], ids=["strength", "mode-index", "closed-mode", "energy", "under-resolved"])
+    def test_inputs_are_checked_before_the_lattice_is_built(self, monkeypatch, n, omega,
+                                                            rhos, rho0s, error, match):
+        def no_lattice(*args):
+            raise AssertionError("lattice built before every input was checked")
+
+        monkeypatch.setattr(oracle, "_lattice_modes", no_lattice)
+        with pytest.raises(error, match=match):
+            oracle_solve_table(DiscreteWire(eps=0.3, **FINE), n, omega, rhos, rho0s)
 
     def test_probe_solves_one_table(self, monkeypatch):
         tables, modes, scales = [], [], []

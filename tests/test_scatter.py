@@ -200,8 +200,9 @@ class TestRegularizedScale:
 
     def test_unconverged_ladder_raises(self):
         # an impurity this close to the wall needs rungs beyond the term
-        # budget: the defect must be reported, not a silently wrong limit
-        with pytest.raises(ConvergenceError):
+        # budget: the defect must be reported, not a silently wrong limit,
+        # and the message names the input
+        with pytest.raises(ConvergenceError, match=re.escape(f"eps=1e-06, omega={OM_2}, m=2")):
             regularized_scale(1e-6, OM_2, 2)
 
 
