@@ -4,9 +4,9 @@
 (``rhobar.regularized_scales``); ``cut_sum`` feeds only the
 Neville-ladder cross-check ``rhobar.regularized_scale``; ``field_grid``
 synthesizes the fields of ``scatter.scattered_field_grid`` on the rows of
-``lattice_rows``, one FFT per column.  They live in one module so that the
-per-layer benchmark (``perfbench/spans.py``) can time them as one layer
-under these names.
+``lattice_rows`` by ``lattice_fft``, the sine transform the oracle's mode
+sums also take.  They live in one module so that the per-layer benchmark
+(``perfbench/spans.py``) can time them as one layer under these names.
 """
 
 from __future__ import annotations
@@ -153,9 +153,7 @@ def _lattice_sums(xs, coefs, kxs, padded, period, scale, shift):
     folded += weighted
     weighted *= -2.0
     weighted += folded
-    folded[1:] -= weighted[:0:-1]
-    folded[0] -= weighted[0]
-    spectrum = np.fft.fft(folded, axis=0)
+    spectrum = lattice_fft(folded, weighted)
     ahead, behind = spectrum[1:ny + 1], spectrum[:ny + 1:-1]
     psi = ahead - behind
     psi *= 0.25j
@@ -163,6 +161,16 @@ def _lattice_sums(xs, coefs, kxs, padded, period, scale, shift):
     ahead *= shift
     psi += ahead
     return psi
+
+
+def lattice_fft(u, v):
+    """FFT along axis 0 of u_r - v_((P - r) mod P), P = len(u), taken in
+    place in u (v may be u): entry d is sum_r (u_r - v_r) cos(2 pi r d/P) -
+    i (u_r + v_r) sin(2 pi r d/P).  Every FFT of the library is taken here,
+    so numpy loads its FFT module on the first call, not at import."""
+    u[1:] -= v[:0:-1]
+    u[0] -= v[0]
+    return np.fft.fft(u, axis=0)
 
 
 def backend():

@@ -32,8 +32,8 @@ rho = rho0 (where the bare coupling g has its pole); the infinitely-strong
 well is a regular point of the solve.
 
 Every sum over the transverse modes phi_j(y_i) = sqrt(2) sin(j pi i h_y)
-at the lattice rows is a DST-I or DCT-I and is taken by one FFT of length
-2/h_y (:func:`_fft_extension`); no sine matrix is formed.  A solve
+at the lattice rows is a DST-I by one FFT of length 2/h_y, the transform
+the field maps also take (:func:`_dst`); no sine matrix is formed.  A solve
 therefore costs O(ny log ny) whatever the width.  :func:`solve_table`
 solves a whole (width x strength) table at one energy, sharing everything
 but the strength term between its cells; :func:`solve` is its 1 x 1 call.
@@ -52,9 +52,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .kernels import lattice_fft
 from .numerics import neville_diagonal, relative_spread
 from .scatter import resonance_parameters
-from .specfun import _check_incident, _index
+from .specfun import _check_incident, _check_size, _index
 
 __all__ = [
     "DiscreteWire",
@@ -105,11 +106,9 @@ class DiscreteWire:
 
 def _inverse_strength(rho: float, rho0: float) -> float:
     """1/g = rho ln(rho/rho0)/(2 sqrt(pi)) of a defect of width rho and
-    strength rho0, each positive and finite; zero at the infinitely
-    attractive well rho = rho0, which the solve handles exactly."""
-    for name, value in (("rho", rho), ("rho0", rho0)):
-        if not 0.0 < value < math.inf:
-            raise ConfigurationError(f"defect {name} must be positive and finite, got {value}")
+    strength rho0, each positive and finite (:func:`solve_table` checks
+    them); zero at the infinitely attractive well rho = rho0, which the
+    solve handles exactly."""
     return rho * math.log(rho / rho0) / (2.0 * math.sqrt(math.pi))
 
 
@@ -197,28 +196,14 @@ def _lattice_modes(ny: int, omega: float):
     return mu, sin_kh, (1.0 - t) + 1j * sin_kh
 
 
-def _fft_extension(c, parity: float) -> np.ndarray:
-    """The one FFT behind every mode sum over the lattice rows.
-
-    For coefficients c_1..c_{ny-1} along axis 0, the length-2 ny FFT of the
-    extension [0, c, 0, parity c[::-1]]: entry d = 0..2ny-1 is
-    sum_j c_j (e^{-i pi j d/ny} + parity e^{i pi j d/ny}), that is
-    -2i sum_j c_j sin(j pi d/ny) for parity -1 (DST-I) and
-    2 sum_j c_j cos(j pi d/ny) for parity +1 (DCT-I).  ``np.fft`` is reached
-    here, not at import, so importing the CLI does not load it.
-    """
-    ny = c.shape[0] + 1
-    ext = np.zeros((2 * ny,) + c.shape[1:], dtype=complex)
-    ext[1:ny] = c
-    ext[ny + 1:] = parity * c[::-1]
-    return np.fft.fft(ext, axis=0)
-
-
 def _dst(c) -> np.ndarray:
     """sum_j c_j phi_j(y_i) = sum_j c_j sqrt(2) sin(j pi i/ny) at the rows
-    i = 1..ny-1, along axis 0.  The kernel is symmetric in (i, j), so the
-    same call projects a column of row values onto the modes."""
-    return _fft_extension(c, -1.0)[1:len(c) + 1] * (0.5j * math.sqrt(2.0))
+    i = 1..ny-1, along axis 0, by :func:`~wirescat.kernels.lattice_fft`.
+    The kernel is symmetric in (i, j), so the same call projects a column
+    of row values onto the modes."""
+    ext = np.zeros((2 * (len(c) + 1),) + c.shape[1:], dtype=complex)
+    ext[1:len(c) + 1] = c
+    return lattice_fft(ext, ext)[1:len(c) + 1] * (0.5j * math.sqrt(2.0))
 
 
 def solve(wire: DiscreteWire, n: int, omega: float, rho: float, rho0: float) -> OracleSolution:
@@ -255,18 +240,19 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
     Each solution keeps its cell and the shared lattice spectrum for its
     residual, which is computed on first read.  Each cell gets the bits of
     its own 1 x 1 table.  Every input is checked before the lattice is
-    built, in stages over the whole table: every cell's strength, the
-    incident mode, the energy, every width's resolution; building the
+    built, in stages over the whole table, even one without cells: every
+    width, every strength, the incident mode, the energy, every width's
+    resolution, the size ((ny - 1) x cells at most _MAX_INDEX); building the
     lattice checks the band edge, and each width's defect support is
     checked as its row is solved.  A table with several bad inputs names
     the first in this order.
     """
-    if not len(rhos) or not len(rho0s):
-        return [[] for _ in rhos]
     ny = wire.ny
     h = wire.h_y
     rho0s = list(rho0s)
-    inverse_strengths = [[_inverse_strength(rho, rho0) for rho0 in rho0s] for rho in rhos]
+    for name, value in [("rho", rho) for rho in rhos] + [("rho0", rho0) for rho0 in rho0s]:
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(f"defect {name} must be positive and finite, got {value}")
     n = _index(n, "incident mode", hi=wire.lead_modes)
     _check_incident(n, omega)
     for rho in rhos:
@@ -274,6 +260,11 @@ def solve_table(wire: DiscreteWire, n: int, omega: float, rhos,
             raise ConfigurationError(
                 f"impurity width under-resolved: rho/h_y = {rho / h:.2f} < 4"
             )
+    cells = len(rhos) * len(rho0s)
+    _check_size((ny - 1) * cells, "lattice table of {} cells at ny = {}", cells, ny)
+    if not cells:
+        return [[] for _ in rhos]
+    inverse_strengths = [[_inverse_strength(rho, rho0) for rho0 in rho0s] for rho in rhos]
     modes = _lattice_modes(ny, omega)
     sin_kh = modes[1]
     s_n = math.sin(n * math.pi * wire.eps)

@@ -909,6 +909,14 @@ class TestUniversality:
                    "--rho0-list", "0.01", "--oracle", "--grid-ny", "0") == 2
         assert "grid_ny" in capsys.readouterr().err
 
+    def test_lattice_table_over_the_size_limit_exits_2(self, capsys):
+        # 3 widths x 30 strengths at ny = 200,000; one width with 30 peaked
+        # at 534 MiB before the size stage, now refused before any array
+        strengths = ",".join(map(repr, np.geomspace(1e-5, 0.1, 30).tolist()))
+        assert run("universality", "--epsilon", "0.3", "--threshold-m", "2",
+                   "--rho0-list", strengths, "--oracle", "--grid-ny", "200000") == 2
+        assert "90 cells at ny = 200000" in capsys.readouterr().err
+
 
 class TestUniversalityPasses:
     """A report evaluates rho_bar in two passes (the cut-off, for Delta_m

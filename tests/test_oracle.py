@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from wirescat import (
     oracle_solve,
     oracle_solve_ladder,
     oracle_solve_table,
+    scattered_field_grid,
     solve_scattering,
     universality_probe,
 )
 from wirescat import oracle, rhobar, scatter
+from wirescat.kernels import lattice_fft
+from wirescat.specfun import _MAX_INDEX
 from wirescat.oracle import (
     OracleSolution,
     _Cell,
@@ -138,7 +142,13 @@ class TestSolveTable:
         (1, math.nan, (0.04, 0.02), (0.01, 0.1), DomainError, "energy must be finite"),
         # above the band edge too, which only the lattice build checks
         (1, 7e5, (0.04, 0.001), (0.01, 0.1), ConfigurationError, "under-resolved"),
-    ], ids=["strength", "mode-index", "closed-mode", "energy", "under-resolved"])
+        # tables without cells check their inputs too, each width on its own
+        (999, math.nan, (0.04,), (), DomainError, "incident mode .* got 999"),
+        (1, 41.4, (math.nan,), (), ConfigurationError, "rho must .* got nan"),
+        (1, math.inf, (), (math.nan,), ConfigurationError, "rho0 .* got nan"),
+        (1, OM, (0.001,), (), ConfigurationError, "under-resolved"),
+    ], ids=["strength", "mode-index", "closed-mode", "energy", "under-resolved",
+            "empty-mode-index", "empty-width", "empty-strength", "empty-resolution"])
     def test_inputs_are_checked_before_the_lattice_is_built(self, monkeypatch, n, omega,
                                                             rhos, rho0s, error, match):
         def no_lattice(*args):
@@ -147,6 +157,28 @@ class TestSolveTable:
         monkeypatch.setattr(oracle, "_lattice_modes", no_lattice)
         with pytest.raises(error, match=match):
             oracle_solve_table(DiscreteWire(eps=0.3, **FINE), n, omega, rhos, rho0s)
+
+    def test_size_and_empty_tables_are_decided_before_the_lattice_is_built(self,
+                                                                           monkeypatch):
+        def no_lattice(*args):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(oracle, "_lattice_modes", no_lattice)
+        wire = DiscreteWire(eps=0.3, **FINE)
+        assert oracle_solve_table(wire, 1, OM, (0.04, 0.02), ()) == [[], []]
+        assert oracle_solve_table(wire, 1, OM, (), (0.01,)) == []
+        # (ny - 1) x cells values: 2 cells fill the limit at ny = 1,875,000
+        assert 1874999 * 2 <= _MAX_INDEX < 1875000 * 2
+        with pytest.raises(AssertionError, match="lattice built"):
+            oracle_solve_table(DiscreteWire(eps=0.3, ny=1875000), 1, OM, (0.04,), (0.01, 0.1))
+        # one width above the limit, and the probe's three widths with 30
+        # strengths (one width with 30 peaked at 534 MiB before the size stage)
+        for ny, rhos, rho0s in ((1875001, (0.04,), (0.01, 0.1)),
+                                (200000, (0.04, 0.02, 0.01), np.geomspace(1e-5, 0.1, 30))):
+            cells = len(rhos) * len(rho0s)
+            with pytest.raises(DomainError, match=f"^lattice table of {cells} cells at ny = {ny}: "
+                                                  f"{(ny - 1) * cells} values are above"):
+                oracle_solve_table(DiscreteWire(eps=0.3, ny=ny), 1, OM, rhos, rho0s)
 
     def test_probe_solves_one_table(self, monkeypatch):
         tables, modes, scales = [], [], []
@@ -173,6 +205,21 @@ def _dense_modes(ny, rows):
     return math.sqrt(2.0) * np.sin((np.outer(np.arange(1, ny), rows) % (2 * ny)) * PI / ny)
 
 
+def _dense_lattice_sums(a, b):
+    """sum_r a_r cos(2 pi r d/P) - i b_r sin(2 pi r d/P), d = 0..P-1 along
+    axis 0, P = len(a), by dense products over blocks of d: the reference
+    for :func:`~wirescat.kernels.lattice_fft`, with r d reduced mod P
+    exactly in integers first, as in :func:`_dense_modes`."""
+    period = len(a)
+    blocks = []
+    for lo in range(0, period, 256):
+        angle = np.outer(np.arange(lo, min(lo + 256, period)), np.arange(period)) % period
+        angle = angle * (2.0 * PI / period)
+        blocks.append(np.tensordot(np.cos(angle), a, axes=1)
+                      - 1j * np.tensordot(np.sin(angle), b, axes=1))
+    return np.concatenate(blocks)
+
+
 class TestModeSums:
     def test_discrete_dispersion_matches_continuum_to_h2(self):
         # k~ from the lattice dispersion tracks sqrt(omega - (l pi)^2) with
@@ -190,12 +237,48 @@ class TestModeSums:
 
     @pytest.mark.parametrize("ny", [8, 400, 1600])
     def test_dst_matches_dense_sine_product(self, ny):
+        # _dst, and the shared transform in its two callers' forms: u = v,
+        # as _dst passes it (period 2 ny), and u != v, as the field kernel
+        # passes it (period 2 (ny + 1)); the trailing shape (3, 4) is the
+        # [row, |p|, cell] layout of _residual
         rng = np.random.default_rng(ny)
         phi = _dense_modes(ny, np.arange(1, ny))
-        for shape in ((ny - 1,), (ny - 1, 5)):
-            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            dense = phi.T @ c
-            assert np.max(np.abs(_dst(c) - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+        def close(got, dense):
+            assert got.shape == dense.shape
+            assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+        for trailing in ((), (5,), (3, 4)):
+            def draw(rows):
+                shape = (rows,) + trailing
+                return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+            c = draw(ny - 1)
+            close(_dst(c), np.tensordot(phi, c, axes=1))  # phi is symmetric
+            same = draw(2 * ny)
+            dense = _dense_lattice_sums(np.zeros_like(same), 2.0 * same)
+            close(lattice_fft(same, same), dense)
+            u, v = draw(2 * (ny + 1)), draw(2 * (ny + 1))
+            close(lattice_fft(u.copy(), v), _dense_lattice_sums(u - v, u + v))
+
+    def test_every_fft_is_taken_by_the_shared_transform(self, monkeypatch,
+                                                        canonical_impurity):
+        # the oracle's mode sums and the field maps reach numpy's FFT through
+        # kernels.lattice_fft alone, so no second copy of the transform
+        callers = []
+        real = np.fft.fft
+
+        def recording(*args, **kwargs):
+            caller = sys._getframe(1)
+            callers.append((caller.f_globals["__name__"], caller.f_code.co_name))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recording)
+        assert oracle_solve(DiscreteWire(eps=0.3, **FINE), 1, OM, 0.02, 0.01).residual < 1e-10
+        assert len(callers) == 4  # G(r0, .), the projection, two in the residual
+        scattered_field_grid(canonical_impurity, 1, OM, [0.1, 0.2], 40)
+        assert len(callers) > 4
+        assert set(callers) == {("wirescat.kernels", "lattice_fft")}
 
 
 class TestResidual:
